@@ -17,7 +17,7 @@ from repro.core.messages import ForwardedRequest, SiteResponse
 from repro.core.requests import ClientRequest, ClientResponse, RequestStatus
 from repro.net.message import Message
 from repro.net.transport import Clock, Transport
-from repro.net.regions import Region
+from repro.net.regions import Region, rtt
 from repro.sim.process import Actor
 
 
@@ -43,8 +43,6 @@ class ClosestRegionRouting:
         self._rotation = 0
 
     def select(self, request: ClientRequest, region: Region) -> str | None:
-        from repro.net.regions import rtt
-
         best: list[str] = []
         best_latency = float("inf")
         for site in self._sites:

@@ -20,6 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Protocol
 
+from repro.net import codec
 from repro.net.message import Message
 from repro.net.partition import PartitionController
 from repro.net.regions import Region, one_way_latency
@@ -114,8 +115,6 @@ class Network:
             # Encode the envelope exactly as the TCP framing would (the
             # trace id is already stamped, matching the live order) so
             # sim byte baselines transfer to the socket substrate.
-            from repro.net import codec
-
             payload_bytes = len(codec.encode(message))
             frame_bytes = payload_bytes + codec.FRAME_HEADER.size
             src_region = self._regions.get(src)

@@ -121,7 +121,7 @@ class StackSampler:
 class EventProfiler:
     """Deterministic per-callback event profiler for the sim kernel.
 
-    ``record`` is called by :meth:`repro.sim.kernel.Kernel.step` with the
+    ``record`` is called by :meth:`repro.sim.kernel.Kernel.run` with the
     just-fired event and the wall seconds it took.  Keys are the
     callback's ``module.qualname``, so the table reads as "which actor
     method burns the event budget".  Counts are seed-deterministic;

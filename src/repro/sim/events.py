@@ -15,10 +15,12 @@ from typing import Any, Callable
 
 
 class Event:
-    """A scheduled callback.
+    """Handle on a scheduled callback.
 
     Events support O(1) cancellation: :meth:`cancel` marks the event dead
     and the queue discards it lazily when it reaches the top of the heap.
+    The event is *not* the heap key (see :class:`EventQueue`), so it
+    defines no ordering of its own.
     """
 
     __slots__ = ("time", "seq", "callback", "args", "cancelled")
@@ -47,9 +49,6 @@ class Event:
         if not self.cancelled:
             self.callback(*self.args)
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
         return f"Event(t={self.time:.6f}, seq={self.seq}, {state})"
@@ -60,18 +59,26 @@ def _noop(*_args: Any) -> None:
 
 
 class EventQueue:
-    """A priority queue of :class:`Event` objects ordered by time."""
+    """A priority queue of :class:`Event` objects ordered by time.
+
+    ``heap`` holds ``(time, seq, event)`` tuples: ``seq`` is unique, so
+    ``heapq`` orders entries by C tuple comparison of a float and an int
+    and never reaches the :class:`Event`.  :meth:`Kernel.run
+    <repro.sim.kernel.Kernel.run>` reads ``heap`` directly; everything
+    else goes through the methods.
+    """
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        self.heap: list[tuple[float, int, Event]] = []
         self._counter = itertools.count()
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return len(self.heap)
 
     def push(self, time: float, callback: Callable[..., Any], args: tuple = ()) -> Event:
-        event = Event(time, next(self._counter), callback, args)
-        heapq.heappush(self._heap, event)
+        seq = next(self._counter)
+        event = Event(time, seq, callback, args)
+        heapq.heappush(self.heap, (time, seq, event))
         return event
 
     def pop(self) -> Event | None:
@@ -79,19 +86,14 @@ class EventQueue:
 
         Returns ``None`` when the queue holds no live events.
         """
-        while self._heap:
-            event = heapq.heappop(self._heap)
+        while self.heap:
+            event = heapq.heappop(self.heap)[2]
             if not event.cancelled:
                 return event
         return None
 
     def peek_time(self) -> float | None:
         """Timestamp of the next live event, or ``None`` if empty."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        if self._heap:
-            return self._heap[0].time
-        return None
-
-    def clear(self) -> None:
-        self._heap.clear()
+        while self.heap and self.heap[0][2].cancelled:
+            heapq.heappop(self.heap)
+        return self.heap[0][0] if self.heap else None

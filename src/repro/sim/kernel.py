@@ -8,6 +8,8 @@ exactly reproducible.
 
 from __future__ import annotations
 
+from heapq import heappop
+from math import inf
 from time import perf_counter
 from typing import Any, Callable
 
@@ -88,15 +90,7 @@ class Kernel:
         """Schedule ``callback(*args)`` to fire ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay} seconds in the past")
-        if self._perf_push is None:
-            event = self._queue.push(self.now + delay, callback, args)
-        else:
-            start = perf_counter()
-            event = self._queue.push(self.now + delay, callback, args)
-            self._perf_push.record(perf_counter() - start)
-        if self._flow_heap is not None:
-            self._flow_heap.enqueue(len(self._queue))
-        return event
+        return self._push(self.now + delay, callback, args)
 
     def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``callback(*args)`` at an absolute simulated time."""
@@ -104,6 +98,9 @@ class Kernel:
             raise SimulationError(
                 f"cannot schedule at t={time} which is before now={self.now}"
             )
+        return self._push(time, callback, args)
+
+    def _push(self, time: float, callback: Callable[..., Any], args: tuple) -> Event:
         if self._perf_push is None:
             event = self._queue.push(time, callback, args)
         else:
@@ -116,42 +113,48 @@ class Kernel:
 
     def step(self) -> bool:
         """Dispatch the next event.  Returns False when the queue is empty."""
-        event = self._queue.pop()
-        if event is None:
-            return False
-        if event.time < self.now:
-            raise SimulationError("event queue delivered an event out of order")
-        self.now = event.time
-        self._events_fired += 1
-        if self._perf_tick is None and self.profiler is None:
-            event.fire()
-            return True
-        start = perf_counter()
-        event.fire()
-        elapsed = perf_counter() - start
-        if self._perf_tick is not None:
-            self._perf_tick.record(elapsed)
-        if self.profiler is not None:
-            self.profiler.record(event, elapsed)
-        return True
+        before = self._events_fired
+        self.run(max_events=1)
+        return self._events_fired != before
 
     def run(self, until: float | None = None, max_events: int | None = None) -> None:
         """Run until the queue drains, ``until`` is reached, or the budget ends.
 
         When ``until`` is given the clock is advanced to exactly ``until``
         even if the last event fires earlier, so callers can compose
-        consecutive ``run`` calls with contiguous time windows.
+        consecutive ``run`` calls with contiguous time windows (a run cut
+        short by ``max_events`` leaves the clock at its last event).
+
+        This is the only dispatch loop.  The perf histogram and profiler
+        are read once on entry: install them before calling ``run``.
         """
-        fired = 0
-        while True:
-            if max_events is not None and fired >= max_events:
-                return
-            next_time = self._queue.peek_time()
-            if next_time is None:
+        heap = self._queue.heap
+        tick = self._perf_tick
+        profiler = self.profiler
+        timed = tick is not None or profiler is not None
+        horizon = inf if until is None else until
+        # Counts down to zero; an unbounded run starts below it.
+        budget = -1 if max_events is None else max(max_events, 0)
+        while budget and heap:
+            time, _seq, event = heap[0]
+            if event.cancelled:
+                heappop(heap)
+                continue
+            if time > horizon:
                 break
-            if until is not None and next_time > until:
-                break
-            self.step()
-            fired += 1
-        if until is not None and until > self.now:
+            heappop(heap)
+            budget -= 1
+            self.now = time
+            self._events_fired += 1
+            if not timed:
+                event.callback(*event.args)
+                continue
+            start = perf_counter()
+            event.callback(*event.args)
+            elapsed = perf_counter() - start
+            if tick is not None:
+                tick.record(elapsed)
+            if profiler is not None:
+                profiler.record(event, elapsed)
+        if budget and until is not None and until > self.now:
             self.now = until

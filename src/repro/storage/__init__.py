@@ -2,12 +2,11 @@
 
 The paper assumes a crashed site "reconstructs its previous state
 (typically stored on stable storage)" (§3.1).  This package provides that
-substrate: a per-actor key-value store that survives crashes, plus an
-append-only write-ahead log used by the Paxos/Raft baselines.
+substrate: a per-actor keyed recovery log that survives crashes, plus an
+indexed write-ahead log used by the Paxos/Raft baselines.
 """
 
 from repro.storage.recovery import RecoveryWal
-from repro.storage.store import StableStore
 from repro.storage.wal import WriteAheadLog
 
-__all__ = ["RecoveryWal", "StableStore", "WriteAheadLog"]
+__all__ = ["RecoveryWal", "WriteAheadLog"]

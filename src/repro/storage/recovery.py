@@ -1,25 +1,28 @@
 """Recovery write-ahead log: durable keyed records for crash recovery.
 
-:class:`~repro.storage.store.StableStore` models an overwrite-in-place
-key-value disk; :class:`RecoveryWal` models what real sites use instead —
-an append-only log that is *replayed* on recovery.  The distinction
-matters for fault injection: a site recovers from **what reached the
-log**, not from whatever its in-memory snapshot happens to say, so a
-recovery path that skips a persist is observably broken (the nemesis
-harness disables the log mid-run and the conservation auditor catches
-the resulting stale restore — see ``tests/test_nemesis.py``).
+:class:`RecoveryWal` models the stable storage of a site (§3.1) as an
+append-only log that is *replayed* on recovery.  A site recovers from
+**what reached the log**, not from whatever its in-memory snapshot
+happens to say, so a recovery path that skips a persist is observably
+broken (the nemesis harness disables the log mid-run and the
+conservation auditor catches the resulting stale restore — see
+``tests/test_nemesis.py``).
 
-Records are deep-copied on append and on replay, like serialization to
-and from disk.  ``compact()`` keeps only the newest record per key, the
-bound a real implementation gets from checkpointing.
+Records are pickled on append and unpickled on replay — a serialized
+write and read, so neither later mutation of the appended object nor of
+a replayed one can change what is "on disk", and a value that cannot be
+serialized fails at the append that tried to persist it.  ``compact()``
+keeps only the newest record per key, the bound a real implementation
+gets from checkpointing.
 """
 
 from __future__ import annotations
 
-import copy
+import pickle
 from typing import Any
 
-from repro.storage.store import DEFAULT_WRITE_LATENCY
+#: Default simulated fsync cost in seconds (local SSD, ~0.2 ms).
+DEFAULT_WRITE_LATENCY = 0.0002
 
 
 class RecoveryWal:
@@ -32,7 +35,7 @@ class RecoveryWal:
         #: recovery path" knob the nemesis harness uses to prove the
         #: auditor notices a site restoring stale state.
         self.enabled = True
-        self._records: list[tuple[str, Any]] = []
+        self._records: list[tuple[str, bytes]] = []
         self.appends = 0
         self.dropped_appends = 0
         self.replays = 0
@@ -41,20 +44,18 @@ class RecoveryWal:
         return len(self._records)
 
     def append(self, key: str, value: Any) -> None:
-        """Durably append one record (deep-copied, like a serialized write)."""
+        """Durably append one record (a serialized write)."""
         if not self.enabled:
             self.dropped_appends += 1
             return
         self.appends += 1
-        self._records.append((key, copy.deepcopy(value)))
+        self._records.append((key, pickle.dumps(value, -1)))
 
     def replay(self) -> dict[str, Any]:
-        """Fold the log into its latest value per key (deep-copied back)."""
+        """Fold the log into its latest value per key (deserialized)."""
         self.replays += 1
-        state: dict[str, Any] = {}
-        for key, value in self._records:
-            state[key] = value
-        return {key: copy.deepcopy(value) for key, value in state.items()}
+        latest = dict(self._records)
+        return {key: pickle.loads(record) for key, record in latest.items()}
 
     def compact(self) -> int:
         """Drop superseded records; returns how many were removed."""

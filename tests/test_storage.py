@@ -1,63 +1,13 @@
-"""Tests for stable storage, the consensus log, and the recovery WAL."""
+"""Tests for the recovery WAL and the consensus log."""
+
+import pickle
 
 import pytest
 
+from repro.core.avantan.state import AcceptValue, AvantanState, Ballot
+from repro.core.entity import SiteTokenState
 from repro.storage.recovery import RecoveryWal
-from repro.storage.store import StableStore
 from repro.storage.wal import LogEntry, WriteAheadLog
-
-
-class TestStableStore:
-    def test_round_trip(self):
-        store = StableStore("s")
-        store.put("k", {"a": 1})
-        assert store.get("k") == {"a": 1}
-
-    def test_get_default(self):
-        store = StableStore("s")
-        assert store.get("missing") is None
-        assert store.get("missing", 7) == 7
-
-    def test_stored_value_isolated_from_later_mutation(self):
-        store = StableStore("s")
-        value = {"tokens": 10}
-        store.put("k", value)
-        value["tokens"] = 0
-        assert store.get("k") == {"tokens": 10}
-
-    def test_read_value_isolated_from_store(self):
-        store = StableStore("s")
-        store.put("k", {"tokens": 10})
-        read = store.get("k")
-        read["tokens"] = 0
-        assert store.get("k") == {"tokens": 10}
-
-    def test_contains_and_delete(self):
-        store = StableStore("s")
-        store.put("k", 1)
-        assert "k" in store
-        store.delete("k")
-        assert "k" not in store
-
-    def test_wipe(self):
-        store = StableStore("s")
-        store.put("a", 1)
-        store.put("b", 2)
-        store.wipe()
-        assert store.get("a") is None and store.get("b") is None
-
-    def test_counters(self):
-        store = StableStore("s")
-        store.put("a", 1)
-        store.get("a")
-        store.get("b")
-        assert store.writes == 1
-        assert store.reads == 2
-
-    def test_none_value_distinct_from_missing(self):
-        store = StableStore("s")
-        store.put("k", None)
-        assert store.get("k", "default") is None
 
 
 class TestRecoveryWal:
@@ -70,16 +20,48 @@ class TestRecoveryWal:
 
     def test_appended_value_isolated_from_later_mutation(self):
         wal = RecoveryWal("s")
-        value = {"tokens": 10}
+        value = {"tokens": [10, 20]}
         wal.append("k", value)
-        value["tokens"] = 0
-        assert wal.replay()["k"] == {"tokens": 10}
+        value["tokens"].append(30)
+        assert wal.replay()["k"] == {"tokens": [10, 20]}
 
     def test_replayed_value_isolated_from_log(self):
         wal = RecoveryWal("s")
-        wal.append("k", {"tokens": 10})
-        wal.replay()["k"]["tokens"] = 0
-        assert wal.replay()["k"] == {"tokens": 10}
+        wal.append("k", {"tokens": [10, 20]})
+        wal.replay()["k"]["tokens"].clear()
+        assert wal.replay()["k"] == {"tokens": [10, 20]}
+
+    def test_protocol_records_round_trip_equal(self):
+        ballot = Ballot(3, "site-b")
+        value = AcceptValue(
+            value_id=ballot,
+            entity_id="vm",
+            states=(SiteTokenState("site-a", "vm", 40, 5),),
+        )
+        state = AvantanState(
+            ballot_num=ballot,
+            init_val=value.states[0],
+            accept_val=value,
+            accept_num=ballot,
+            applied={Ballot(1, "site-a")},
+            dead_ballots={Ballot(2, "site-c")},
+        )
+        state.remember_applied_value(value)
+        pledge = (ballot.num, ballot.site_id, 40)
+        wal = RecoveryWal("s")
+        wal.append("avantan", state)
+        wal.append("pledge", pledge)
+        wal.append("entity", (60, 5))
+        replayed = wal.replay()
+        assert replayed == {"avantan": state, "pledge": pledge, "entity": (60, 5)}
+        assert replayed["avantan"] is not state
+
+    def test_unserializable_value_fails_at_append(self):
+        wal = RecoveryWal("s")
+        wal.append("k", 1)
+        with pytest.raises((pickle.PicklingError, AttributeError)):
+            wal.append("k", lambda: None)
+        assert wal.replay() == {"k": 1}
 
     def test_disabled_wal_discards_appends(self):
         wal = RecoveryWal("s")
