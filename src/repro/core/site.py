@@ -24,14 +24,15 @@ from repro.core.avantan.majority import AvantanMajority
 from repro.core.avantan.star import AvantanStar
 from repro.core.avantan.state import AvantanState, Ballot
 from repro.core.config import AvantanVariant, SamyaConfig
-from repro.core.entity import Entity, EntityState, SiteTokenState, TokenError
+from repro.core.entity import Entity, EntityState
+from repro.core.ledger import RedistributionLedger
 from repro.core.messages import (
     ForwardedRequest,
     SiteResponse,
     TokenInfoReply,
     TokenInfoRequest,
 )
-from repro.core.reallocation import Reallocator, redistribute_tokens
+from repro.core.reallocation import Reallocator
 from repro.core.requests import ClientResponse, RequestKind, RequestStatus
 from repro.net.message import EnvelopeDedup, Message
 from repro.net.regions import Region
@@ -43,8 +44,14 @@ from repro.storage.recovery import RecoveryWal
 _read_ids = itertools.count(1)
 
 
-class SamyaSite(Actor):
-    """One geo-distributed data shard holding a fraction of the tokens."""
+class SamyaSite(Actor, RedistributionLedger):
+    """One geo-distributed data shard holding a fraction of the tokens.
+
+    Token accounting around the protocol (pledge, reserve, delta apply)
+    is the inherited :class:`~repro.core.ledger.RedistributionLedger`;
+    this class supplies its hooks: TokensWanted from prediction and the
+    queue, the queue drain, and the WAL / trace / counter side effects.
+    """
 
     def __init__(
         self,
@@ -59,11 +66,11 @@ class SamyaSite(Actor):
         reallocator: Reallocator | None = None,
     ) -> None:
         super().__init__(kernel, name)
+        RedistributionLedger.__init__(self, EntityState(entity.id, initial_tokens))
         self.region = region
         self.network = network
         self.entity = entity
         self.config = config or SamyaConfig()
-        self.state = EntityState(entity.id, initial_tokens)
         self.initial_tokens = initial_tokens
         self.predictor = predictor
         self.reallocator = reallocator
@@ -71,7 +78,6 @@ class SamyaSite(Actor):
         #: what a recovered site believes is exactly what reached disk.
         self.wal = RecoveryWal(name)
         self.history = DemandHistory()
-        self.protocol: AvantanMajority | AvantanStar | None = None
         self.peers: list[str] = []
 
         self._pending: deque[ForwardedRequest] = deque()
@@ -97,22 +103,8 @@ class SamyaSite(Actor):
         #: the extra call cannot perturb untraced determinism).
         self._last_forecast: float | None = None
         self._last_proactive_check = -math.inf
-        self._last_trigger_at = -math.inf
         self._deferred_trigger: Any = None
         self._epoch_event: Any = None
-        #: Ballot of the oldest *unresolved pledge*: we answered a foreign
-        #: election with our InitVal, so those tokens may be pooled in a
-        #: value we have not seen decide or die.  Until resolved, the
-        #: pledged balance must not be served — under message loss the
-        #: pledged round can decide without us, grant our tokens away,
-        #: and only tell us later.  Resolution: we apply a value that
-        #: includes us, we see the pledged ballot's own decided value, or
-        #: (Avantan[*]) we aborted the pledged ballot and refuse it
-        #: forever; a round that ends any other way re-elects instead of
-        #: draining (see ``on_protocol_idle``).
-        self._pledge: Ballot | None = None
-        self._pledge_amount = 0
-
         #: Observers notified with (site, value, granted) on every applied
         #: redistribution — the invariant checker hooks in here.
         self.apply_listeners: list[Callable[..., None]] = []
@@ -260,7 +252,7 @@ class SamyaSite(Actor):
             self.counters["acquired_tokens"] += request.amount
             self._respond(fwd, RequestStatus.GRANTED, waited=draining)
             return
-        if 0 < request.amount <= self._available_tokens():
+        if 0 < request.amount <= self.available_tokens():
             self.state.acquire(request.amount)
             self._persist_entity()
             self.counters["granted_acquires"] += 1
@@ -280,7 +272,7 @@ class SamyaSite(Actor):
                 self._queue_pending(fwd)
                 return
             can_trigger_now = (
-                self.now >= self._last_trigger_at + self.config.reactive_cooldown
+                self.now >= self.last_trigger_at + self.config.reactive_cooldown
             )
             if can_trigger_now or self.config.queue_during_cooldown:
                 # Reactive redistribution (Eq. 5): park the request and go
@@ -406,7 +398,7 @@ class SamyaSite(Actor):
             if reason == "proactive"
             else self.config.reactive_cooldown
         )
-        next_allowed = self._last_trigger_at + cooldown
+        next_allowed = self.last_trigger_at + cooldown
         if self.now < next_allowed:
             if self._deferred_trigger is None:
                 self._deferred_trigger = self.kernel.schedule(
@@ -416,7 +408,7 @@ class SamyaSite(Actor):
                     (reason,),
                 )
             return
-        self._last_trigger_at = self.now
+        self.last_trigger_at = self.now
         if self.protocol.trigger():
             self.counters[f"{reason}_triggers"] += 1
             obs = self.obs
@@ -432,84 +424,70 @@ class SamyaSite(Actor):
         if still_needed:
             self._trigger(reason)
 
-    # -- AvantanHost callbacks --------------------------------------------------
+    # -- ledger hooks ------------------------------------------------------------
 
-    def snapshot_init_val(self) -> SiteTokenState:
-        """Recompute TokensWanted (Algorithm 1 lines 9-12, generalized to
-        also cover queued reactive demand and the want horizon) and
-        snapshot the state."""
+    def wanted_tokens(self) -> int:
+        """Algorithm 1 lines 9-12, generalized to also cover queued
+        reactive demand and the want horizon."""
         wanted = 0
         horizon_demand = math.ceil(
             self.predict_next_epoch() * self.config.want_horizon_epochs
         )
         if horizon_demand > self.state.tokens_left:
             wanted = horizon_demand - self.state.tokens_left
-        wanted = max(wanted, self._pending_acquire_deficit())
-        self.state.tokens_wanted = wanted
-        if self.protocol is not None:
-            ballot = self.protocol.state.ballot_num
-            if ballot.site_id != self.name and self._pledge is None:
-                # Responding to a *foreign* election: the snapshot we
-                # return may end up pooled in that leader's value.
-                # Remember the oldest such outstanding pledge (a later
-                # one pools the same frozen balance, so the first
-                # suffices), durably — a crash must not forget it.
-                self._pledge = ballot
-                self._pledge_amount = self.state.tokens_left
-                self.counters["pledges_opened"] += 1
-                self._persist_pledge()
-                obs = self.obs
-                if obs is not None:
-                    obs.emit(
-                        "pledge.open",
-                        node=self.name,
-                        value_id=f"{ballot.num}.{ballot.site_id}",
-                        amount=self._pledge_amount,
-                        trace_id=f"rnd-{ballot.num}.{ballot.site_id}",
-                    )
-        return self.state.snapshot(self.name)
+        return max(wanted, self._pending_acquire_deficit())
 
-    def apply_redistribution(self, value) -> None:
-        if self._pledge is not None and (
-            value.value_id == self._pledge
-            or value.state_of(self.name) is not None
-        ):
-            # The pledged round's own value arrived (with or without us),
-            # or a newer value pooled us — which, by the leader-side
-            # stale-participant resolution, implies every older decided
-            # value of ours reached us first.  Either way: settled.
-            self._settle_pledge(
-                "decided" if value.value_id == self._pledge else "pooled"
+    def drain_pending(self, degraded: bool) -> None:
+        """Answer every queued request.
+
+        Triggers are suppressed while draining: a redistribution started
+        mid-drain would snapshot an InitVal that the rest of the drain
+        keeps mutating, leaking tokens when that stale snapshot is pooled.
+        """
+        self._draining = True
+        try:
+            while self._pending:
+                fwd = self._pending.popleft()
+                self._pending_ids.discard(fwd.request.request_id)
+                self._serve(fwd, draining=True)
+        finally:
+            self._draining = False
+        if not degraded:
+            self._maybe_proactive()
+
+    def pledge_opened(self, ballot: Ballot, amount: int) -> None:
+        self.counters["pledges_opened"] += 1
+        self._persist_pledge()
+        self._emit_pledge("open", ballot, amount=amount)
+
+    def pledge_settled(self, ballot: Ballot, reason: str) -> None:
+        self.counters["pledge_settlements"] += 1
+        self._persist_pledge()
+        self._emit_pledge("settle", ballot, reason=reason)
+
+    def pledge_recovering(self, ballot: Ballot, driver: str) -> None:
+        self.counters["pledge_recoveries"] += 1
+        obs = self.obs
+        if obs is not None:
+            obs.emit("realloc.trigger", node=self.name, reason="pledge_recovery")
+        self._emit_pledge("recover", ballot, driver=driver)
+
+    def _emit_pledge(self, event: str, ballot: Ballot, **detail: Any) -> None:
+        obs = self.obs
+        if obs is not None:
+            # Key order is the trace's byte order (JsonlSink does not sort).
+            obs.emit(
+                f"pledge.{event}",
+                node=self.name,
+                value_id=f"{ballot.num}.{ballot.site_id}",
+                **detail,
+                trace_id=f"rnd-{ballot.num}.{ballot.site_id}",
             )
-        proto_state = self.protocol.state if self.protocol is not None else None
-        if proto_state is not None:
-            if value.value_id in proto_state.applied:
-                return
-            proto_state.applied.add(value.value_id)
-            if len(proto_state.applied) > 256:
-                proto_state.applied.discard(min(proto_state.applied))
-            proto_state.remember_applied_value(value)
-        mine = value.state_of(self.name)
-        granted: dict[str, int] | None = None
-        tokens_before = self.state.tokens_left
-        if mine is not None:
-            granted = redistribute_tokens(list(value.states), self.reallocator)
-            # Delta form: the grant replaces the pooled contribution but
-            # keeps anything earned since pooling (releases accepted while
-            # the site served in degraded mode).  In normal operation the
-            # balance is frozen during the round, so surplus == 0.
-            surplus = self.state.tokens_left - mine.tokens_left
-            if surplus < 0:
-                raise TokenError(
-                    f"{self.name} spent below its pooled contribution "
-                    f"({self.state.tokens_left} < {mine.tokens_left}) — "
-                    f"reserve accounting is broken"
-                )
-            self.state.tokens_left = granted[self.name] + surplus
-            self.state.tokens_wanted = 0
+
+    def redistribution_applied(self, value, granted, tokens_before) -> None:
         self._persist_entity()
-        if proto_state is not None:
-            self.persist_protocol(proto_state)
+        if self.protocol is not None:
+            self.persist_protocol(self.protocol.state)
         obs = self.obs
         if obs is not None:
             ballot = value.value_id
@@ -525,119 +503,7 @@ class SamyaSite(Actor):
         for listener in self.apply_listeners:
             listener(self, value, granted)
 
-    def _reserved_tokens(self) -> int:
-        """Tokens pooled in an unresolved round — untouchable until the
-        round decides or aborts, because a decision replaces them.
-
-        An unresolved *pledge* stays frozen even while the protocol is
-        inactive: a pledged site normally re-elects straight from
-        ``on_protocol_idle``, but a crashed-then-recovering site can be
-        momentarily idle and must not spend the pledged balance."""
-        pledged = self._pledge_amount if self._pledge is not None else 0
-        if self.protocol is None or not self.protocol.active:
-            return pledged
-        state = self.protocol.state
-        reserved = pledged
-        if state.init_val is not None:
-            reserved = max(reserved, state.init_val.tokens_left)
-        if state.accept_val is not None:
-            mine = state.accept_val.state_of(self.name)
-            if mine is not None:
-                reserved = max(reserved, mine.tokens_left)
-        return reserved
-
-    def _available_tokens(self) -> int:
-        return self.state.tokens_left - self._reserved_tokens()
-
-    def on_protocol_degraded(self) -> None:
-        """The round is blocked: answer the queue best-effort now rather
-        than holding clients hostage to an unreachable majority."""
-        self._draining = True
-        try:
-            while self._pending:
-                fwd = self._pending.popleft()
-                self._pending_ids.discard(fwd.request.request_id)
-                self._serve(fwd, draining=True)
-        finally:
-            self._draining = False
-
-    def on_protocol_idle(self) -> None:
-        """Round ended (decided or aborted): answer every queued request.
-
-        Triggers are suppressed while draining: a redistribution started
-        mid-drain would snapshot an InitVal that the rest of the drain
-        keeps mutating, leaking tokens when that stale snapshot is pooled.
-        """
-        if self._pledge is not None and self.protocol is not None:
-            if self._pledge in self.protocol.state.dead_ballots:
-                # Avantan[*]: we aborted the pledged round and refuse its
-                # ballot forever, so its value can never decide — the
-                # pledged tokens were never granted away.
-                self._settle_pledge("dead")
-            else:
-                # The round that just ended did not settle the pledge
-                # (e.g. a higher-ballot value decided without us while
-                # the pledged round's decision is still in flight).
-                # Serving now could spend tokens the pledged round has
-                # concurrently granted away — re-elect instead: the
-                # election's recovery exchange either surfaces the
-                # pledged round's decided value or pools our tokens into
-                # a fresh value that includes us.
-                self.recover_pledge()
-                return
-        self._draining = True
-        try:
-            while self._pending:
-                fwd = self._pending.popleft()
-                self._pending_ids.discard(fwd.request.request_id)
-                self._serve(fwd, draining=True)
-        finally:
-            self._draining = False
-        self._maybe_proactive()
-
-    def _settle_pledge(self, reason: str) -> None:
-        ballot = self._pledge
-        if ballot is None:
-            return
-        self._pledge = None
-        self._pledge_amount = 0
-        self.counters["pledge_settlements"] += 1
-        self._persist_pledge()
-        obs = self.obs
-        if obs is not None:
-            obs.emit(
-                "pledge.settle",
-                node=self.name,
-                value_id=f"{ballot.num}.{ballot.site_id}",
-                reason=reason,
-                trace_id=f"rnd-{ballot.num}.{ballot.site_id}",
-            )
-
-    def recover_pledge(self, driver: str = "idle") -> bool:
-        """Re-elect (bypassing the reactive cooldown) to resolve an
-        outstanding pledge before the queue may drain.  Called from
-        ``on_protocol_idle``, from ``recover``, and by the liveness
-        watchdog when a pledge goes stale with the protocol inactive."""
-        if self._pledge is None or self.protocol is None or self.protocol.active:
-            return False
-        ballot = self._pledge
-        self.counters["pledge_recoveries"] += 1
-        self._last_trigger_at = self.now
-        # trigger() may terminate synchronously (degenerate clusters) and
-        # settle the pledge before it returns — capture the ballot first.
-        if not self.protocol.trigger():
-            return False
-        obs = self.obs
-        if obs is not None:
-            obs.emit("realloc.trigger", node=self.name, reason="pledge_recovery")
-            obs.emit(
-                "pledge.recover",
-                node=self.name,
-                value_id=f"{ballot.num}.{ballot.site_id}",
-                driver=driver,
-                trace_id=f"rnd-{ballot.num}.{ballot.site_id}",
-            )
-        return True
+    # -- AvantanHost: transport half --------------------------------------------
 
     def protocol_send(self, dst: str, payload: Any) -> None:
         self.network.send(self.name, dst, payload)
@@ -713,8 +579,8 @@ class SamyaSite(Actor):
         self.wal.append(
             "pledge",
             None
-            if self._pledge is None
-            else (self._pledge.num, self._pledge.site_id, self._pledge_amount),
+            if self.pledge is None
+            else (self.pledge.num, self.pledge.site_id, self.pledge_amount),
         )
 
     def crash(self) -> None:
@@ -727,6 +593,9 @@ class SamyaSite(Actor):
         self._pending_ids.clear()
         self._reads.clear()
         self._deferred_trigger = None
+        # recover() starts a fresh epoch chain; a survivor of the old one
+        # would close every epoch twice after a sub-epoch outage.
+        self._epoch_event.cancel()
 
     def recover(self) -> None:
         super().recover()
@@ -749,38 +618,25 @@ class SamyaSite(Actor):
         pledge_record = replayed.get("pledge")
         if pledge_record is not None:
             num, site_id, amount = pledge_record
-            self._pledge = Ballot(num, site_id)
-            self._pledge_amount = amount
+            self.pledge = Ballot(num, site_id)
+            self.pledge_amount = amount
         else:
-            self._pledge = None
-            self._pledge_amount = 0
+            self.pledge = None
+            self.pledge_amount = 0
         proto_state = replayed.get("avantan")
         if self.protocol is not None and proto_state is not None:
             self.protocol.on_recover(proto_state)
         self._schedule_epoch()
-        if self._pledge is not None and (
-            self.protocol is None or not self.protocol.active
-        ):
-            # Recovered idle with an unresolved pledge (the crash hid the
-            # pledged round's outcome): re-elect to learn it before any
-            # request can be served from the pledged balance.
-            self.recover_pledge(driver="recovery")
+        # Recovered idle with an unresolved pledge (the crash hid the
+        # pledged round's outcome): re-elect to learn it before any
+        # request can be served from the pledged balance.
+        self.recover_pledge(driver="recovery")
 
     # -- introspection -------------------------------------------------------------
 
     @property
     def tokens_left(self) -> int:
         return self.state.tokens_left
-
-    @property
-    def unresolved_pledge(self) -> Ballot | None:
-        """Ballot of the oldest unresolved pledge (None when settled)."""
-        return self._pledge
-
-    @property
-    def pledged_tokens(self) -> int:
-        """Balance frozen under the unresolved pledge (0 when settled)."""
-        return self._pledge_amount if self._pledge is not None else 0
 
     def redistribution_stats(self) -> dict[str, int]:
         stats = self.protocol.stats.as_dict() if self.protocol is not None else {}

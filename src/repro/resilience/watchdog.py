@@ -3,11 +3,12 @@
 The watchdog rides the run's event stream as a bus *tap* — it observes
 ``span.begin``/``span.end`` (open protocol rounds, open requests) and
 ``pledge.open``/``pledge.settle`` (the promise-time pledge discipline of
-DESIGN §9) into a bounded table of in-flight work.  A kernel-scheduled
-*sweep* then walks that table: anything open past its deadline becomes a
+DESIGN §2, "Redistribution ledger") into a bounded table of in-flight
+work.  A kernel-scheduled *sweep* then walks that table: anything open
+past its deadline becomes a
 ``liveness.*`` trace event, and a pledge gone stale while its site's
 protocol sits idle is recovered on the spot through
-:meth:`repro.core.site.SamyaSite.recover_pledge`.
+:meth:`repro.core.ledger.RedistributionLedger.recover_pledge`.
 
 The split matters for the bus contract: taps must observe and never
 emit (re-entry), so all emission and all recovery actions happen inside

@@ -16,21 +16,17 @@ delegate straight into the table columns.  Views are created only for
 entities that actually run a redistribution; the request hot path
 operates on the columns by index.
 
-numpy is optional: :meth:`EntityTable.as_numpy` returns a zero-copy
-``int64`` view when numpy is importable and ``None`` otherwise, and the
-sums degrade to plain Python.
+:meth:`EntityTable.as_numpy` returns a zero-copy ``int64`` view of a
+column for the vectorized audit and the aggregates.
 """
 
 from __future__ import annotations
 
 from array import array
 
-from repro.core.entity import EntityState, TokenError
+import numpy as np
 
-try:  # pragma: no cover - exercised indirectly on both paths
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _np = None
+from repro.core.entity import EntityState, TokenError
 
 #: Column names, in declaration order.  ``tokens_left``/``tokens_wanted``
 #: are the live Table 1a state; the rest is the append-only ledger the
@@ -98,19 +94,14 @@ class EntityTable:
     # -- aggregates --------------------------------------------------------
 
     def as_numpy(self, column: str):
-        """Zero-copy int64 view of a column, or ``None`` without numpy."""
-        if _np is None:
-            return None
+        """Zero-copy int64 view of a column."""
         data = getattr(self, column)
         if not len(data):
-            return _np.empty(0, dtype=_np.int64)
-        return _np.frombuffer(data, dtype=_np.int64)
+            return np.empty(0, dtype=np.int64)
+        return np.frombuffer(data, dtype=np.int64)
 
     def total(self, column: str) -> int:
-        data = self.as_numpy(column)
-        if data is not None:
-            return int(data.sum())
-        return sum(getattr(self, column))
+        return int(self.as_numpy(column).sum())
 
 
 class EntityView(EntityState):

@@ -23,6 +23,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
+import numpy as np
+
 from repro.core.cluster import split_initial_allocation
 from repro.net.network import Network, NetworkConfig
 from repro.net.regions import PAPER_REGIONS
@@ -31,11 +33,6 @@ from repro.scale.shards import ShardedEntityDirectory
 from repro.scale.site import ScaleSiteConfig, ScaleSiteHost
 from repro.sim.kernel import Kernel
 from repro.sim.process import Actor
-
-try:  # pragma: no cover - exercised indirectly on both paths
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _np = None
 
 
 @dataclass
@@ -399,49 +396,29 @@ def audit_conservation(
 
     count = len(base)
     audited = count - len(active_rows)
-    columns = ("tokens_left", "acquired", "released")
-    arrays = {name: hosts[0].table.as_numpy(name) for name in columns}
-    if arrays["tokens_left"] is not None:
-        left = arrays["tokens_left"].astype(_np.int64, copy=True)
-        acquired = arrays["acquired"].astype(_np.int64, copy=True)
-        released = arrays["released"].astype(_np.int64, copy=True)
-        for host in hosts[1:]:
-            left += host.table.as_numpy("tokens_left")
-            acquired += host.table.as_numpy("acquired")
-            released += host.table.as_numpy("released")
-        net = left + acquired - released
-        outstanding = acquired - released
-        for row in _np.flatnonzero(net != maximum):
-            if int(row) in active_rows:
-                continue
-            violations.append(
-                f"entity {base.ids[row]}: settled {int(left[row])} + outstanding "
-                f"{int(outstanding[row])} != maximum {maximum}"
-            )
-        for row in _np.flatnonzero(outstanding < 0):
-            if int(row) in active_rows:
-                continue
-            violations.append(
-                f"entity {base.ids[row]}: outstanding {int(outstanding[row])} < 0 "
-                "(released more than acquired)"
-            )
-    else:  # pure-python fallback
-        for row in range(count):
-            if row in active_rows:
-                continue
-            left = sum(host.table.tokens_left[row] for host in hosts)
-            acquired = sum(host.table.acquired[row] for host in hosts)
-            released = sum(host.table.released[row] for host in hosts)
-            outstanding = acquired - released
-            if left + outstanding != maximum:
-                violations.append(
-                    f"entity {base.ids[row]}: settled {left} + outstanding "
-                    f"{outstanding} != maximum {maximum}"
-                )
-            if outstanding < 0:
-                violations.append(
-                    f"entity {base.ids[row]}: outstanding {outstanding} < 0"
-                )
+    left = base.as_numpy("tokens_left").astype(np.int64, copy=True)
+    acquired = base.as_numpy("acquired").astype(np.int64, copy=True)
+    released = base.as_numpy("released").astype(np.int64, copy=True)
+    for host in hosts[1:]:
+        left += host.table.as_numpy("tokens_left")
+        acquired += host.table.as_numpy("acquired")
+        released += host.table.as_numpy("released")
+    net = left + acquired - released
+    outstanding = acquired - released
+    for row in np.flatnonzero(net != maximum):
+        if int(row) in active_rows:
+            continue
+        violations.append(
+            f"entity {base.ids[row]}: settled {int(left[row])} + outstanding "
+            f"{int(outstanding[row])} != maximum {maximum}"
+        )
+    for row in np.flatnonzero(outstanding < 0):
+        if int(row) in active_rows:
+            continue
+        violations.append(
+            f"entity {base.ids[row]}: outstanding {int(outstanding[row])} < 0 "
+            "(released more than acquired)"
+        )
     return violations, audited
 
 
@@ -628,20 +605,13 @@ def run_scale(
 def per_entity_committed(deployment: ScaleDeployment):
     """Per-entity commit counts summed across hosts (parity-test probe).
 
-    Returns a numpy int64 array when numpy is available, else a list.
+    Returns a numpy int64 array.
     """
     hosts = deployment.hosts
-    first = hosts[0].table.as_numpy("committed")
-    if first is not None:
-        total = first.astype(_np.int64, copy=True)
-        for host in hosts[1:]:
-            total += host.table.as_numpy("committed")
-        return total
-    totals = list(hosts[0].table.committed)
+    total = hosts[0].table.as_numpy("committed").astype(np.int64, copy=True)
     for host in hosts[1:]:
-        for row, value in enumerate(host.table.committed):
-            totals[row] += value
-    return totals
+        total += host.table.as_numpy("committed")
+    return total
 
 
 def _point_trace_path(path: str, count: int) -> str:

@@ -15,7 +15,11 @@ subsystem exists to remove.  :class:`ScaleSiteHost` flips the layout:
   when an entity first participates in a redistribution, behind a
   :class:`_EntityProtocolHost` adapter implementing the
   :class:`~repro.core.avantan.base.AvantanHost` surface.  The protocol
-  code is byte-for-byte the single-entity implementation.  Instances are
+  code is byte-for-byte the single-entity implementation, and so is the
+  token accounting around it: the adapter is a
+  :class:`~repro.core.ledger.RedistributionLedger` over an
+  :class:`~repro.scale.entity_table.EntityView` of the entity's row, the
+  same pledge / reserve / delta-apply code ``SamyaSite`` runs.  Instances are
   **never evicted**: a late or duplicated ``DecisionMsg`` for an old
   round must find the instance's ``applied`` value-id set, or it would
   re-apply a stale allocation; the instance footprint is proportional to
@@ -39,8 +43,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.core.avantan.majority import AvantanMajority
-from repro.core.entity import SiteTokenState, TokenError
-from repro.core.reallocation import redistribute_tokens
+from repro.core.ledger import RedistributionLedger
 from repro.net.message import EnvelopeDedup, Message
 from repro.net.regions import Region
 from repro.net.transport import Clock, Transport
@@ -69,31 +72,20 @@ class ScaleSiteConfig:
     msg_dedup_window: int = 1 << 16
 
 
-class _EntityProtocolHost:
-    """AvantanHost adapter: one entity's protocol view of a scale host."""
+class _EntityProtocolHost(RedistributionLedger):
+    """AvantanHost adapter: one entity's protocol view of a scale host.
 
-    __slots__ = (
-        "site", "entity_id", "row", "protocol", "last_trigger_at",
-        "pledge", "pledge_amount",
-    )
+    The token accounting is the inherited ledger over an
+    :class:`~repro.scale.entity_table.EntityView` of the entity's row.
+    """
+
+    __slots__ = ("site", "entity_id", "row")
 
     def __init__(self, site: "ScaleSiteHost", entity_id: str, row: int) -> None:
+        super().__init__(site.table.view(row))
         self.site = site
         self.entity_id = entity_id
         self.row = row
-        self.last_trigger_at = float("-inf")
-        #: Ballot of the oldest *unresolved pledge*: we answered a foreign
-        #: election with our InitVal, so those tokens may be pooled in a
-        #: value we have not seen decide or die.  Until resolved, this
-        #: site must not serve from the pledged balance — under message
-        #: loss the pledged round can decide without us, grant our tokens
-        #: away, and only tell us later (the conservation race the fault
-        #: tests pin).  Resolution: we apply a value that includes us, or
-        #: we see the pledged ballot's own decided value; a round that
-        #: ends any other way re-elects instead of draining (see
-        #: ``on_protocol_idle``).
-        self.pledge = None
-        self.pledge_amount = 0
         self.protocol = AvantanMajority(self, site.peers)
         self.protocol.configure_timeouts(
             site.config.election_timeout,
@@ -115,79 +107,26 @@ class _EntityProtocolHost:
     # would swamp any trace.  Message-level telemetry still flows from
     # the transport.
 
-    # -- AvantanHost callbacks ----------------------------------------------
+    # -- ledger hooks ---------------------------------------------------------
 
-    def snapshot_init_val(self) -> SiteTokenState:
-        table = self.site.table
-        deficit = self.site.queued_deficit(self.entity_id, self.row)
-        table.tokens_wanted[self.row] = deficit
-        ballot = self.protocol.state.ballot_num
-        if ballot.site_id != self.site.name and self.pledge is None:
-            # Responding to a *foreign* election: the snapshot we return
-            # may end up pooled in that leader's value.  Remember the
-            # oldest such outstanding pledge (a later one pools the same
-            # frozen balance, so tracking the first suffices).
-            self.pledge = ballot
-            self.pledge_amount = table.tokens_left[self.row]
-        return SiteTokenState(
-            self.site.name,
-            self.entity_id,
-            table.tokens_left[self.row],
-            deficit,
-        )
+    def wanted_tokens(self) -> int:
+        return self.site.queued_deficit(self.entity_id, self.row)
 
-    def apply_redistribution(self, value) -> None:
-        if self.pledge is not None and (
-            value.value_id == self.pledge
-            or value.state_of(self.site.name) is not None
-        ):
-            # The pledged round's own value arrived (with or without us),
-            # or a newer value pooled us — which, by the leader-side stale
-            # -participant resolution, implies every older decided value
-            # of ours reached us first.  Either way the pledge is settled.
-            self.pledge = None
-            self.pledge_amount = 0
-        state = self.protocol.state
-        if value.value_id in state.applied:
-            return
-        state.applied.add(value.value_id)
-        if len(state.applied) > 256:
-            state.applied.discard(min(state.applied))
-        state.remember_applied_value(value)
-        mine = value.state_of(self.site.name)
-        if mine is None:
-            return
-        granted = redistribute_tokens(list(value.states))
-        table = self.site.table
-        # Delta form, as in SamyaSite.apply_redistribution: the grant
-        # replaces the pooled contribution but keeps releases earned in
-        # degraded mode since pooling.
-        surplus = table.tokens_left[self.row] - mine.tokens_left
-        if surplus < 0:
-            raise TokenError(
-                f"{self.site.name}/{self.entity_id} spent below its pooled "
-                f"contribution ({table.tokens_left[self.row]} < "
-                f"{mine.tokens_left}) — reserve accounting is broken"
-            )
-        table.tokens_left[self.row] = granted[self.site.name] + surplus
-        table.tokens_wanted[self.row] = 0
-        self.site.rounds_applied += 1
+    def drain_pending(self, degraded: bool) -> None:
+        self.site._drain(self.entity_id, self.row, degraded)
 
-    def on_protocol_idle(self) -> None:
-        if self.pledge is not None:
-            # The round that just ended did not settle our outstanding
-            # pledge (e.g. a higher-ballot value decided without us while
-            # the pledged round's decision is still in flight).  Serving
-            # now could spend tokens the pledged round has concurrently
-            # granted away — re-elect instead: the election's recovery
-            # exchange either surfaces the pledged round's decided value
-            # or pools our tokens into a fresh value that includes us.
-            self.site._recover_pledge(self)
-            return
-        self.site._drain(self.entity_id, self.row, degraded=False)
+    def pledge_recovering(self, ballot, driver: str) -> None:
+        site = self.site
+        site.pledge_recoveries += 1
+        site.rounds_triggered += 1
+        if site.demand is not None:
+            site.demand.trigger(site.name, "pledge_recovery")
 
-    def on_protocol_degraded(self) -> None:
-        self.site._drain(self.entity_id, self.row, degraded=True)
+    def redistribution_applied(self, value, granted, tokens_before) -> None:
+        if granted is not None:
+            self.site.rounds_applied += 1
+
+    # -- AvantanHost: transport half ------------------------------------------
 
     def protocol_send(self, dst: str, payload: Any) -> None:
         self.site.network.send(
@@ -204,26 +143,6 @@ class _EntityProtocolHost:
         # The in-memory protocol state doubles as the stable store (see
         # module docstring); nothing to write.
         return
-
-    # -- reserve accounting --------------------------------------------------
-
-    def reserved_tokens(self) -> int:
-        """Tokens pooled in an unresolved round (cf. SamyaSite)."""
-        pledged = self.pledge_amount if self.pledge is not None else 0
-        if not self.protocol.active:
-            # Normally unreachable while pledged (idle immediately
-            # re-elects), but a crashed-then-recovering host can be
-            # momentarily inactive: keep the pledge frozen regardless.
-            return pledged
-        state = self.protocol.state
-        reserved = pledged
-        if state.init_val is not None:
-            reserved = max(reserved, state.init_val.tokens_left)
-        if state.accept_val is not None:
-            mine = state.accept_val.state_of(self.site.name)
-            if mine is not None:
-                reserved = max(reserved, mine.tokens_left)
-        return reserved
 
 
 class ScaleSiteHost(Actor):
@@ -421,17 +340,6 @@ class ScaleSiteHost(Actor):
         if self.queued_deficit(entity_id, row) > 0 or self._pending.get(entity_id):
             self._maybe_trigger(entity_id, row)
 
-    def _recover_pledge(self, adapter: _EntityProtocolHost) -> None:
-        """Re-elect (bypassing the reactive cooldown) to resolve an
-        outstanding pledge before the entity's queue may drain — see
-        ``_EntityProtocolHost.pledge``."""
-        self.pledge_recoveries += 1
-        adapter.last_trigger_at = self.now
-        if adapter.protocol.trigger():
-            self.rounds_triggered += 1
-            if self.demand is not None:
-                self.demand.trigger(self.name, "pledge_recovery")
-
     def _drain(self, entity_id: str, row: int, degraded: bool) -> None:
         """Answer the entity's queue after a round ends (or blocks).
 
@@ -512,8 +420,7 @@ class ScaleSiteHost(Actor):
         for adapter in self._protocols.values():
             adapter.protocol.on_recover(adapter.protocol.state)
         for adapter in self._protocols.values():
-            if adapter.pledge is not None and not adapter.protocol.active:
-                self._recover_pledge(adapter)
+            adapter.recover_pledge(driver="recovery")
 
     # -- introspection -------------------------------------------------------------
 

@@ -45,10 +45,6 @@ class Event:
         self.callback = _noop
         self.args = ()
 
-    def fire(self) -> None:
-        if not self.cancelled:
-            self.callback(*self.args)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
         return f"Event(t={self.time:.6f}, seq={self.seq}, {state})"
@@ -64,8 +60,8 @@ class EventQueue:
     ``heap`` holds ``(time, seq, event)`` tuples: ``seq`` is unique, so
     ``heapq`` orders entries by C tuple comparison of a float and an int
     and never reaches the :class:`Event`.  :meth:`Kernel.run
-    <repro.sim.kernel.Kernel.run>` reads ``heap`` directly; everything
-    else goes through the methods.
+    <repro.sim.kernel.Kernel.run>` pops ``heap`` directly (lazily
+    discarding cancelled events); :meth:`push` is the only way in.
     """
 
     def __init__(self) -> None:
@@ -80,20 +76,3 @@ class EventQueue:
         event = Event(time, seq, callback, args)
         heapq.heappush(self.heap, (time, seq, event))
         return event
-
-    def pop(self) -> Event | None:
-        """Pop the earliest pending event, skipping cancelled ones.
-
-        Returns ``None`` when the queue holds no live events.
-        """
-        while self.heap:
-            event = heapq.heappop(self.heap)[2]
-            if not event.cancelled:
-                return event
-        return None
-
-    def peek_time(self) -> float | None:
-        """Timestamp of the next live event, or ``None`` if empty."""
-        while self.heap and self.heap[0][2].cancelled:
-            heapq.heappop(self.heap)
-        return self.heap[0][0] if self.heap else None

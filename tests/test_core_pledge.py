@@ -156,8 +156,8 @@ class TestCrashDuringPledge:
         # Protocol inactive (we faked the promise), yet the full pledged
         # balance is reserved — the crash/recovery window must not serve.
         assert site.pledged_tokens == site.state.tokens_left
-        assert site._reserved_tokens() == site.pledged_tokens
-        assert site._available_tokens() == 0
+        assert site.reserved_tokens() == site.pledged_tokens
+        assert site.available_tokens() == 0
 
     def test_wal_replay_restores_pledge_and_reelects(self):
         mini = MiniCluster(maximum=300)
@@ -226,4 +226,4 @@ def test_pledged_balance_is_never_served(spend, ops, seed):
         # The reserve may exceed the pledge floor (an acquire can
         # reactively start a round whose InitVal freezes the inflow
         # too) but never dips below it.
-        assert site._available_tokens() <= site.state.tokens_left - pledged
+        assert site.available_tokens() <= site.state.tokens_left - pledged

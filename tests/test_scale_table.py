@@ -1,14 +1,10 @@
 """Columnar entity table and its EntityState-compatible row views."""
 
+import numpy
 import pytest
 
 from repro.core.entity import TokenError
 from repro.scale.entity_table import COLUMNS, EntityTable, EntityView
-
-try:
-    import numpy
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    numpy = None
 
 
 class TestEntityTable:
@@ -53,7 +49,6 @@ class TestEntityTable:
         assert table.total("tokens_left") == sum(range(100))
         assert table.total("acquired") == 0
 
-    @pytest.mark.skipif(numpy is None, reason="numpy not installed")
     def test_as_numpy_is_zero_copy(self):
         table = EntityTable()
         table.add("e0", 7)
@@ -65,7 +60,6 @@ class TestEntityTable:
         table.tokens_left[0] = 42
         assert view[0] == 42
 
-    @pytest.mark.skipif(numpy is None, reason="numpy not installed")
     def test_as_numpy_empty_table(self):
         table = EntityTable()
         empty = table.as_numpy("tokens_left")

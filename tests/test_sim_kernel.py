@@ -2,58 +2,49 @@
 
 import pytest
 
-from repro.sim.events import EventQueue
 from repro.sim.kernel import Kernel, SimulationError
 
 
-class TestEventQueue:
-    def test_pops_in_time_order(self):
-        queue = EventQueue()
+class TestEventOrdering:
+    """Heap order, tie-break and cancellation, through the one dispatch loop."""
+
+    def test_fires_in_time_order(self):
+        kernel = Kernel()
         seen = []
-        queue.push(3.0, seen.append, (3,))
-        queue.push(1.0, seen.append, (1,))
-        queue.push(2.0, seen.append, (2,))
-        while (event := queue.pop()) is not None:
-            event.fire()
+        kernel.schedule(3.0, seen.append, 3)
+        kernel.schedule(1.0, seen.append, 1)
+        kernel.schedule(2.0, seen.append, 2)
+        kernel.run()
         assert seen == [1, 2, 3]
 
     def test_equal_times_fire_in_scheduling_order(self):
-        queue = EventQueue()
+        kernel = Kernel()
         seen = []
         for tag in range(10):
-            queue.push(5.0, seen.append, (tag,))
-        while (event := queue.pop()) is not None:
-            event.fire()
+            kernel.schedule(5.0, seen.append, tag)
+        kernel.run()
         assert seen == list(range(10))
 
     def test_cancelled_events_are_skipped(self):
-        queue = EventQueue()
+        kernel = Kernel()
         seen = []
-        keep = queue.push(1.0, seen.append, ("keep",))
-        drop = queue.push(0.5, seen.append, ("drop",))
+        keep = kernel.schedule(1.0, seen.append, "keep")
+        drop = kernel.schedule(0.5, seen.append, "drop")
         drop.cancel()
-        event = queue.pop()
-        event.fire()
+        kernel.run()
         assert seen == ["keep"]
-        assert queue.pop() is None
+        assert kernel.events_fired == 1
+        assert kernel.pending == 0
         assert keep is not drop
 
     def test_cancel_is_idempotent(self):
-        queue = EventQueue()
-        event = queue.push(1.0, lambda: None)
+        kernel = Kernel()
+        event = kernel.schedule(1.0, lambda: None)
         event.cancel()
         event.cancel()
-        assert queue.pop() is None
-
-    def test_peek_time_skips_cancelled(self):
-        queue = EventQueue()
-        first = queue.push(1.0, lambda: None)
-        queue.push(2.0, lambda: None)
-        first.cancel()
-        assert queue.peek_time() == 2.0
-
-    def test_peek_time_empty(self):
-        assert EventQueue().peek_time() is None
+        kernel.run()
+        assert kernel.events_fired == 0
+        assert kernel.pending == 0
 
 
 class TestKernel:

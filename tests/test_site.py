@@ -205,6 +205,23 @@ class TestCrashRecovery:
         mini.run_more(until=8.0)
         assert predictor.updates > updates_before
 
+    def test_sub_epoch_outage_leaves_one_epoch_chain(self):
+        """A crash/recover inside one epoch must not leave the pre-crash
+        epoch timer running next to the one ``recover`` starts."""
+        mini = MiniCluster(
+            maximum=300,
+            predictor_factory=lambda region, replica: FixedPredictor(0.0),
+        )
+        site = mini.site(0)
+        mini.run(until=12.2)
+        site.crash()
+        mini.run_more(until=12.5)
+        site.recover()
+        updates_before = site.predictor.updates
+        mini.run_more(until=20.4)
+        # One close per epoch_seconds (1.0): 13.5, 14.5, ... 19.5.
+        assert site.predictor.updates - updates_before == 7
+
 
 class TestServiceTimeModel:
     def test_back_to_back_requests_queue_behind_each_other(self):

@@ -51,25 +51,25 @@ def freeze_with_value(mini, site, pooled):
 class TestReservedTokens:
     def test_idle_site_reserves_nothing(self):
         mini = MiniCluster(maximum=300)
-        assert mini.site(0)._reserved_tokens() == 0
-        assert mini.site(0)._available_tokens() == 100
+        assert mini.site(0).reserved_tokens() == 0
+        assert mini.site(0).available_tokens() == 100
 
     def test_degraded_site_reserves_pooled_share(self):
         mini = MiniCluster(maximum=300)
         site = mini.site(0)
         freeze_with_value(mini, site, pooled=100)
-        assert site._reserved_tokens() == 100
-        assert site._available_tokens() == 0
+        assert site.reserved_tokens() == 100
+        assert site.available_tokens() == 0
 
     def test_release_inflow_is_spendable_while_degraded(self):
         mini = MiniCluster(maximum=300)
         site = mini.site(0)
         freeze_with_value(mini, site, pooled=100)
         site._handle_client(forwarded(site, RequestKind.RELEASE, 30))
-        assert site._available_tokens() == 30
+        assert site.available_tokens() == 30
         site._handle_client(forwarded(site, RequestKind.ACQUIRE, 20))
         assert site.state.tokens_left == 110
-        assert site._available_tokens() == 10
+        assert site.available_tokens() == 10
 
     def test_acquire_beyond_surplus_rejected_fast_while_degraded(self):
         mini = MiniCluster(maximum=300)
@@ -146,4 +146,4 @@ class TestDegradedEndToEnd:
         mini.run(until=20.0)
         assert mini.metrics.committed >= 30  # 20 releases + >=10 acquires
         # The reserve itself was never spent.
-        assert survivor.state.tokens_left >= survivor._reserved_tokens()
+        assert survivor.state.tokens_left >= survivor.reserved_tokens()
