@@ -18,7 +18,8 @@ from dataclasses import replace
 
 from repro.harness import ExperimentConfig, run_experiment
 from repro.harness.report import format_table
-from repro.harness.scenarios import RegionFault, partition_3_2
+from repro.faults.schedule import RegionFault
+from repro.harness.scenarios import partition_3_2
 from repro.net.regions import PAPER_REGIONS
 
 DURATION = 360.0

@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.harness.scenarios import RegionFault
+from repro.faults.schedule import RegionFault
 from repro.net.regions import Region
 
 _KINDS = ("crash", "partition", "partition-oneway", "degrade")

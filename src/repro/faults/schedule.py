@@ -2,8 +2,11 @@
 
 Scenarios are declarative lists of :class:`FaultEvent` applied by a
 :class:`CrashController` at their scheduled simulated times.  The failure
-experiments of §5.4 are expressed as such schedules (see
-``repro.harness.scenarios``).
+experiments of §5.4 are region-level ("both the site and the client in a
+region is crashed", "a 3-2 network partition"): a :class:`RegionFault`
+captures that intent and :func:`resolve_faults` maps it onto the concrete
+actor names of whichever system is under test (the §5.4 schedules
+themselves are in ``repro.harness.scenarios``).
 
 Beyond the paper's clean crash/partition model, the DSL covers the
 message-level and asymmetric faults that dominate real WAN misbehaviour:
@@ -15,14 +18,15 @@ message-level and asymmetric faults that dominate real WAN misbehaviour:
   the reverse direction keeps flowing.
 
 These three require a fault-capable transport (a
-:class:`repro.faults.FaultyTransport` wrapping the real one); applying
-them to a bare transport is a configuration error and raises.
+:class:`~repro.faults.transport.FaultyTransport` wrapping the real one);
+applying them to a bare transport is a configuration error and raises.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.net.regions import Region
 from repro.net.transport import Clock, Transport
 from repro.sim.process import Actor
 
@@ -148,6 +152,98 @@ class FaultSchedule:
             )
         )
         return self
+
+
+@dataclass(frozen=True)
+class RegionFault:
+    """One region-level fault action.
+
+    ``action``: ``"crash"`` / ``"recover"`` / ``"degrade"`` /
+    ``"restore"`` (use ``regions``) or ``"partition"`` /
+    ``"partition-oneway"`` / ``"heal"`` (use ``groups``).  The
+    ``drop``/``duplicate``/``delay``/``jitter`` fields parameterize
+    ``degrade`` (see :class:`FaultEvent`).
+    """
+
+    time: float
+    action: str
+    regions: tuple[Region, ...] = ()
+    groups: tuple[tuple[Region, ...], ...] = ()
+    include_clients: bool = True
+    drop: float = 0.0
+    duplicate: float = 0.0
+    delay: float = 0.0
+    jitter: float = 0.0
+
+
+def resolve_faults(
+    faults: list[RegionFault],
+    servers_by_region: dict[Region, list[str]],
+    clients_by_region: dict[Region, list[str]],
+    extra_by_region: dict[Region, list[str]] | None = None,
+) -> FaultSchedule:
+    """Translate region-level faults into a concrete actor schedule.
+
+    ``extra_by_region`` covers co-located infrastructure (app managers)
+    that partitions must cut off along with their region's servers.
+    """
+    schedule = FaultSchedule()
+    extras = extra_by_region or {}
+
+    def names_for(region: Region, include_clients: bool) -> list[str]:
+        names = list(servers_by_region.get(region, []))
+        names.extend(extras.get(region, []))
+        if include_clients:
+            names.extend(clients_by_region.get(region, []))
+        return names
+
+    def group_names(groups: tuple[tuple[Region, ...], ...]) -> tuple[tuple[str, ...], ...]:
+        return tuple(
+            tuple(
+                name
+                for region in group
+                for name in names_for(region, include_clients=True)
+            )
+            for group in groups
+        )
+
+    for fault in sorted(faults, key=lambda f: f.time):
+        if fault.action in ("crash", "recover", "degrade", "restore"):
+            targets: list[str] = []
+            for region in fault.regions:
+                targets.extend(names_for(region, fault.include_clients))
+            if not targets:
+                # A region with no actors in this deployment (e.g. a
+                # MultiPaxSys placement without replicas there): nothing
+                # to fault, and an empty targeted FaultEvent is invalid.
+                continue
+            if fault.action == "crash":
+                schedule.crash(fault.time, *targets)
+            elif fault.action == "recover":
+                schedule.recover(fault.time, *targets)
+            elif fault.action == "degrade":
+                schedule.degrade(
+                    fault.time,
+                    *targets,
+                    drop=fault.drop,
+                    duplicate=fault.duplicate,
+                    delay=fault.delay,
+                    jitter=fault.jitter,
+                )
+            else:
+                schedule.restore(fault.time, *targets)
+        elif fault.action == "partition":
+            schedule.partition(fault.time, *group_names(fault.groups))
+        elif fault.action == "partition-oneway":
+            src_group, dst_group = group_names(fault.groups)
+            if not src_group or not dst_group:
+                continue
+            schedule.partition_oneway(fault.time, src_group, dst_group)
+        elif fault.action == "heal":
+            schedule.heal(fault.time)
+        else:
+            raise ValueError(f"unknown region fault action {fault.action!r}")
+    return schedule
 
 
 class CrashController:

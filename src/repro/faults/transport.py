@@ -10,9 +10,10 @@ perturbs traffic *around* it, never inside it:
 * **delay spikes / jitter** — the send is rescheduled on the substrate
   clock and handed to the inner transport later (reordering against
   unfaulted traffic falls out naturally);
-* **duplicate delivery** — endpoints are attached through a proxy that,
-  with the configured probability, hands the *same envelope* to the
-  endpoint twice (same ``msg_id`` — a modeled retransmission), emitting
+* **duplicate delivery** — endpoints are attached through the decorator
+  base's proxy, so every delivery passes through here; with the
+  configured probability the *same envelope* is handed to the endpoint
+  twice (same ``msg_id`` — a modeled retransmission), emitting
   a second ``msg.send``/``msg.deliver`` pair so the trace stays
   balanced.  This is exactly the at-least-once behaviour receivers must
   absorb via ``msg_id`` dedup;
@@ -21,7 +22,7 @@ perturbs traffic *around* it, never inside it:
 
 Faults are keyed by actor name (a degraded actor's links misbehave in
 both directions; a message is subject to the worse of its two ends) and
-driven by :class:`repro.net.faults.CrashController` ``degrade`` /
+driven by :class:`repro.faults.schedule.CrashController` ``degrade`` /
 ``restore`` / ``partition-oneway`` events.  All randomness comes from a
 private seeded stream, so a sim run under a fault schedule is exactly
 reproducible and the substrate's own RNG streams are untouched.
@@ -29,12 +30,13 @@ reproducible and the substrate's own RNG streams are untouched.
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Iterable
 
 from repro.net.message import Message
-from repro.net.regions import Region
+from repro.net.transport import TransportDecorator
 from repro.obs.bus import emit_message_event, trace_id_of
 
 
@@ -61,125 +63,17 @@ class LinkFault:
         )
 
 
-class _EndpointProxy:
-    """Stands between the inner transport and the real endpoint so the
-    fault layer sees every delivery (duplication happens here)."""
-
-    __slots__ = ("_endpoint", "_layer")
-
-    def __init__(self, endpoint, layer: "FaultyTransport") -> None:
-        self._endpoint = endpoint
-        self._layer = layer
-
-    @property
-    def name(self) -> str:
-        return self._endpoint.name
-
-    @property
-    def crashed(self) -> bool:
-        return self._endpoint.crashed
-
-    def on_message(self, message: Message) -> None:
-        self._endpoint.on_message(message)
-        self._layer._maybe_duplicate(self._endpoint, message)
-
-
-class FaultyTransport:
-    """Wraps a transport; implements the same structural protocol."""
+class FaultyTransport(TransportDecorator):
+    """Wraps a transport; injects link faults, one-way rules, duplicates."""
 
     def __init__(self, inner, clock, seed: int = 0) -> None:
-        import random
-
-        self.inner = inner
-        self.clock = clock
-        #: Duck-type parity with Network.kernel for code that reads it.
-        self.kernel = clock
+        super().__init__(inner, clock)
         self._rng = random.Random(f"faulty-transport:{seed}")
-        self._endpoints: dict[str, Any] = {}
-        self._regions: dict[str, Region] = {}
         self._link_faults: dict[str, LinkFault] = {}
         #: Directional block rules: (src_group, dst_group) frozensets.
         self._oneway: list[tuple[frozenset[str], frozenset[str]]] = []
         #: Envelopes the fault layer itself dropped/duplicated, by reason.
         self.injected: Counter[str] = Counter()
-        self._injected_sent = 0
-        self._injected_dropped = 0
-        self._injected_delivered = 0
-        self._injected_sent_by_type: Counter[str] = Counter()
-        self._injected_delivered_by_type: Counter[str] = Counter()
-
-    # -- protocol surface: registration -----------------------------------
-
-    def attach(self, endpoint, region: Region) -> None:
-        self._endpoints[endpoint.name] = endpoint
-        self._regions[endpoint.name] = region
-        self.inner.attach(_EndpointProxy(endpoint, self), region)
-
-    def detach(self, name: str) -> None:
-        self._endpoints.pop(name, None)
-        self._regions.pop(name, None)
-        self.inner.detach(name)
-
-    def region_of(self, name: str) -> Region:
-        return self.inner.region_of(name)
-
-    def endpoints(self) -> list[str]:
-        return self.inner.endpoints()
-
-    def latency(self, a: str, b: str) -> float:
-        return self.inner.latency(a, b)
-
-    # -- protocol surface: delegated state ---------------------------------
-
-    @property
-    def partitions(self):
-        return self.inner.partitions
-
-    @property
-    def obs(self):
-        return self.inner.obs
-
-    @obs.setter
-    def obs(self, bus) -> None:
-        self.inner.obs = bus
-
-    @property
-    def trace(self):
-        return self.inner.trace
-
-    @trace.setter
-    def trace(self, tap) -> None:
-        self.inner.trace = tap
-
-    @property
-    def flow(self):
-        # getattr-tolerant: test doubles standing in for the inner
-        # transport predate the flow seam.
-        return getattr(self.inner, "flow", None)
-
-    @flow.setter
-    def flow(self, tracker) -> None:
-        self.inner.flow = tracker
-
-    @property
-    def messages_sent(self) -> int:
-        return self.inner.messages_sent + self._injected_sent
-
-    @property
-    def messages_dropped(self) -> int:
-        return self.inner.messages_dropped + self._injected_dropped
-
-    @property
-    def messages_delivered(self) -> int:
-        return self.inner.messages_delivered + self._injected_delivered
-
-    @property
-    def sent_by_type(self) -> Counter:
-        return self.inner.sent_by_type + self._injected_sent_by_type
-
-    @property
-    def delivered_by_type(self) -> Counter:
-        return self.inner.delivered_by_type + self._injected_delivered_by_type
 
     # -- fault surface (driven by CrashController) --------------------------
 
@@ -240,10 +134,6 @@ class FaultyTransport:
             return
         self.inner.send(src, dst, payload)
 
-    def broadcast(self, src: str, dsts: list[str], payload: Any) -> None:
-        for dst in dsts:
-            self.send(src, dst, payload)
-
     # -- internals -----------------------------------------------------------
 
     def _blocked_oneway(self, src: str, dst: str) -> bool:
@@ -264,20 +154,21 @@ class FaultyTransport:
         """Drop a send before the inner transport ever sees it, with the
         same counter and trace accounting the inner transport would do."""
         self.injected[reason] += 1
-        self._injected_sent += 1
-        self._injected_dropped += 1
+        self._own_sent += 1
+        self._own_dropped += 1
         message = Message(src=src, dst=dst, payload=payload, sent_at=self.clock.now)
-        self._injected_sent_by_type[message.kind] += 1
-        obs = self.inner.obs
+        self._own_sent_by_type[message.kind] += 1
+        obs = self.obs
         if obs is not None:
             message.trace_id = trace_id_of(payload)
             emit_message_event(obs, "msg.send", message, self._regions)
             emit_message_event(obs, "msg.drop", message, self._regions, reason=reason)
-        tap = self.inner.trace
+        tap = self.trace
         if tap is not None:
             tap(message)
 
-    def _maybe_duplicate(self, endpoint, message: Message) -> None:
+    def _receive(self, endpoint, message: Message) -> None:
+        endpoint.on_message(message)
         fault = self._fault_for(message.src, message.dst)
         if fault is None or fault.duplicate <= 0.0:
             return
@@ -289,11 +180,11 @@ class FaultyTransport:
         # duplicate gets its own send/deliver event pair so trace
         # accounting stays balanced at every prefix.
         self.injected["duplicate"] += 1
-        self._injected_sent += 1
-        self._injected_delivered += 1
-        self._injected_sent_by_type[message.kind] += 1
-        self._injected_delivered_by_type[message.kind] += 1
-        obs = self.inner.obs
+        self._own_sent += 1
+        self._own_delivered += 1
+        self._own_sent_by_type[message.kind] += 1
+        self._own_delivered_by_type[message.kind] += 1
+        obs = self.obs
         if obs is not None:
             emit_message_event(obs, "msg.send", message, self._regions)
             emit_message_event(obs, "msg.deliver", message, self._regions, latency=0.0)

@@ -7,13 +7,13 @@ The entity-count scale sweep (``benchmarks/bench_scale_entities.py``,
 here from :mod:`repro.scale.harness`.
 """
 
+from repro.faults.schedule import RegionFault, resolve_faults
 from repro.harness.experiment import (
     ExperimentConfig,
     ExperimentResult,
     build_experiment,
     run_experiment,
 )
-from repro.harness.scenarios import RegionFault, resolve_faults
 from repro.harness.report import format_table, format_series
 from repro.scale.harness import (
     ScaleConfig,

@@ -27,11 +27,10 @@ from repro.core.reallocation import (
     GreedyMaxUsageReallocator,
     ProportionalReallocator,
 )
-from repro.harness.scenarios import RegionFault, resolve_faults
+from repro.faults.schedule import CrashController, RegionFault, resolve_faults
 from repro.metrics.hub import MetricsHub
 from repro.metrics.invariants import ConservationChecker, InvariantViolation
 from repro.metrics.latency import LatencySummary
-from repro.net.faults import CrashController
 from repro.net.message import reset_msg_ids
 from repro.net.network import Network, NetworkConfig
 from repro.net.regions import MULTIPAXSYS_REGIONS, PAPER_REGIONS, Region
@@ -279,9 +278,6 @@ class Experiment:
             self.obs = EventBus(self.kernel, sink)
             self.kernel.obs = self.obs
             self.network.obs = self.obs
-            partitions = getattr(self.network, "partitions", None)
-            if partitions is not None:
-                partitions.obs = self.obs
         self.auditor: InvariantAuditor | None = None
         self.registry: MetricsRegistry | None = None
         if self.obs is not None:

@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.faults import FaultyTransport, Nemesis, NemesisConfig
+from repro.faults.schedule import RegionFault
 from repro.harness.experiment import Experiment, ExperimentConfig, ExperimentResult
-from repro.harness.scenarios import RegionFault
 from repro.net.network import Network, NetworkConfig
 from repro.net.regions import PAPER_REGIONS
 from repro.sim.kernel import Kernel

@@ -1,39 +1,13 @@
-"""Fault scenarios expressed over regions, resolved to actor names.
+"""The paper's §5.4 fault schedules, as region-level fault lists.
 
-The failure experiments of §5.4 are region-level: "both the site and the
-client in a region is crashed" (§5.4.1), "a 3-2 network partition"
-(§5.4.2).  A :class:`RegionFault` captures that intent; resolution maps
-it onto the concrete actor names of whichever system is under test.
+:class:`repro.faults.schedule.RegionFault` carries the intent;
+``resolve_faults`` there maps it onto whichever system is under test.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from repro.net.faults import FaultSchedule
+from repro.faults.schedule import RegionFault
 from repro.net.regions import Region
-
-
-@dataclass(frozen=True)
-class RegionFault:
-    """One region-level fault action.
-
-    ``action``: ``"crash"`` / ``"recover"`` / ``"degrade"`` /
-    ``"restore"`` (use ``regions``) or ``"partition"`` /
-    ``"partition-oneway"`` / ``"heal"`` (use ``groups``).  The
-    ``drop``/``duplicate``/``delay``/``jitter`` fields parameterize
-    ``degrade`` (see :class:`repro.net.faults.FaultEvent`).
-    """
-
-    time: float
-    action: str
-    regions: tuple[Region, ...] = ()
-    groups: tuple[tuple[Region, ...], ...] = ()
-    include_clients: bool = True
-    drop: float = 0.0
-    duplicate: float = 0.0
-    delay: float = 0.0
-    jitter: float = 0.0
 
 
 def progressive_region_crashes(
@@ -60,73 +34,3 @@ def partition_3_2(
     if heal_at is not None:
         faults.append(RegionFault(heal_at, "heal"))
     return faults
-
-
-def resolve_faults(
-    faults: list[RegionFault],
-    servers_by_region: dict[Region, list[str]],
-    clients_by_region: dict[Region, list[str]],
-    extra_by_region: dict[Region, list[str]] | None = None,
-) -> FaultSchedule:
-    """Translate region-level faults into a concrete actor schedule.
-
-    ``extra_by_region`` covers co-located infrastructure (app managers)
-    that partitions must cut off along with their region's servers.
-    """
-    schedule = FaultSchedule()
-    extras = extra_by_region or {}
-
-    def names_for(region: Region, include_clients: bool) -> list[str]:
-        names = list(servers_by_region.get(region, []))
-        names.extend(extras.get(region, []))
-        if include_clients:
-            names.extend(clients_by_region.get(region, []))
-        return names
-
-    def group_names(groups: tuple[tuple[Region, ...], ...]) -> tuple[tuple[str, ...], ...]:
-        return tuple(
-            tuple(
-                name
-                for region in group
-                for name in names_for(region, include_clients=True)
-            )
-            for group in groups
-        )
-
-    for fault in sorted(faults, key=lambda f: f.time):
-        if fault.action in ("crash", "recover", "degrade", "restore"):
-            targets: list[str] = []
-            for region in fault.regions:
-                targets.extend(names_for(region, fault.include_clients))
-            if not targets:
-                # A region with no actors in this deployment (e.g. a
-                # MultiPaxSys placement without replicas there): nothing
-                # to fault, and an empty targeted FaultEvent is invalid.
-                continue
-            if fault.action == "crash":
-                schedule.crash(fault.time, *targets)
-            elif fault.action == "recover":
-                schedule.recover(fault.time, *targets)
-            elif fault.action == "degrade":
-                schedule.degrade(
-                    fault.time,
-                    *targets,
-                    drop=fault.drop,
-                    duplicate=fault.duplicate,
-                    delay=fault.delay,
-                    jitter=fault.jitter,
-                )
-            else:
-                schedule.restore(fault.time, *targets)
-        elif fault.action == "partition":
-            schedule.partition(fault.time, *group_names(fault.groups))
-        elif fault.action == "partition-oneway":
-            src_group, dst_group = group_names(fault.groups)
-            if not src_group or not dst_group:
-                continue
-            schedule.partition_oneway(fault.time, src_group, dst_group)
-        elif fault.action == "heal":
-            schedule.heal(fault.time)
-        else:
-            raise ValueError(f"unknown region fault action {fault.action!r}")
-    return schedule

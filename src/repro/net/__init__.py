@@ -10,10 +10,9 @@ differences.
 
 from repro.net.regions import Region, one_way_latency, rtt
 from repro.net.message import Message
-from repro.net.network import Endpoint, Network, NetworkConfig
+from repro.net.network import Network, NetworkConfig
 from repro.net.partition import PartitionController
-from repro.net.faults import CrashController, FaultEvent
-from repro.net.transport import Clock, Transport
+from repro.net.transport import Clock, Endpoint, Transport
 
 __all__ = [
     "Region",
@@ -24,8 +23,6 @@ __all__ = [
     "Network",
     "NetworkConfig",
     "PartitionController",
-    "CrashController",
-    "FaultEvent",
     "Clock",
     "Transport",
 ]

@@ -17,7 +17,7 @@ future perf/robustness change measure themselves with:
 * :mod:`repro.obs.summary` — turns a trace into the per-phase latency
   and per-message-type tables ``python -m repro trace FILE`` prints.
 
-The **active monitoring** layer (``repro.obs.monitor`` in DESIGN.md §3)
+The **active monitoring** layer ("Active monitoring" in DESIGN.md §3)
 rides the same stream as bus taps:
 
 * :mod:`repro.obs.audit` — an online/offline invariant auditor that

@@ -30,9 +30,10 @@ Taps
 ----
 Besides its one sink, a bus carries any number of *taps*: callables
 invoked with every event after the sink writes it.  Taps are how the
-active-monitoring layer (``repro.obs.monitor``: the invariant auditor
-and the metrics registry) rides the live stream without a second emit
-surface — same events, same order, zero cost when none is subscribed.
+active-monitoring layer (:mod:`repro.obs.audit`, the invariant auditor,
+and :mod:`repro.obs.registry`, the metrics registry) rides the live
+stream without a second emit surface — same events, same order, zero
+cost when none is subscribed.
 Taps must observe, never emit: calling back into the bus from a tap is
 a programming error (it would re-enter the tap list mid-iteration).
 """
@@ -102,6 +103,7 @@ class JsonlSink:
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
+        self.path.parent.mkdir(parents=True, exist_ok=True)
         if self.path.suffix == ".gz":
             self._fh = gzip.open(self.path, "wt", encoding="utf-8")
         else:
@@ -236,8 +238,9 @@ def emit_message_event(
 ) -> None:
     """Emit one ``msg.*`` event for a transport envelope.
 
-    Shared by the sim network and both live transports so the three
-    substrates produce byte-identical event shapes for the same traffic.
+    The one shape of a ``msg.*`` event: used by the transport core
+    (hence all three substrates) and by the fault layer for the
+    envelopes it accounts itself.
     """
     src_region = regions.get(message.src)
     dst_region = regions.get(message.dst)

@@ -7,9 +7,13 @@ the loop instead of inside a discrete-event queue.  WAN shape comes from
 an injectable delay model that reuses the :mod:`repro.net.regions`
 latency matrix, scaled so short live runs still see geo ratios.
 
-Semantics mirror the sim :class:`~repro.net.network.Network`: unknown
-or crashed destinations drop, partitions cut traffic (checked at send
-and again at delivery), loss is sampled per message.
+Accounting, admission and delivery are the shared
+:class:`~repro.net.transport.TransportCore`'s, so semantics are the sim
+:class:`~repro.net.network.Network`'s by construction: unknown or
+crashed destinations drop, partitions cut traffic (checked at send and
+again at delivery), loss is sampled per message.
+:class:`LiveTransport` adds what the two wall-clock substrates share on
+top of that; this module's own part is the queue and the pump.
 """
 
 from __future__ import annotations
@@ -17,14 +21,12 @@ from __future__ import annotations
 import asyncio
 import math
 import random
-from collections import Counter
 from time import perf_counter
 from typing import Any, Callable, Protocol
 
 from repro.net.message import Message
-from repro.net.partition import PartitionController
 from repro.net.regions import Region, one_way_latency
-from repro.obs.bus import EventBus, emit_message_event, trace_id_of
+from repro.net.transport import Endpoint, TransportCore
 from repro.runtime.clock import LiveClock
 
 
@@ -64,7 +66,72 @@ class GeoDelayModel:
         return base + self.overhead
 
 
-class AsyncioTransport:
+class LiveTransport(TransportCore):
+    """What the wall-clock substrates share beyond the core: an
+    injectable artificial delay, ``perf``-timed send and receive, and
+    capture of handler errors (a raise inside a pump or reader task
+    would otherwise vanish with the task)."""
+
+    def __init__(
+        self,
+        clock: LiveClock,
+        delay_model: DelayModel,
+        loss_probability: float,
+        rng: random.Random,
+    ) -> None:
+        super().__init__(clock, loss_probability, rng)
+        self.delay_model = delay_model
+        #: Wall-clock recorder (:class:`repro.obs.perf.PerfRecorder`) or
+        #: ``None``; when set, send submission (framing included) and
+        #: receive dispatch are timed per payload type.
+        self.perf = None
+        #: Exceptions raised by ``on_message`` handlers, oldest first.
+        self.errors: list[BaseException] = []
+
+    def install_perf(self, recorder) -> None:
+        """Attach a :class:`~repro.obs.perf.PerfRecorder` (or ``None``)."""
+        self.perf = recorder
+
+    def send(self, src: str, dst: str, payload: Any) -> None:
+        """Send ``payload`` from ``src`` to ``dst``; best-effort delivery."""
+        if self.perf is None:
+            super().send(src, dst, payload)
+            return
+        start = perf_counter()
+        super().send(src, dst, payload)
+        self.perf.observe("transport.send", type(payload).__name__, perf_counter() - start)
+
+    def _after_delay(self, message: Message, callback: Callable[..., None], *args: Any) -> None:
+        """Run ``callback(*args)`` once ``message``'s artificial delay has passed."""
+        delay = self.delay_model.sample(
+            self._regions[message.src], self._regions[message.dst], self._rng
+        )
+        if delay <= 0:
+            callback(*args)
+        else:
+            self.clock.schedule(delay, callback, *args)
+
+    def latency(self, a: str, b: str) -> float:
+        """Base artificial one-way delay between two attached endpoints."""
+        return self.delay_model.sample(self._regions[a], self._regions[b], random.Random(0))
+
+    def _hand_over(self, endpoint: Endpoint, message: Message) -> None:
+        try:
+            if self.perf is None:
+                endpoint.on_message(message)
+            else:
+                start = perf_counter()
+                endpoint.on_message(message)
+                self.perf.observe("transport.recv", message.kind, perf_counter() - start)
+        except Exception as exc:  # surfaced by the launcher via raise_errors
+            self.errors.append(exc)
+
+    def raise_errors(self) -> None:
+        if self.errors:
+            raise self.errors[0]
+
+
+class AsyncioTransport(LiveTransport):
     """Live :class:`repro.net.transport.Transport` over in-process queues."""
 
     def __init__(
@@ -74,62 +141,24 @@ class AsyncioTransport:
         loss_probability: float = 0.0,
         seed: int = 0,
     ) -> None:
-        self.clock = clock
-        self.delay_model = delay_model or GeoDelayModel(scale=0.05)
-        self.loss_probability = loss_probability
-        self.partitions = PartitionController()
-        self._rng = random.Random(f"asyncio-transport:{seed}")
-        self._endpoints: dict[str, Any] = {}
-        self._regions: dict[str, Region] = {}
+        super().__init__(
+            clock,
+            delay_model or GeoDelayModel(scale=0.05),
+            loss_probability,
+            random.Random(f"asyncio-transport:{seed}"),
+        )
         self._queues: dict[str, asyncio.Queue] = {}
         self._pumps: dict[str, asyncio.Task] = {}
-        self.messages_sent = 0
-        self.messages_dropped = 0
-        self.messages_delivered = 0
-        #: Per-payload-type counters (parity with the sim network).
-        self.sent_by_type: Counter[str] = Counter()
-        self.delivered_by_type: Counter[str] = Counter()
-        self.trace: Callable[[Message], None] | None = None
-        #: Telemetry bus; installed by the launcher when tracing is on.
-        self.obs: EventBus | None = None
-        #: Wall-clock recorder (:class:`repro.obs.perf.PerfRecorder`) or
-        #: ``None``; when set, send submission and receive dispatch are
-        #: timed per payload type.
-        self.perf = None
-        #: Flow tracker (:class:`repro.obs.flow.FlowTracker`) or ``None``.
-        #: This transport passes envelopes by reference, so byte
-        #: accounting encodes on demand — only behind this seam.
-        self.flow = None
-        #: Exceptions raised by ``on_message`` handlers, oldest first.
-        self.errors: list[BaseException] = []
 
-    def install_perf(self, recorder) -> None:
-        """Attach a :class:`~repro.obs.perf.PerfRecorder` (or ``None``)."""
-        self.perf = recorder
-
-    # -- registration -----------------------------------------------------
-
-    def attach(self, endpoint, region: Region) -> None:
-        if endpoint.name in self._endpoints:
-            raise ValueError(f"endpoint {endpoint.name!r} already attached")
-        self._endpoints[endpoint.name] = endpoint
-        self._regions[endpoint.name] = region
-        self._queues[endpoint.name] = asyncio.Queue()
+    def _attached(self, name: str) -> None:
+        self._queues[name] = asyncio.Queue()
         self._maybe_spawn_pumps()
 
-    def detach(self, name: str) -> None:
-        self._endpoints.pop(name, None)
-        self._regions.pop(name, None)
+    def _detached(self, name: str) -> None:
         self._queues.pop(name, None)
         task = self._pumps.pop(name, None)
         if task is not None:
             task.cancel()
-
-    def region_of(self, name: str) -> Region:
-        return self._regions[name]
-
-    def endpoints(self) -> list[str]:
-        return list(self._endpoints)
 
     def _maybe_spawn_pumps(self) -> None:
         """Start pump tasks for any endpoint that lacks one.
@@ -151,77 +180,8 @@ class AsyncioTransport:
     async def start(self) -> None:
         self._maybe_spawn_pumps()
 
-    # -- sending ----------------------------------------------------------
-
-    def send(self, src: str, dst: str, payload: Any) -> None:
-        """Send ``payload`` from ``src`` to ``dst``; best-effort delivery."""
-        if self.perf is None:
-            self._send(src, dst, payload)
-            return
-        start = perf_counter()
-        self._send(src, dst, payload)
-        self.perf.observe("transport.send", type(payload).__name__, perf_counter() - start)
-
-    def _send(self, src: str, dst: str, payload: Any) -> None:
-        self.messages_sent += 1
-        message = Message(src=src, dst=dst, payload=payload, sent_at=self.clock.now)
-        self.sent_by_type[message.kind] += 1
-        obs = self.obs
-        if obs is not None:
-            message.trace_id = trace_id_of(payload)
-        flow = self.flow
-        extra: dict[str, Any] = {}
-        if flow is not None:
-            # Encode exactly as the TCP framing would (trace id already
-            # stamped) so byte baselines match across substrates.
-            from repro.net import codec
-
-            payload_bytes = len(codec.encode(message))
-            frame_bytes = payload_bytes + codec.FRAME_HEADER.size
-            src_region = self._regions.get(src)
-            dst_region = self._regions.get(dst)
-            flow.record_send(
-                message.kind,
-                payload_bytes,
-                frame_bytes,
-                src_region.value if src_region is not None else "",
-                dst_region.value if dst_region is not None else "",
-            )
-            extra = {"bytes": payload_bytes, "frame_bytes": frame_bytes}
-        if obs is not None:
-            emit_message_event(obs, "msg.send", message, self._regions, **extra)
-        if self.trace is not None:
-            self.trace(message)
-        if dst not in self._endpoints:
-            self._drop(message, "unknown-endpoint")
-            return
-        if not self.partitions.can_communicate(src, dst):
-            self._drop(message, "partitioned")
-            return
-        if self.loss_probability > 0 and self._rng.random() < self.loss_probability:
-            self._drop(message, "loss")
-            return
-        delay = self.delay_model.sample(self._regions[src], self._regions[dst], self._rng)
-        if delay <= 0:
-            self._enqueue(message)
-        else:
-            self.clock.schedule(delay, self._enqueue, message)
-
-    def broadcast(self, src: str, dsts: list[str], payload: Any) -> None:
-        for dst in dsts:
-            self.send(src, dst, payload)
-
-    def latency(self, a: str, b: str) -> float:
-        """Base artificial one-way delay between two attached endpoints."""
-        return self.delay_model.sample(self._regions[a], self._regions[b], random.Random(0))
-
-    # -- delivery ----------------------------------------------------------
-
-    def _drop(self, message: Message, reason: str) -> None:
-        self.messages_dropped += 1
-        obs = self.obs
-        if obs is not None:
-            emit_message_event(obs, "msg.drop", message, self._regions, reason=reason)
+    def _carry(self, message: Message, frame: bytes | None) -> None:
+        self._after_delay(message, self._enqueue, message)
 
     def _enqueue(self, message: Message) -> None:
         queue = self._queues.get(message.dst)
@@ -237,36 +197,7 @@ class AsyncioTransport:
             message = await queue.get()
             if self.flow is not None:
                 self.flow.queue(f"asyncio.in.{name}").dequeue(queue.qsize())
-            endpoint = self._endpoints.get(message.dst)
-            if endpoint is None or endpoint.crashed:
-                self._drop(message, "endpoint-down")
-                continue
-            if not self.partitions.can_communicate(message.src, message.dst):
-                self._drop(message, "partitioned")
-                continue
-            message.delivered_at = self.clock.now
-            self.messages_delivered += 1
-            self.delivered_by_type[message.kind] += 1
-            obs = self.obs
-            if obs is not None:
-                emit_message_event(
-                    obs,
-                    "msg.deliver",
-                    message,
-                    self._regions,
-                    latency=message.delivered_at - message.sent_at,
-                )
-            try:
-                if self.perf is None:
-                    endpoint.on_message(message)
-                else:
-                    start = perf_counter()
-                    endpoint.on_message(message)
-                    self.perf.observe(
-                        "transport.recv", message.kind, perf_counter() - start
-                    )
-            except BaseException as exc:  # noqa: BLE001 - surfaced by launcher
-                self.errors.append(exc)
+            self._deliver(message)
 
     async def aclose(self) -> None:
         for task in self._pumps.values():
@@ -274,7 +205,3 @@ class AsyncioTransport:
         if self._pumps:
             await asyncio.gather(*self._pumps.values(), return_exceptions=True)
         self._pumps.clear()
-
-    def raise_errors(self) -> None:
-        if self.errors:
-            raise self.errors[0]

@@ -19,16 +19,10 @@ from __future__ import annotations
 
 import asyncio
 import random
-from collections import Counter
-from time import perf_counter
-from typing import Any, Callable
 
 from repro.net import codec
 from repro.net.message import Message
-from repro.net.partition import PartitionController
-from repro.net.regions import Region
-from repro.obs.bus import EventBus, emit_message_event, trace_id_of
-from repro.runtime.asyncio_transport import DelayModel, ZeroDelayModel
+from repro.runtime.asyncio_transport import DelayModel, LiveTransport, ZeroDelayModel
 from repro.runtime.clock import LiveClock
 
 #: How long a writer waits for the destination's server address before
@@ -64,7 +58,7 @@ class _PeerCircuit:
         self.opened_at = 0.0
 
 
-class TcpTransport:
+class TcpTransport(LiveTransport):
     """Live :class:`repro.net.transport.Transport` over localhost sockets."""
 
     def __init__(
@@ -75,22 +69,22 @@ class TcpTransport:
         loss_probability: float = 0.0,
         seed: int = 0,
     ) -> None:
-        self.clock = clock
+        super().__init__(
+            clock,
+            # Artificial extra delay before a frame is handed to the
+            # socket; none by default — real sockets give real latency.
+            delay_model or ZeroDelayModel(),
+            loss_probability,
+            random.Random(f"tcp-transport:{seed}"),
+        )
         self.host = host
-        #: Artificial extra delay before a frame is handed to the socket;
-        #: defaults to none — real sockets provide real latency.
-        self.delay_model = delay_model or ZeroDelayModel()
-        self.loss_probability = loss_probability
-        self.partitions = PartitionController()
-        self._rng = random.Random(f"tcp-transport:{seed}")
-        self._endpoints: dict[str, Any] = {}
-        self._regions: dict[str, Region] = {}
         self._servers: dict[str, asyncio.AbstractServer] = {}
         self._addresses: dict[str, tuple[str, int]] = {}
         self._out_queues: dict[str, asyncio.Queue] = {}
         self._writers: dict[str, asyncio.Task] = {}
         self._reader_tasks: set[asyncio.Task] = set()
         self._circuits: dict[str, _PeerCircuit] = {}
+        self._closing = False
         #: Tunables, instance-level so tests can tighten them.
         self.address_wait = _ADDRESS_WAIT
         self.max_send_attempts = _MAX_SEND_ATTEMPTS
@@ -100,56 +94,18 @@ class TcpTransport:
         self.circuit_threshold = _CIRCUIT_THRESHOLD
         self.circuit_cooldown = _CIRCUIT_COOLDOWN
         self.max_out_queue = _MAX_OUT_QUEUE
-        self.messages_sent = 0
-        self.messages_dropped = 0
         #: Frames rejected at a full per-peer out-queue.
         self.backpressure_drops = 0
-        self.messages_delivered = 0
-        #: Per-payload-type counters (parity with the sim network).
-        self.sent_by_type: Counter[str] = Counter()
-        self.delivered_by_type: Counter[str] = Counter()
         #: Frames rewritten after a reconnect (possible duplicates).
         self.frames_resent = 0
         #: Write+drain attempts that exceeded ``send_timeout``.
         self.send_timeouts = 0
-        self.trace: Callable[[Message], None] | None = None
-        #: Telemetry bus; installed by the launcher when tracing is on.
-        self.obs: EventBus | None = None
-        #: Wall-clock recorder (:class:`repro.obs.perf.PerfRecorder`) or
-        #: ``None``; when set, send submission (including framing) and
-        #: receive dispatch are timed per payload type.
-        self.perf = None
-        #: Flow tracker (:class:`repro.obs.flow.FlowTracker`) or ``None``;
-        #: when set, every framed send is byte-accounted and the
-        #: per-peer out-queues report depth/high-watermark gauges.
-        self.flow = None
-        self.errors: list[BaseException] = []
 
-    def install_perf(self, recorder) -> None:
-        """Attach a :class:`~repro.obs.perf.PerfRecorder` (or ``None``)."""
-        self.perf = recorder
-
-    # -- registration -----------------------------------------------------
-
-    def attach(self, endpoint, region: Region) -> None:
-        if endpoint.name in self._endpoints:
-            raise ValueError(f"endpoint {endpoint.name!r} already attached")
-        self._endpoints[endpoint.name] = endpoint
-        self._regions[endpoint.name] = region
-
-    def detach(self, name: str) -> None:
-        self._endpoints.pop(name, None)
-        self._regions.pop(name, None)
+    def _detached(self, name: str) -> None:
         server = self._servers.pop(name, None)
         if server is not None:
             server.close()
         self._addresses.pop(name, None)
-
-    def region_of(self, name: str) -> Region:
-        return self._regions[name]
-
-    def endpoints(self) -> list[str]:
-        return list(self._endpoints)
 
     async def start(self) -> None:
         """Bind one TCP server per attached endpoint (ephemeral ports)."""
@@ -167,70 +123,18 @@ class TcpTransport:
 
     # -- sending ----------------------------------------------------------
 
-    def send(self, src: str, dst: str, payload: Any) -> None:
-        """Frame and ship one envelope; best-effort, at-least-once."""
-        if self.perf is None:
-            self._send(src, dst, payload)
-            return
-        start = perf_counter()
-        self._send(src, dst, payload)
-        self.perf.observe("transport.send", type(payload).__name__, perf_counter() - start)
-
-    def _send(self, src: str, dst: str, payload: Any) -> None:
-        self.messages_sent += 1
-        message = Message(src=src, dst=dst, payload=payload, sent_at=self.clock.now)
-        self.sent_by_type[message.kind] += 1
-        obs = self.obs
-        if obs is not None:
-            # Stamped before framing so the trace id crosses the wire.
-            message.trace_id = trace_id_of(payload)
-        flow = self.flow
-        frame: bytes | None = None
-        extra: dict[str, Any] = {}
-        if flow is not None:
-            # Frame early (trace id is stamped) so send-time accounting
-            # sees the exact bytes; the frame is reused below.
-            frame = codec.encode_frame(message)
-            payload_bytes = len(frame) - codec.FRAME_HEADER.size
-            src_region = self._regions.get(src)
-            dst_region = self._regions.get(dst)
-            flow.record_send(
-                message.kind,
-                payload_bytes,
-                len(frame),
-                src_region.value if src_region is not None else "",
-                dst_region.value if dst_region is not None else "",
-            )
-            extra = {"bytes": payload_bytes, "frame_bytes": len(frame)}
-        if obs is not None:
-            emit_message_event(obs, "msg.send", message, self._regions, **extra)
-        if self.trace is not None:
-            self.trace(message)
-        if dst not in self._endpoints:
-            self._drop(message, "unknown-endpoint")
-            return
-        if not self.partitions.can_communicate(src, dst):
-            self._drop(message, "partitioned")
-            return
-        if self.loss_probability > 0 and self._rng.random() < self.loss_probability:
-            self._drop(message, "loss")
-            return
+    def _carry(self, message: Message, frame: bytes | None) -> None:
+        # Framed at send time, delayed or not: the core's frame is reused
+        # when the flow plane already encoded the envelope.
         if frame is None:
             frame = codec.encode_frame(message)
-        delay = self.delay_model.sample(self._regions[src], self._regions[dst], self._rng)
-        if delay <= 0:
-            self._enqueue_frame(dst, message, frame)
-        else:
-            self.clock.schedule(delay, self._enqueue_frame, dst, message, frame)
+        self._after_delay(message, self._enqueue_frame, message, frame)
 
-    def broadcast(self, src: str, dsts: list[str], payload: Any) -> None:
-        for dst in dsts:
-            self.send(src, dst, payload)
-
-    def latency(self, a: str, b: str) -> float:
-        return self.delay_model.sample(self._regions[a], self._regions[b], random.Random(0))
-
-    def _enqueue_frame(self, dst: str, message: Message, frame: bytes) -> None:
+    def _enqueue_frame(self, message: Message, frame: bytes) -> None:
+        if self._closing:
+            self._drop(message, "transport-closed")
+            return
+        dst = message.dst
         queue = self._out_queues.get(dst)
         if queue is None:
             queue = asyncio.Queue()
@@ -276,7 +180,10 @@ class TcpTransport:
         writer: asyncio.StreamWriter | None = None
         circuit = self._circuits.setdefault(dst, _PeerCircuit())
         try:
-            while True:
+            # ``_closing`` is checked as well as waiting to be cancelled:
+            # on Python 3.11 a cancel that lands in the iteration
+            # ``wait_for(drain())`` completes is swallowed by wait_for.
+            while not self._closing:
                 message, frame = await queue.get()
                 if self.flow is not None:
                     self.flow.queue(f"tcp.out.{dst}").dequeue(queue.qsize())
@@ -360,7 +267,7 @@ class TcpTransport:
                 length = codec.decode_frame_length(header)
                 body = await reader.readexactly(length)
                 message = codec.decode(body)
-                self._dispatch(message)
+                self._deliver(message)
         except (asyncio.IncompleteReadError, ConnectionError):
             pass
         except asyncio.CancelledError:
@@ -373,50 +280,24 @@ class TcpTransport:
         finally:
             writer.close()
 
-    def _drop(self, message: Message, reason: str) -> None:
-        self.messages_dropped += 1
-        obs = self.obs
-        if obs is not None:
-            emit_message_event(obs, "msg.drop", message, self._regions, reason=reason)
-
-    def _dispatch(self, message: Message) -> None:
-        endpoint = self._endpoints.get(message.dst)
-        if endpoint is None or endpoint.crashed:
-            self._drop(message, "endpoint-down")
-            return
-        if not self.partitions.can_communicate(message.src, message.dst):
-            self._drop(message, "partitioned")
-            return
-        message.delivered_at = self.clock.now
-        self.messages_delivered += 1
-        self.delivered_by_type[message.kind] += 1
-        obs = self.obs
-        if obs is not None:
-            emit_message_event(
-                obs,
-                "msg.deliver",
-                message,
-                self._regions,
-                latency=message.delivered_at - message.sent_at,
-            )
-        try:
-            if self.perf is None:
-                endpoint.on_message(message)
-            else:
-                start = perf_counter()
-                endpoint.on_message(message)
-                self.perf.observe("transport.recv", message.kind, perf_counter() - start)
-        except BaseException as exc:  # noqa: BLE001 - surfaced by launcher
-            self.errors.append(exc)
-
     # -- teardown ----------------------------------------------------------
 
     async def aclose(self) -> None:
+        """Stop writers, readers and servers, whatever is in flight.
+
+        Sends that arrive from now on, and every frame still queued
+        behind a writer, are accounted as ``transport-closed`` drops.
+        """
+        self._closing = True
         for task in self._writers.values():
             task.cancel()
         if self._writers:
             await asyncio.gather(*self._writers.values(), return_exceptions=True)
         self._writers.clear()
+        for queue in self._out_queues.values():
+            while not queue.empty():
+                message, _frame = queue.get_nowait()
+                self._drop(message, "transport-closed")
         for task in list(self._reader_tasks):
             task.cancel()
         if self._reader_tasks:
@@ -426,7 +307,3 @@ class TcpTransport:
         for server in self._servers.values():
             await server.wait_closed()
         self._servers.clear()
-
-    def raise_errors(self) -> None:
-        if self.errors:
-            raise self.errors[0]

@@ -19,11 +19,12 @@ ids again and absorbs the duplicate — dropping, duplicating, or
 reordering a *batch* degrades to dropping, duplicating, or reordering
 its members, which the protocol already tolerates.
 
-:class:`BatchingTransport` is a decorator over any
-:class:`repro.net.transport.Transport` (compose it *outside* a
-:class:`~repro.faults.transport.FaultyTransport` so injected faults hit
-whole envelopes).  Single-payload buffers flush as the bare payload —
-no envelope overhead when there is nothing to coalesce.
+:class:`BatchingTransport` is a
+:class:`~repro.net.transport.TransportDecorator` over any transport
+(compose it *outside* a :class:`~repro.faults.transport.FaultyTransport`
+so injected faults hit whole envelopes).  Single-payload buffers flush
+as the bare payload — no envelope overhead when there is nothing to
+coalesce.
 """
 
 from __future__ import annotations
@@ -31,8 +32,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+from repro.net import codec
 from repro.net.message import Message, next_msg_id
-from repro.net.regions import Region
+from repro.net.transport import TransportDecorator
 
 
 @dataclass(frozen=True)
@@ -63,53 +65,11 @@ class BatchEnvelope:
     items: tuple[BatchItem, ...]
 
 
-class _UnbatchProxy:
-    """Receive-side shim: unpacks envelopes, passes everything else."""
-
-    __slots__ = ("_endpoint", "_layer")
-
-    def __init__(self, endpoint, layer: "BatchingTransport") -> None:
-        self._endpoint = endpoint
-        self._layer = layer
-
-    @property
-    def name(self) -> str:
-        return self._endpoint.name
-
-    @property
-    def crashed(self) -> bool:
-        return self._endpoint.crashed
-
-    def on_message(self, message: Message) -> None:
-        payload = message.payload
-        if not isinstance(payload, BatchEnvelope):
-            self._endpoint.on_message(message)
-            return
-        self._layer.batches_delivered += 1
-        for item in payload.items:
-            if self._endpoint.crashed:
-                return  # a handler crashed the endpoint mid-unpack
-            self._endpoint.on_message(
-                Message(
-                    src=message.src,
-                    dst=message.dst,
-                    payload=item.payload,
-                    sent_at=message.sent_at,
-                    delivered_at=message.delivered_at,
-                    msg_id=item.msg_id,
-                    trace_id=message.trace_id,
-                )
-            )
-
-
-class BatchingTransport:
+class BatchingTransport(TransportDecorator):
     """Transport decorator that coalesces same-tick, same-link sends."""
 
     def __init__(self, inner, clock) -> None:
-        self.inner = inner
-        self.clock = clock
-        #: Duck-type parity with Network.kernel for code that reads it.
-        self.kernel = clock
+        super().__init__(inner, clock)
         self._buffers: dict[tuple[str, str], list[BatchItem]] = {}
         self._scheduled: set[tuple[str, str]] = set()
         #: Payloads handed to ``send`` (the logical message count).
@@ -121,76 +81,6 @@ class BatchingTransport:
         #: Single-payload flushes sent bare.
         self.passthrough_sent = 0
         self.batches_delivered = 0
-
-    # -- protocol surface: registration ------------------------------------
-
-    def attach(self, endpoint, region: Region) -> None:
-        self.inner.attach(_UnbatchProxy(endpoint, self), region)
-
-    def detach(self, name: str) -> None:
-        self.inner.detach(name)
-
-    def region_of(self, name: str) -> Region:
-        return self.inner.region_of(name)
-
-    def endpoints(self) -> list[str]:
-        return self.inner.endpoints()
-
-    def latency(self, a: str, b: str) -> float:
-        return self.inner.latency(a, b)
-
-    # -- protocol surface: delegated state ----------------------------------
-
-    @property
-    def partitions(self):
-        return self.inner.partitions
-
-    @property
-    def obs(self):
-        return self.inner.obs
-
-    @obs.setter
-    def obs(self, bus) -> None:
-        self.inner.obs = bus
-
-    @property
-    def trace(self):
-        return self.inner.trace
-
-    @trace.setter
-    def trace(self, tap) -> None:
-        self.inner.trace = tap
-
-    @property
-    def flow(self):
-        # getattr-tolerant: test doubles standing in for the inner
-        # transport predate the flow seam.
-        return getattr(self.inner, "flow", None)
-
-    @flow.setter
-    def flow(self, tracker) -> None:
-        self.inner.flow = tracker
-
-    @property
-    def messages_sent(self) -> int:
-        """Wire envelopes sent (what latency and sockets pay for)."""
-        return self.inner.messages_sent
-
-    @property
-    def messages_dropped(self) -> int:
-        return self.inner.messages_dropped
-
-    @property
-    def messages_delivered(self) -> int:
-        return self.inner.messages_delivered
-
-    @property
-    def sent_by_type(self):
-        return self.inner.sent_by_type
-
-    @property
-    def delivered_by_type(self):
-        return self.inner.delivered_by_type
 
     # -- sending -------------------------------------------------------------
 
@@ -208,10 +98,6 @@ class BatchingTransport:
             # the current timestamp, so all same-tick sends to this link
             # land in one envelope.
             self.clock.schedule(0.0, self._flush, key)
-
-    def broadcast(self, src: str, dsts: list[str], payload: Any) -> None:
-        for dst in dsts:
-            self.send(src, dst, payload)
 
     def _flush(self, key: tuple[str, str]) -> None:
         self._scheduled.discard(key)
@@ -235,8 +121,6 @@ class BatchingTransport:
             # in its own Message frame.  Explicit msg_ids keep the
             # global counter untouched, so a flow-enabled run stays
             # bit-identical to a disabled one.
-            from repro.net import codec
-
             header = codec.FRAME_HEADER.size
             now = self.clock.now
             inner_bytes = sum(
@@ -267,6 +151,28 @@ class BatchingTransport:
             )
             flow.record_batch(len(items), envelope_bytes, inner_bytes)
         self.inner.send(src, dst, envelope)
+
+    def _receive(self, endpoint, message: Message) -> None:
+        """Unpack envelopes for ``endpoint``; pass everything else."""
+        payload = message.payload
+        if not isinstance(payload, BatchEnvelope):
+            endpoint.on_message(message)
+            return
+        self.batches_delivered += 1
+        for item in payload.items:
+            if endpoint.crashed:
+                return  # a handler crashed the endpoint mid-unpack
+            endpoint.on_message(
+                Message(
+                    src=message.src,
+                    dst=message.dst,
+                    payload=item.payload,
+                    sent_at=message.sent_at,
+                    delivered_at=message.delivered_at,
+                    msg_id=item.msg_id,
+                    trace_id=message.trace_id,
+                )
+            )
 
     # -- introspection --------------------------------------------------------
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.faults import FaultyTransport, LinkFault, Nemesis, NemesisConfig
-from repro.net.faults import CrashController, FaultSchedule
+from repro.faults.schedule import CrashController, FaultSchedule
 from repro.net.message import Message
 from repro.net.network import Network, NetworkConfig
 from repro.net.regions import PAPER_REGIONS, Region

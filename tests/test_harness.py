@@ -15,12 +15,8 @@ from repro.harness.report import (
     ratio,
     write_bench_json,
 )
-from repro.harness.scenarios import (
-    RegionFault,
-    partition_3_2,
-    progressive_region_crashes,
-    resolve_faults,
-)
+from repro.faults.schedule import RegionFault, resolve_faults
+from repro.harness.scenarios import partition_3_2, progressive_region_crashes
 from repro.net.regions import PAPER_REGIONS, Region
 from repro.workload.trace import TraceConfig
 

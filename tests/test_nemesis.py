@@ -90,15 +90,17 @@ class TestBrokenRecovery:
 
 class TestTraces:
     def test_trace_dir_writes_one_trace_per_system(self, tmp_path):
+        # The directory does not exist yet: the sink creates the parents.
+        trace_dir = tmp_path / "a" / "b"
         report = run_nemesis(
             SEED,
             systems=("samya-majority",),
             duration=DURATION,
             quiet_period=QUIET,
-            trace_dir=tmp_path,
+            trace_dir=trace_dir,
         )
         assert report.verdicts["samya-majority"].passed
-        path = tmp_path / f"nemesis-samya-majority-seed{SEED}.jsonl"
+        path = trace_dir / f"nemesis-samya-majority-seed{SEED}.jsonl"
         assert path.exists()
         from repro.obs.schema import read_trace, validate_events
 

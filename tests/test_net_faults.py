@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.net.faults import CrashController, FaultEvent, FaultSchedule
+from repro.faults.schedule import CrashController, FaultEvent, FaultSchedule
 from repro.net.network import Network
 from repro.net.regions import Region
 from repro.sim.kernel import Kernel

@@ -17,7 +17,7 @@ import pytest
 from repro.harness.experiment import Experiment, ExperimentConfig
 from repro.metrics.invariants import ConservationChecker, InvariantViolation
 from repro.net.regions import Region
-from repro.harness.scenarios import RegionFault
+from repro.faults.schedule import RegionFault
 from repro.obs import (
     EventBus,
     JsonlSink,

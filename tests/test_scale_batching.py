@@ -5,11 +5,8 @@ batched-versus-unbatched parity run.
 import pytest
 
 from repro.net.message import Message
-from repro.scale.batching import (
-    BatchEnvelope,
-    BatchingTransport,
-    _UnbatchProxy,
-)
+from repro.net.transport import EndpointProxy
+from repro.scale.batching import BatchEnvelope, BatchingTransport
 from repro.scale.harness import (
     ScaleConfig,
     per_entity_committed,
@@ -23,6 +20,7 @@ class RecordingInner:
 
     def __init__(self):
         self.sent = []
+        self.flow = None
 
     def send(self, src, dst, payload):
         self.sent.append((src, dst, payload))
@@ -130,7 +128,7 @@ class TestUnpacking:
         transport = BatchingTransport(RecordingInner(), Kernel(seed=0))
         message = self._envelope_message()
         endpoint = RecordingEndpoint()
-        proxy = _UnbatchProxy(endpoint, transport)
+        proxy = EndpointProxy(endpoint, transport)
         proxy.on_message(message)
         assert [m.payload for m in endpoint.messages] == ["p1", "p2"]
         first_ids = [m.msg_id for m in endpoint.messages]
@@ -146,7 +144,7 @@ class TestUnpacking:
         kernel = Kernel(seed=0)
         transport = BatchingTransport(RecordingInner(), kernel)
         endpoint = RecordingEndpoint()
-        proxy = _UnbatchProxy(endpoint, transport)
+        proxy = EndpointProxy(endpoint, transport)
         bare = Message(src="a", dst="b", payload="plain", sent_at=0.0)
         proxy.on_message(bare)
         assert endpoint.messages == [bare]
@@ -161,7 +159,7 @@ class TestUnpacking:
                 self.crashed = True
 
         endpoint = CrashingEndpoint()
-        proxy = _UnbatchProxy(endpoint, transport)
+        proxy = EndpointProxy(endpoint, transport)
         proxy.on_message(self._envelope_message())
         assert [m.payload for m in endpoint.messages] == ["p1"]
 

@@ -149,6 +149,50 @@ class TestCircuitBreaker:
         assert transport.send_timeouts == 0
 
 
+class TestCloseUnderTraffic:
+    def test_aclose_terminates_while_senders_still_enqueue(self):
+        """On Python 3.11 a writer cancelled inside
+        ``wait_for(writer.drain())`` in the iteration the drain completes
+        keeps running; ``aclose()`` used to wait on it forever.  The
+        ``asyncio.wait`` below is the hard timeout the hang runs into
+        (``wait_for`` would itself wait on the stuck close)."""
+
+        async def scenario():
+            clock = LiveClock(seed=0)
+            transport, sink, a, b = build(clock)
+            await transport.start()
+            closed = False
+
+            async def flood():
+                while not closed:
+                    for _ in range(20):
+                        transport.send("a", "b", "x")
+                        transport.send("b", "a", "y")
+                    await asyncio.sleep(0)
+
+            sender = asyncio.create_task(flood())
+            await asyncio.sleep(0.05)  # both writers are mid-stream
+            closer = asyncio.create_task(transport.aclose())
+            finished, _ = await asyncio.wait({closer}, timeout=10)
+            await asyncio.sleep(0.01)  # sends keep arriving after the close
+            closed = True
+            await sender
+            await asyncio.sleep(0.2)  # a stuck writer idles, so teardown can cancel it
+            return transport, sink, bool(finished)
+
+        transport, sink, finished = asyncio.run(scenario())
+        assert finished, "aclose() still pending after 10 s"
+        # Nothing is left behind a writer, and late sends spawned none.
+        assert transport._writers == {}
+        assert all(queue.empty() for queue in transport._out_queues.values())
+        assert "transport-closed" in drop_reasons(sink)
+        assert transport.messages_delivered > 0
+        # What is neither delivered nor dropped was on a socket at close.
+        assert transport.messages_delivered + transport.messages_dropped <= (
+            transport.messages_sent
+        )
+
+
 class TestBackoff:
     def test_backoff_is_exponential_jittered_and_capped(self):
         clock = LiveClock(seed=0)
