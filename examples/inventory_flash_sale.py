@@ -27,7 +27,7 @@ from repro.harness.report import format_table
 from repro.metrics import ConservationChecker, MetricsHub
 from repro.net import Network
 from repro.net.regions import PAPER_REGIONS, Region
-from repro.obs import DemandTap, DemandTracker, EventBus, NullSink
+from repro.obs.instruments import Instruments
 from repro.prediction import SeasonalNaivePredictor
 from repro.sim import Kernel
 
@@ -54,14 +54,14 @@ def run_flash_sale():
     """Run the scenario; returns (cluster, metrics, demand tracker, rows)."""
     kernel = Kernel(seed=7)
     network = Network(kernel)
-    # The demand plane rides the telemetry bus: a NullSink keeps the
-    # events off disk, the tap folds them into locality/starvation
-    # analytics as they happen (sites find the bus via kernel.obs).
-    bus = EventBus(kernel, NullSink())
-    kernel.obs = bus
-    network.obs = bus
-    demand = DemandTracker()
-    bus.subscribe(DemandTap(demand))
+    # The demand plane rides the telemetry bus: asking for ``metrics``
+    # builds one (a NullSink keeps the events off disk) and its demand
+    # tap folds them into locality/starvation analytics as they happen
+    # (sites find the bus via kernel.obs).
+    instruments = Instruments(metrics=True)
+    instruments.attach(kernel, network)
+    kernel.obs = instruments.bus
+    demand = instruments.demand
     product = Entity("gadget", STOCK)
     cluster = SamyaCluster(
         kernel=kernel,

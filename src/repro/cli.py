@@ -329,24 +329,24 @@ def _summarize_trace_file(
             print(f"validated {count} events against {SCHEMA}")
             print()
         print(format_trace_summary(iter_trace(path), source=path))
+
+        def section(text: str) -> None:
+            print()
+            print(text)
+
         if demand:
-            tracker = track_demand(iter_trace(path))
-            print()
-            print(format_demand_report(tracker, source=path))
+            section(format_demand_report(track_demand(iter_trace(path)), source=path))
         if flow:
-            flow_tracker = track_flow(iter_trace(path))
-            print()
-            print(format_flow_report(flow_tracker, source=path))
+            section(format_flow_report(track_flow(iter_trace(path)), source=path))
         if critical_path:
-            report = analyze_critical_paths(
-                iter_trace(path), max_requests=max_requests
+            section(
+                format_critical_path_report(
+                    analyze_critical_paths(iter_trace(path), max_requests=max_requests)
+                )
             )
-            print()
-            print(format_critical_path_report(report))
         if audit:
             auditor = audit_events(iter_trace(path))
-            print()
-            print(format_audit_report(auditor))
+            section(format_audit_report(auditor))
             if not auditor.ok:
                 return 1
     except (OSError, ValueError) as exc:
@@ -394,21 +394,28 @@ def cmd_top(args: argparse.Namespace) -> int:
     animate = not args.once
     in_place = animate and sys.stdout.isatty()
 
-    def emit_frame(tracker, clock: float, final: bool = False, flow=None) -> None:
-        if tracker is None:
-            print("demand tracking is not enabled for this run", file=sys.stderr)
-            return
+    def emit_frame(instruments, clock: float, final: bool = False) -> None:
         text = render_top(
-            tracker,
+            instruments.demand,
             clock=clock,
             title=f"repro top — {args.mode}",
             max_entities=args.top,
-            flow=flow,
+            flow=instruments.flow,
         )
         prefix = CLEAR if in_place and not final else ""
         print(prefix + text, flush=True, end="")
         if not in_place and not final:
             print(flush=True)
+
+    def animate_on(kernel, instruments, until: float) -> None:
+        """Repaint every ``--refresh`` simulated seconds of a sim run."""
+        def frame() -> None:
+            emit_frame(instruments, kernel.now)
+            if kernel.now < until:
+                kernel.schedule(args.refresh, frame)
+
+        if animate:
+            kernel.schedule(args.refresh, frame)
 
     if args.mode == "scale":
         from repro.scale import ScaleConfig, run_scale
@@ -423,73 +430,41 @@ def cmd_top(args: argparse.Namespace) -> int:
             flow=args.flow,
         )
         deployment = build_scale_deployment(config)
-        if animate:
-            def frame() -> None:
-                emit_frame(
-                    deployment.demand, deployment.kernel.now,
-                    flow=deployment.flow,
-                )
-                if deployment.kernel.now < config.duration:
-                    deployment.kernel.schedule(args.refresh, frame)
-
-            deployment.kernel.schedule(args.refresh, frame)
+        animate_on(deployment.kernel, deployment.instruments, config.duration)
         result = run_scale(config, deployment=deployment)
-        emit_frame(
-            deployment.demand, result.sim_time, final=True, flow=deployment.flow
-        )
+        emit_frame(deployment.instruments, result.sim_time, final=True)
         return 0
 
     # Sim and live paths share the experiment harness; metrics forces
-    # the EventBus, which is what carries the DemandTap.
+    # the EventBus, which is what carries the DemandTap (the scale
+    # config above asked for its tracker outright).
     config = replace(_base_config(args), metrics=True)
 
     if args.mode == "live":
         from repro.runtime.cluster import LiveCluster
 
-        on_tick = None
-        if animate:
-            def on_tick(experiment) -> None:
-                emit_frame(
-                    experiment.demand, experiment.kernel.now,
-                    flow=experiment.flow_tracker,
-                )
-
         cluster = LiveCluster(
             config,
             metrics_port=args.metrics_port,
-            on_tick=on_tick,
+            on_tick=(
+                (lambda live: emit_frame(live.instruments, live.kernel.now))
+                if animate
+                else None
+            ),
             tick_interval=args.refresh,
         )
         cluster.run()
-        experiment = cluster.experiment
-        emit_frame(
-            experiment.demand if experiment is not None else None,
-            args.duration,
-            final=True,
-            flow=experiment.flow_tracker if experiment is not None else None,
-        )
+        emit_frame(cluster.experiment.instruments, args.duration, final=True)
         return 0
 
     from repro.harness.experiment import Experiment
 
     experiment = Experiment(config)
-    if animate:
-        def frame() -> None:
-            emit_frame(
-                experiment.demand, experiment.kernel.now,
-                flow=experiment.flow_tracker,
-            )
-            if experiment.kernel.now < config.duration:
-                experiment.kernel.schedule(args.refresh, frame)
-
-        experiment.kernel.schedule(args.refresh, frame)
+    animate_on(experiment.kernel, experiment.instruments, config.duration)
     experiment.start()
     experiment.kernel.run(until=config.duration)
     experiment.collect()
-    emit_frame(
-        experiment.demand, experiment.kernel.now, final=True,
-        flow=experiment.flow_tracker,
-    )
+    emit_frame(experiment.instruments, experiment.kernel.now, final=True)
     return 0
 
 

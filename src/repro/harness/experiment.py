@@ -31,24 +31,16 @@ from repro.faults.schedule import CrashController, RegionFault, resolve_faults
 from repro.metrics.hub import MetricsHub
 from repro.metrics.invariants import ConservationChecker, InvariantViolation
 from repro.metrics.latency import LatencySummary
-from repro.net.message import reset_msg_ids
-from repro.net.network import Network, NetworkConfig
+from repro.net.network import sim_substrate
 from repro.net.regions import MULTIPAXSYS_REGIONS, PAPER_REGIONS, Region
-from repro.obs import prof
-from repro.obs.audit import InvariantAuditor
-from repro.obs.bus import EventBus, JsonlSink, NullSink, Sink
-from repro.obs.demand import DemandTap, DemandTracker, emit_demand_events
-from repro.obs.flow import FlowTracker, emit_flow_events
-from repro.obs.perf import PerfRecorder, PerfSpanTap
-from repro.obs.registry import MetricsRegistry, TraceMetricsFeed
+from repro.obs.bus import Sink
+from repro.obs.instruments import Instruments
 from repro.obs.schema import SCHEMA
-from repro.resilience import LivenessWatchdog
 from repro.prediction.arima import ArimaPredictor
 from repro.prediction.lstm import LstmPredictor
 from repro.prediction.oracle import OraclePredictor
 from repro.prediction.random_walk import RandomWalkPredictor
 from repro.prediction.seasonal import SeasonalNaivePredictor
-from repro.sim.kernel import Kernel
 from repro.workload.readwrite import mix_reads
 from repro.workload.requests import (
     demand_per_compressed_interval,
@@ -111,9 +103,9 @@ class ExperimentConfig:
     #: Subscribe the liveness watchdog (repro.resilience) to the run's
     #: event stream: periodic sweeps flag stuck rounds / starved
     #: requests / stale pledges as ``liveness.*`` events and drive
-    #: pledge recovery on idle sites.  Requires a bus (any traced or
-    #: monitored run); snapshot lands in
-    #: ``ExperimentResult.liveness_snapshot``.
+    #: pledge recovery on idle sites.  It consumes events, so like
+    #: ``audit`` / ``metrics`` / ``perf`` it forces a bus; snapshot lands
+    #: in ``ExperimentResult.liveness_snapshot``.
     watchdog: bool = False
     enforce_constraint: bool = True
     redistribute: bool = True
@@ -139,8 +131,9 @@ class ExperimentConfig:
     multipaxsys_paper_regions: bool = False
     #: Write a JSONL telemetry trace (repro.obs) here (``.gz`` for a
     #: gzip-compressed trace).  None disables the on-disk trace; a bus
-    #: is still built if ``audit`` or ``metrics`` ask for one, and with
-    #: all three off every emit site stays a single ``is None`` branch.
+    #: is still built if an event-consuming plane asks for one (the
+    #: rule lives in repro.obs.instruments), and with none every emit
+    #: site stays a single ``is None`` branch.
     trace_path: str | None = None
     #: Subscribe the online invariant auditor (repro.obs.audit) to the
     #: run's event stream; violations land in
@@ -248,89 +241,39 @@ class Experiment:
         trace_sink: Sink | None = None,
     ) -> None:
         self.config = config
-        # Fresh envelope ids per deployment: traces record msg_id and
-        # the flow plane accounts encoded bytes (id digit count), so a
-        # fixed-seed run must not depend on what ran earlier in the
-        # process (see repro.net.message module docs).
-        reset_msg_ids()
-        self.kernel = kernel if kernel is not None else Kernel(seed=config.seed)
-        self.network = (
-            network
-            if network is not None
-            else Network(
-                self.kernel, NetworkConfig(loss_probability=config.loss_probability)
+        if network is None:
+            kernel, network = sim_substrate(
+                config.seed, loss_probability=config.loss_probability
             )
+        self.kernel = kernel
+        self.network = network
+        #: Every observability plane of the run (``.bus``, ``.auditor``,
+        #: ``.registry``, ``.demand``, ``.perf``, ``.flow``, ``.watchdog``).
+        self.instruments = Instruments(
+            sink=trace_sink,
+            trace_path=config.trace_path,
+            audit=config.audit,
+            metrics=config.metrics,
+            perf=config.perf,
+            flow=config.flow,
+            watchdog=config.watchdog,
         )
-        # Telemetry must be installed on the substrate *before* any actor
-        # is built — actors read their bus through kernel.obs at emit time,
-        # but the network stamps trace ids from its own reference.
-        self.obs: EventBus | None = None
-        self._owned_sink: Sink | None = None
-        sink = trace_sink
-        if sink is None and config.trace_path is not None:
-            sink = JsonlSink(config.trace_path)
-            self._owned_sink = sink
-        if sink is None and (config.audit or config.metrics or config.perf):
-            # Active monitoring without an on-disk trace: the bus fans
-            # events out to its taps and the sink discards them.
-            sink = NullSink()
-        if sink is not None:
-            self.obs = EventBus(self.kernel, sink)
-            self.kernel.obs = self.obs
-            self.network.obs = self.obs
-        self.auditor: InvariantAuditor | None = None
-        self.registry: MetricsRegistry | None = None
-        if self.obs is not None:
-            # The auditor must be first in tap order so it sees events
-            # before any other consumer mutates shared state (none do
-            # today; the ordering is a contract, not a workaround).
-            if config.audit:
-                self.auditor = InvariantAuditor()
-                self.obs.subscribe(self.auditor)
-            self.registry = MetricsRegistry()
-            self.obs.subscribe(TraceMetricsFeed(self.registry))
-        self.demand: DemandTracker | None = None
-        if self.obs is not None:
-            # The demand tracker rides every monitored run, like the
-            # registry: O(sites + K) state, no emits, no randomness.
-            self.demand = DemandTracker()
-            self.obs.subscribe(DemandTap(self.demand))
-        self.perf_recorder: PerfRecorder | None = None
-        if config.perf:
-            self.perf_recorder = PerfRecorder()
-            self.kernel.install_perf(self.perf_recorder)
-            if self.obs is not None:
-                self.obs.subscribe(PerfSpanTap(self.perf_recorder))
-        self.flow_tracker: FlowTracker | None = None
-        if config.flow:
-            # Fed at the transport seam, never via a bus tap: subscribing
-            # a FlowTap to a live bus would double-count msg.send (see
-            # repro.obs.flow module docs).
-            self.flow_tracker = FlowTracker()
-            self.network.flow = self.flow_tracker
-            if hasattr(self.kernel, "install_flow"):
-                self.kernel.install_flow(self.flow_tracker)
-        # ``repro profile`` installs a process-wide event profiler; any
-        # sim kernel built while it is active reports to it.
-        profiler = prof.active()
-        if profiler is not None and hasattr(self.kernel, "profiler"):
-            self.kernel.profiler = profiler
+        self.instruments.attach(self.kernel, self.network)
+        # A deployment decision, not wiring: core actors emit protocol
+        # spans through the clock they already hold (the scale harness
+        # keeps its kernel bare).
+        self.kernel.obs = self.instruments.bus
         self.trace = SyntheticAzureTrace(config.trace)
         self.entity = Entity(config.entity_id, config.maximum)
         self.metrics = MetricsHub(config.bucket_seconds)
         self.clients: list[WorkloadClient] = []
         self.checker: ConservationChecker | None = None
         self.cluster = self._build_cluster()
-        if self.checker is not None and self.obs is not None:
+        if self.checker is not None:
             # With a bus, safety violations become invariant.violation
             # trace events (audited, never lost) instead of mid-run raises.
-            self.checker.obs = self.obs
+            self.checker.obs = self.instruments.bus
         self.servers = self._servers()
-        self.watchdog: LivenessWatchdog | None = None
-        if config.watchdog and self.obs is not None:
-            self.watchdog = LivenessWatchdog()
-            self.watchdog.watch(self.servers)
-            self.obs.subscribe(self.watchdog)
         self._add_clients()
         self._controller = CrashController(self.kernel, self.network)
         self._install_faults()
@@ -539,7 +482,7 @@ class Experiment:
         sim kernel.
         """
         config = self.config
-        obs = self.obs
+        obs = self.instruments.bus
         if obs is not None:
             obs.emit(
                 "run.meta",
@@ -556,8 +499,7 @@ class Experiment:
             self.checker.install_periodic(
                 self.kernel, config.invariant_interval, config.duration
             )
-        if self.watchdog is not None:
-            self.watchdog.install_periodic(self.kernel, self.obs, config.duration)
+        self.instruments.start(self.servers, config.duration)
         self.cluster.start()
 
     def collect(self) -> ExperimentResult:
@@ -565,7 +507,7 @@ class Experiment:
         config = self.config
         if self.checker is not None:
             self.checker.check()
-            if self.checker.violations and self.auditor is None:
+            if self.checker.violations and self.instruments.auditor is None:
                 # A traced-but-unaudited run must still fail loudly: the
                 # violations are in the trace, but nobody is watching it.
                 raise InvariantViolation(
@@ -603,39 +545,19 @@ class Experiment:
             tokens_left_total=tokens_left,
             invariant_checks=self.checker.checks if self.checker else 0,
         )
-        obs = self.obs
-        if obs is not None:
-            if self.demand is not None:
-                # The harness owns the bus, so writing the demand.*
-                # rollups here is not tap re-entry.
-                emit_demand_events(obs, self.demand)
-            if self.flow_tracker is not None:
-                emit_flow_events(obs, self.flow_tracker)
-            obs.emit(
-                "run.end",
-                committed=result.committed,
-                rejected=result.rejected,
-                failed=result.failed,
-                committed_reads=result.committed_reads,
-                shed=result.shed,
-                open_spans=obs.open_spans,
-            )
-            if self._owned_sink is not None:
-                obs.close()
-        if self.auditor is not None:
-            result.audit_violations = [
-                str(violation) for violation in self.auditor.finish()
-            ]
-        if self.registry is not None:
-            result.metrics_snapshot = self.registry.snapshot()
-        if self.perf_recorder is not None:
-            result.perf_snapshot = self.perf_recorder.snapshot()
-        if self.demand is not None:
-            result.demand_snapshot = self.demand.snapshot()
-        if self.flow_tracker is not None:
-            result.flow_snapshot = self.flow_tracker.snapshot()
-        if self.watchdog is not None:
-            result.liveness_snapshot = self.watchdog.snapshot()
+        snapshots = self.instruments.collect(
+            committed=result.committed,
+            rejected=result.rejected,
+            failed=result.failed,
+            committed_reads=result.committed_reads,
+            shed=result.shed,
+        )
+        result.audit_violations = snapshots.get("audit", [])
+        result.metrics_snapshot = snapshots.get("metrics")
+        result.perf_snapshot = snapshots.get("perf")
+        result.demand_snapshot = snapshots.get("demand")
+        result.flow_snapshot = snapshots.get("flow")
+        result.liveness_snapshot = snapshots.get("liveness")
         return result
 
     def run(self) -> ExperimentResult:

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from repro.net.message import Message
 from repro.net.regions import one_way_latency
 from repro.net.transport import Clock, TransportCore
+from repro.sim.kernel import Kernel
 
 
 @dataclass
@@ -62,3 +63,10 @@ class Network(TransportCore):
     def latency(self, a: str, b: str) -> float:
         """Base one-way latency between two attached endpoints (seconds)."""
         return one_way_latency(self._regions[a], self._regions[b])
+
+
+def sim_substrate(seed: int, **network_config) -> tuple[Kernel, Network]:
+    """A fresh kernel and the network on it: the sim substrate every
+    harness starts from (keywords are :class:`NetworkConfig` fields)."""
+    kernel = Kernel(seed)
+    return kernel, Network(kernel, NetworkConfig(**network_config))

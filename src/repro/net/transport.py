@@ -166,6 +166,12 @@ class TransportCore:
         self._obs = bus
         self.partitions.obs = bus
 
+    def instrument(self, instruments) -> None:
+        """Take the bus and the flow tracker (either may be ``None``)
+        from a :class:`~repro.obs.instruments.Instruments` value."""
+        self.obs = instruments.bus
+        self.flow = instruments.flow
+
     # -- registration -----------------------------------------------------
 
     def attach(self, endpoint: Endpoint, region: Region) -> None:
@@ -362,6 +368,9 @@ class TransportDecorator:
 
     # -- delegated state --------------------------------------------------
 
+    def instrument(self, instruments) -> None:
+        self.inner.instrument(instruments)
+
     @property
     def partitions(self) -> PartitionController:
         return self.inner.partitions
@@ -369,10 +378,6 @@ class TransportDecorator:
     @property
     def obs(self):
         return self.inner.obs
-
-    @obs.setter
-    def obs(self, bus) -> None:
-        self.inner.obs = bus
 
     @property
     def trace(self):
@@ -385,10 +390,6 @@ class TransportDecorator:
     @property
     def flow(self):
         return self.inner.flow
-
-    @flow.setter
-    def flow(self, tracker) -> None:
-        self.inner.flow = tracker
 
     @property
     def messages_sent(self) -> int:

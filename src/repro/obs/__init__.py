@@ -18,7 +18,8 @@ future perf/robustness change measure themselves with:
   and per-message-type tables ``python -m repro trace FILE`` prints.
 
 The **active monitoring** layer ("Active monitoring" in DESIGN.md §3)
-rides the same stream as bus taps:
+rides the same stream as bus taps; :mod:`repro.obs.instruments` is the
+one place that decides which of these planes a run has and attaches them:
 
 * :mod:`repro.obs.audit` — an online/offline invariant auditor that
   checks structural trace invariants and the Samya safety arithmetic
@@ -26,8 +27,8 @@ rides the same stream as bus taps:
   asserting mid-run.
 * :mod:`repro.obs.registry` — a counter/gauge/histogram registry fed
   from the same emit sites, snapshot into bench artifacts.
-* :mod:`repro.obs.exposition` — Prometheus text rendering and the
-  asyncio ``/metrics`` endpoint for live runs.
+* :mod:`repro.obs.exposition` — the asyncio ``/metrics`` endpoint
+  for live runs.
 * :mod:`repro.obs.flow` — the flow & resource plane: per-link wire
   accounting, queue/backpressure watermarks, and opt-in memory
   telemetry, surfaced as ``flow.*`` trace rollups, ``repro_flow_*``
@@ -54,7 +55,6 @@ from repro.obs.demand import (
     DemandTap,
     DemandTracker,
     SpaceSavingSketch,
-    emit_demand_events,
     format_demand_report,
     track_demand,
 )
@@ -63,18 +63,11 @@ from repro.obs.flow import (
     FlowTracker,
     ResourceProbe,
     WIRE_HEADER_BYTES,
-    emit_flow_events,
     entity_table_bytes,
     format_flow_report,
-    render_flow_prometheus,
     track_flow,
 )
-from repro.obs.perf import (
-    PerfHistogram,
-    PerfRecorder,
-    PerfSpanTap,
-    render_perf_prometheus,
-)
+from repro.obs.perf import PerfHistogram, PerfRecorder, PerfSpanTap
 from repro.obs.registry import MetricsRegistry, TraceMetricsFeed, feed_registry
 from repro.obs.schema import (
     SCHEMA,
@@ -108,8 +101,6 @@ __all__ = [
     "WIRE_HEADER_BYTES",
     "analyze_critical_paths",
     "audit_events",
-    "emit_demand_events",
-    "emit_flow_events",
     "entity_table_bytes",
     "feed_registry",
     "format_audit_report",
@@ -119,8 +110,6 @@ __all__ = [
     "format_trace_summary",
     "iter_trace",
     "read_trace",
-    "render_flow_prometheus",
-    "render_perf_prometheus",
     "render_top",
     "track_demand",
     "track_flow",

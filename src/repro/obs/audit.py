@@ -150,6 +150,13 @@ class InvariantAuditor:
         """End-of-trace verdict; open spans are reported, not flagged."""
         return list(self.violations)
 
+    def tap(self) -> "InvariantAuditor":
+        return self
+
+    def snapshot(self) -> list[str]:
+        """One row per recorded violation; empty means a clean run."""
+        return [str(violation) for violation in self.finish()]
+
     # -- per-type checks ---------------------------------------------------
 
     def _on_span_begin(self, event: dict[str, Any]) -> None:

@@ -28,7 +28,7 @@ scale host's local call path) into four views:
   live view.
 
 Everything here observes and never emits: the one exception,
-:func:`emit_demand_events`, is called by the *bus owner* (the
+:meth:`DemandTracker.rollup`, is called by the *bus owner* (the
 experiment harness, at collect time) to write the ``demand.*`` summary
 events into the trace — a tap must never re-enter the bus.
 
@@ -51,7 +51,6 @@ __all__ = [
     "DemandTap",
     "DemandTracker",
     "SpaceSavingSketch",
-    "emit_demand_events",
     "format_demand_report",
     "track_demand",
 ]
@@ -354,6 +353,10 @@ class DemandTracker:
             )
         return rows
 
+    def tap(self) -> "DemandTap":
+        """A bus subscriber that feeds this tracker."""
+        return DemandTap(self)
+
     def snapshot(self) -> dict[str, Any]:
         """JSON-safe point-in-time dump (bench ``demand`` section)."""
         sites: dict[str, Any] = {}
@@ -385,6 +388,52 @@ class DemandTracker:
         if self.locality_ratio is not None:
             out["locality_ratio"] = round(self.locality_ratio, 6)
         return out
+
+    def rollup(self, bus: Any) -> None:
+        """Write ``demand.*`` summary events into the trace.
+
+        Called by the bus *owner* at collect time (taps must never emit):
+        one ``demand.site`` per site, one ``demand.entity`` per sketch row,
+        and the retained ``demand.scorecard`` rows — all bounded, so the
+        trace tail stays O(sites + K + scorecard_rows).
+        """
+        for name in sorted(self.sites):
+            site = self.sites[name]
+            fields: dict[str, Any] = {
+                "local": site.local,
+                "waited": site.waited,
+                "rejected": site.rejected,
+                "starved": site.starved,
+                "triggers": site.triggers,
+            }
+            if site.locality_ratio is not None:
+                fields["locality"] = round(site.locality_ratio, 6)
+            if site.ape_count:
+                fields["mape_pct"] = round(site.mape_pct, 3)
+            bus.emit("demand.site", node=name, **fields)
+        for row in self.hot_rows():
+            bus.emit(
+                "demand.entity",
+                entity=row["entity"],
+                requests=row["requests"],
+                error=row["error"],
+                local=row["local"],
+                waited=row["waited"],
+                rejected=row["rejected"],
+            )
+        for name in sorted(self.sites):
+            site = self.sites[name]
+            for index, predicted, observed in site.scorecard:
+                error = predicted - observed
+                fields = {
+                    "epoch": index,
+                    "predicted": round(predicted, 6),
+                    "observed": round(observed, 6),
+                    "error": round(error, 6),
+                }
+                if observed > 0:
+                    fields["ape_pct"] = round(100.0 * abs(error) / observed, 3)
+                bus.emit("demand.scorecard", node=name, **fields)
 
 
 class DemandTap:
@@ -446,53 +495,6 @@ def track_demand(
     for event in events:
         tap(event)
     return tracker
-
-
-def emit_demand_events(bus: Any, tracker: DemandTracker) -> None:
-    """Write ``demand.*`` summary events into the trace.
-
-    Called by the bus *owner* at collect time (taps must never emit):
-    one ``demand.site`` per site, one ``demand.entity`` per sketch row,
-    and the retained ``demand.scorecard`` rows — all bounded, so the
-    trace tail stays O(sites + K + scorecard_rows).
-    """
-    for name in sorted(tracker.sites):
-        site = tracker.sites[name]
-        fields: dict[str, Any] = {
-            "local": site.local,
-            "waited": site.waited,
-            "rejected": site.rejected,
-            "starved": site.starved,
-            "triggers": site.triggers,
-        }
-        if site.locality_ratio is not None:
-            fields["locality"] = round(site.locality_ratio, 6)
-        if site.ape_count:
-            fields["mape_pct"] = round(site.mape_pct, 3)
-        bus.emit("demand.site", node=name, **fields)
-    for row in tracker.hot_rows():
-        bus.emit(
-            "demand.entity",
-            entity=row["entity"],
-            requests=row["requests"],
-            error=row["error"],
-            local=row["local"],
-            waited=row["waited"],
-            rejected=row["rejected"],
-        )
-    for name in sorted(tracker.sites):
-        site = tracker.sites[name]
-        for index, predicted, observed in site.scorecard:
-            error = predicted - observed
-            fields = {
-                "epoch": index,
-                "predicted": round(predicted, 6),
-                "observed": round(observed, 6),
-                "error": round(error, 6),
-            }
-            if observed > 0:
-                fields["ape_pct"] = round(100.0 * abs(error) / observed, 3)
-            bus.emit("demand.scorecard", node=name, **fields)
 
 
 def _pct(value: float | None) -> str:

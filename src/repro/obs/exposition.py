@@ -1,102 +1,38 @@
-"""Prometheus text-format rendering and the live ``/metrics`` endpoint.
+"""The live ``/metrics`` endpoint.
 
-Rendering follows the text exposition format 0.0.4: ``# HELP`` and
-``# TYPE`` headers per metric family, one sample per line, histograms
-as cumulative ``_bucket{le=...}`` series plus ``_sum``/``_count``.
+The text each plane renders (``prometheus()``) follows the exposition
+format 0.0.4: ``# HELP`` and ``# TYPE`` headers per metric family, one
+sample per line, histograms as cumulative ``_bucket{le=...}`` series
+plus ``_sum``/``_count``.
 The server is a minimal asyncio HTTP/1.0 responder — just enough for
 ``curl`` and a Prometheus scraper — because a live run already owns an
 event loop and must not grow a web-framework dependency.
 
 Wiring: ``python -m repro live --metrics-port 9100`` starts the
-endpoint next to the experiment; every scrape renders the registry the
-:class:`~repro.obs.registry.TraceMetricsFeed` tap keeps current.
+endpoint next to the experiment; every scrape is
+:meth:`repro.obs.instruments.Instruments.prometheus` — the registry its
+feed tap keeps current, then the perf histograms and ``repro_flow_*``
+families of whichever planes the run has.
 """
 
 from __future__ import annotations
 
 import asyncio
-
-from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
-
-
-def _escape(value: str) -> str:
-    return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-
-
-def _labels(labelnames, labels, extra: str = "") -> str:
-    parts = [
-        f'{name}="{_escape(str(value))}"'
-        for name, value in zip(labelnames, labels)
-    ]
-    if extra:
-        parts.append(extra)
-    return "{" + ",".join(parts) + "}" if parts else ""
-
-
-def _format_value(value: float) -> str:
-    if value == int(value):
-        return str(int(value))
-    return repr(value)
-
-
-def render_prometheus(registry: MetricsRegistry) -> str:
-    """The whole registry in Prometheus text exposition format 0.0.4."""
-    lines: list[str] = []
-    for instrument in registry.instruments():
-        name = instrument.name
-        if instrument.help:
-            lines.append(f"# HELP {name} {_escape(instrument.help)}")
-        lines.append(f"# TYPE {name} {instrument.kind}")
-        if isinstance(instrument, (Counter, Gauge)):
-            for labels, value in sorted(instrument.cells.items()):
-                lines.append(
-                    f"{name}{_labels(instrument.labelnames, labels)}"
-                    f" {_format_value(value)}"
-                )
-        elif isinstance(instrument, Histogram):
-            for labels, counts in sorted(instrument.cells.items()):
-                cumulative = 0
-                for bound, count in zip(instrument.buckets, counts):
-                    cumulative += count
-                    le = _labels(instrument.labelnames, labels, f'le="{bound}"')
-                    lines.append(f"{name}_bucket{le} {cumulative}")
-                cumulative += counts[-1]
-                le = _labels(instrument.labelnames, labels, 'le="+Inf"')
-                lines.append(f"{name}_bucket{le} {cumulative}")
-                plain = _labels(instrument.labelnames, labels)
-                lines.append(
-                    f"{name}_sum{plain} {_format_value(instrument.sums[labels])}"
-                )
-                lines.append(f"{name}_count{plain} {cumulative}")
-    return "\n".join(lines) + "\n"
-
+from typing import Callable
 
 CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 
 class MetricsServer:
-    """Serves ``GET /metrics`` for one registry on localhost.
-
-    When a :class:`~repro.obs.perf.PerfRecorder` is attached, its
-    wall-clock histograms are appended to every scrape as proper
-    Prometheus histogram families (cumulative ``le`` + ``_sum``/``_count``).
-    Likewise a :class:`~repro.obs.flow.FlowTracker` appends the
-    ``repro_flow_*`` wire/queue families.
-    """
+    """Serves ``GET /metrics`` on localhost; ``render`` returns the
+    text of one scrape."""
 
     def __init__(
-        self,
-        registry: MetricsRegistry,
-        port: int,
-        host: str = "127.0.0.1",
-        perf=None,
-        flow=None,
+        self, render: Callable[[], str], port: int, host: str = "127.0.0.1"
     ) -> None:
-        self.registry = registry
+        self.render = render
         self.host = host
         self.port = port
-        self.perf = perf
-        self.flow = flow
         self.scrapes = 0
         self._server: asyncio.base_events.Server | None = None
 
@@ -128,16 +64,7 @@ class MetricsServer:
                 parts[1] in ("/metrics", "/metrics/", "/")
             ):
                 self.scrapes += 1
-                text = render_prometheus(self.registry)
-                if self.perf is not None:
-                    from repro.obs.perf import render_perf_prometheus
-
-                    text += render_perf_prometheus(self.perf)
-                if self.flow is not None:
-                    from repro.obs.flow import render_flow_prometheus
-
-                    text += render_flow_prometheus(self.flow)
-                body = text.encode("utf-8")
+                body = self.render().encode("utf-8")
                 status = "200 OK"
             else:
                 body = b"try GET /metrics\n"

@@ -13,7 +13,7 @@ resource plane:
   still pays one ``is None`` test and zero serialization.
 * **Queue & backpressure watermarks** — named depth gauges with
   high-watermark tracking (:meth:`FlowTracker.queue` returns the gauge
-  object so hot paths cache the ref, the ``install_perf`` pattern) for
+  object so hot paths cache the ref in their ``instrument()``) for
   TCP per-peer out-queues, asyncio endpoint queues, scale-site
   mailboxes, and the sim kernel's event heap, plus overflow-drop
   counters fed by the bounded-queue backpressure path.
@@ -27,10 +27,10 @@ resource plane:
   accounting in at collect.
 
 Surfaces follow the house pattern: bounded ``flow.*`` rollup events
-written by the bus *owner* at collect (:func:`emit_flow_events` — taps
+written by the bus *owner* at collect (:meth:`FlowTracker.rollup` — taps
 never emit), an offline ``repro trace FILE --flow`` report
 (:func:`track_flow` + :func:`format_flow_report`), Prometheus gauges on
-live ``/metrics`` (:func:`render_flow_prometheus`), and a ``flow``
+live ``/metrics`` (:meth:`FlowTracker.prometheus`), and a ``flow``
 section in bench artifacts (:meth:`FlowTracker.snapshot`) whose
 :meth:`FlowTracker.headline` subtree the regression gate pins — the
 byte budget the planned binary codec must beat.
@@ -64,10 +64,8 @@ __all__ = [
     "FlowTracker",
     "ResourceProbe",
     "WIRE_HEADER_BYTES",
-    "emit_flow_events",
     "entity_table_bytes",
     "format_flow_report",
-    "render_flow_prometheus",
     "track_flow",
 ]
 
@@ -98,7 +96,7 @@ class _QueueFlow:
 
     Hot paths cache this object (``tracker.queue(name)`` once, method
     calls after) so recording is one attribute test plus a call — the
-    ``Kernel.install_perf`` cached-ref pattern.
+    ``Kernel.instrument`` cached-ref pattern.
     """
 
     __slots__ = ("depth", "high", "enqueued", "dequeued", "dropped")
@@ -374,6 +372,162 @@ class FlowTracker:
             out["overhead_ratio"] = round(self.batch.overhead_ratio, 4)
         return out
 
+    def rollup(self, bus: Any) -> None:
+        """Write ``flow.*`` rollup events into the trace.
+
+        Called by the bus *owner* at collect time (taps must never emit):
+        one ``flow.link`` per region pair, one ``flow.type`` per message
+        type, one ``flow.queue`` per named queue, one ``flow.batch`` — all
+        bounded by the run's own cardinality.  Memory samples are omitted
+        on purpose: they are machine-dependent and would break same-seed
+        trace identity (see module docs).
+        """
+        for (src, dst) in sorted(self.links):
+            wire = self.links[(src, dst)]
+            bus.emit(
+                "flow.link",
+                src_region=src,
+                dst_region=dst,
+                frames=wire.frames,
+                bytes=wire.payload_bytes,
+                frame_bytes=wire.frame_bytes,
+            )
+        for name in sorted(self.types):
+            wire = self.types[name]
+            bus.emit(
+                "flow.type",
+                msg_type=name,
+                frames=wire.frames,
+                bytes=wire.payload_bytes,
+                frame_bytes=wire.frame_bytes,
+            )
+        for name in sorted(self.queues):
+            gauge = self.queues[name]
+            bus.emit(
+                "flow.queue",
+                queue=name,
+                high=gauge.high,
+                depth=gauge.depth,
+                enqueued=gauge.enqueued,
+                dequeued=gauge.dequeued,
+                dropped=gauge.dropped,
+            )
+        batch = self.batch
+        if batch.envelopes or batch.passthrough:
+            bus.emit(
+                "flow.batch",
+                envelopes=batch.envelopes,
+                inner=batch.inner,
+                passthrough=batch.passthrough,
+                envelope_bytes=batch.envelope_bytes,
+                inner_bytes=batch.inner_bytes,
+            )
+
+    def prometheus(self) -> str:
+        """Flow state as Prometheus text-format families (live ``/metrics``)."""
+        lines: list[str] = []
+
+        def family(name: str, kind: str, help_text: str, samples: list[str]) -> None:
+            if not samples:
+                return
+            lines.append(f"# HELP {name} {help_text}")
+            lines.append(f"# TYPE {name} {kind}")
+            lines.extend(samples)
+
+        family(
+            "repro_flow_link_bytes_total",
+            "counter",
+            "Framed wire bytes per region link",
+            [
+                f'repro_flow_link_bytes_total{{src="{src}",dst="{dst}"}} '
+                f"{self.links[(src, dst)].frame_bytes}"
+                for src, dst in sorted(self.links)
+            ],
+        )
+        family(
+            "repro_flow_link_frames_total",
+            "counter",
+            "Frames per region link",
+            [
+                f'repro_flow_link_frames_total{{src="{src}",dst="{dst}"}} '
+                f"{self.links[(src, dst)].frames}"
+                for src, dst in sorted(self.links)
+            ],
+        )
+        family(
+            "repro_flow_type_bytes_total",
+            "counter",
+            "Framed wire bytes per message type",
+            [
+                f'repro_flow_type_bytes_total{{msg_type="{name}"}} '
+                f"{self.types[name].frame_bytes}"
+                for name in sorted(self.types)
+            ],
+        )
+        family(
+            "repro_flow_type_frames_total",
+            "counter",
+            "Frames per message type",
+            [
+                f'repro_flow_type_frames_total{{msg_type="{name}"}} '
+                f"{self.types[name].frames}"
+                for name in sorted(self.types)
+            ],
+        )
+        family(
+            "repro_flow_queue_depth",
+            "gauge",
+            "Last observed queue depth",
+            [
+                f'repro_flow_queue_depth{{queue="{name}"}} '
+                f"{self.queues[name].depth}"
+                for name in sorted(self.queues)
+            ],
+        )
+        family(
+            "repro_flow_queue_high_watermark",
+            "gauge",
+            "Maximum observed queue depth",
+            [
+                f'repro_flow_queue_high_watermark{{queue="{name}"}} '
+                f"{self.queues[name].high}"
+                for name in sorted(self.queues)
+            ],
+        )
+        family(
+            "repro_flow_queue_dropped_total",
+            "counter",
+            "Messages dropped at a full queue (backpressure)",
+            [
+                f'repro_flow_queue_dropped_total{{queue="{name}"}} '
+                f"{self.queues[name].dropped}"
+                for name in sorted(self.queues)
+            ],
+        )
+        batch = self.batch
+        if batch.envelopes or batch.passthrough:
+            family(
+                "repro_flow_batch_envelopes_total",
+                "counter",
+                "Batch envelopes sent",
+                [f"repro_flow_batch_envelopes_total {batch.envelopes}"],
+            )
+            family(
+                "repro_flow_batch_inner_total",
+                "counter",
+                "Payloads coalesced into envelopes",
+                [f"repro_flow_batch_inner_total {batch.inner}"],
+            )
+            family(
+                "repro_flow_batch_passthrough_total",
+                "counter",
+                "Singleton payloads sent bare",
+                [f"repro_flow_batch_passthrough_total {batch.passthrough}"],
+            )
+        if not lines:
+            return ""
+        return "\n".join(lines) + "\n"
+
 
 class ResourceProbe:
     """Opt-in process memory sampler keyed to protocol phase.
@@ -568,58 +722,6 @@ def track_flow(events: Iterable[Mapping[str, Any]]) -> FlowTracker:
     return tracker
 
 
-def emit_flow_events(bus: Any, tracker: FlowTracker) -> None:
-    """Write ``flow.*`` rollup events into the trace.
-
-    Called by the bus *owner* at collect time (taps must never emit):
-    one ``flow.link`` per region pair, one ``flow.type`` per message
-    type, one ``flow.queue`` per named queue, one ``flow.batch`` — all
-    bounded by the run's own cardinality.  Memory samples are omitted
-    on purpose: they are machine-dependent and would break same-seed
-    trace identity (see module docs).
-    """
-    for (src, dst) in sorted(tracker.links):
-        wire = tracker.links[(src, dst)]
-        bus.emit(
-            "flow.link",
-            src_region=src,
-            dst_region=dst,
-            frames=wire.frames,
-            bytes=wire.payload_bytes,
-            frame_bytes=wire.frame_bytes,
-        )
-    for name in sorted(tracker.types):
-        wire = tracker.types[name]
-        bus.emit(
-            "flow.type",
-            msg_type=name,
-            frames=wire.frames,
-            bytes=wire.payload_bytes,
-            frame_bytes=wire.frame_bytes,
-        )
-    for name in sorted(tracker.queues):
-        gauge = tracker.queues[name]
-        bus.emit(
-            "flow.queue",
-            queue=name,
-            high=gauge.high,
-            depth=gauge.depth,
-            enqueued=gauge.enqueued,
-            dequeued=gauge.dequeued,
-            dropped=gauge.dropped,
-        )
-    batch = tracker.batch
-    if batch.envelopes or batch.passthrough:
-        bus.emit(
-            "flow.batch",
-            envelopes=batch.envelopes,
-            inner=batch.inner,
-            passthrough=batch.passthrough,
-            envelope_bytes=batch.envelope_bytes,
-            inner_bytes=batch.inner_bytes,
-        )
-
-
 def _ratio(value: float | None, digits: int = 2) -> str:
     return f"{value:.{digits}f}" if value is not None else "-"
 
@@ -714,109 +816,3 @@ def format_flow_report(tracker: FlowTracker, source: str = "") -> str:
         )
 
     return "\n\n".join(sections)
-
-
-def render_flow_prometheus(tracker: FlowTracker) -> str:
-    """Flow state as Prometheus text-format families (live ``/metrics``)."""
-    lines: list[str] = []
-
-    def family(name: str, kind: str, help_text: str, samples: list[str]) -> None:
-        if not samples:
-            return
-        lines.append(f"# HELP {name} {help_text}")
-        lines.append(f"# TYPE {name} {kind}")
-        lines.extend(samples)
-
-    family(
-        "repro_flow_link_bytes_total",
-        "counter",
-        "Framed wire bytes per region link",
-        [
-            f'repro_flow_link_bytes_total{{src="{src}",dst="{dst}"}} '
-            f"{tracker.links[(src, dst)].frame_bytes}"
-            for src, dst in sorted(tracker.links)
-        ],
-    )
-    family(
-        "repro_flow_link_frames_total",
-        "counter",
-        "Frames per region link",
-        [
-            f'repro_flow_link_frames_total{{src="{src}",dst="{dst}"}} '
-            f"{tracker.links[(src, dst)].frames}"
-            for src, dst in sorted(tracker.links)
-        ],
-    )
-    family(
-        "repro_flow_type_bytes_total",
-        "counter",
-        "Framed wire bytes per message type",
-        [
-            f'repro_flow_type_bytes_total{{msg_type="{name}"}} '
-            f"{tracker.types[name].frame_bytes}"
-            for name in sorted(tracker.types)
-        ],
-    )
-    family(
-        "repro_flow_type_frames_total",
-        "counter",
-        "Frames per message type",
-        [
-            f'repro_flow_type_frames_total{{msg_type="{name}"}} '
-            f"{tracker.types[name].frames}"
-            for name in sorted(tracker.types)
-        ],
-    )
-    family(
-        "repro_flow_queue_depth",
-        "gauge",
-        "Last observed queue depth",
-        [
-            f'repro_flow_queue_depth{{queue="{name}"}} '
-            f"{tracker.queues[name].depth}"
-            for name in sorted(tracker.queues)
-        ],
-    )
-    family(
-        "repro_flow_queue_high_watermark",
-        "gauge",
-        "Maximum observed queue depth",
-        [
-            f'repro_flow_queue_high_watermark{{queue="{name}"}} '
-            f"{tracker.queues[name].high}"
-            for name in sorted(tracker.queues)
-        ],
-    )
-    family(
-        "repro_flow_queue_dropped_total",
-        "counter",
-        "Messages dropped at a full queue (backpressure)",
-        [
-            f'repro_flow_queue_dropped_total{{queue="{name}"}} '
-            f"{tracker.queues[name].dropped}"
-            for name in sorted(tracker.queues)
-        ],
-    )
-    batch = tracker.batch
-    if batch.envelopes or batch.passthrough:
-        family(
-            "repro_flow_batch_envelopes_total",
-            "counter",
-            "Batch envelopes sent",
-            [f"repro_flow_batch_envelopes_total {batch.envelopes}"],
-        )
-        family(
-            "repro_flow_batch_inner_total",
-            "counter",
-            "Payloads coalesced into envelopes",
-            [f"repro_flow_batch_inner_total {batch.inner}"],
-        )
-        family(
-            "repro_flow_batch_passthrough_total",
-            "counter",
-            "Singleton payloads sent bare",
-            [f"repro_flow_batch_passthrough_total {batch.passthrough}"],
-        )
-    if not lines:
-        return ""
-    return "\n".join(lines) + "\n"

@@ -228,13 +228,19 @@ class PerfHistogram:
         return hist
 
 
+#: ``le`` boundaries rendered to Prometheus: every 4th bucket edge
+#: (8 per decade).  Cumulative counts at a boundary subset are exact;
+#: this keeps a scrape at ~80 lines per cell instead of 320.
+EXPOSITION_STRIDE = 4
+
+
 class PerfRecorder:
     """Named perf histograms: ``(instrument, key)`` -> histogram.
 
     One recorder rides one run.  Instruments are dotted names
     (``kernel.tick``, ``codec.encode``); ``key`` is the one free label
     (a message type, a span name, a region pair).  Hot paths cache the
-    histogram object itself (see ``Kernel.install_perf``) so recording
+    histogram object itself (see ``Kernel.instrument``) so recording
     is a method call, not a dict lookup.
     """
 
@@ -262,6 +268,10 @@ class PerfRecorder:
         """Fold another recorder in (cross-site / cross-run aggregation)."""
         for (instrument, key), hist in other._hists.items():
             self.histogram(instrument, key).merge(hist)
+
+    def tap(self) -> "PerfSpanTap":
+        """A bus subscriber that folds completed spans in."""
+        return PerfSpanTap(self)
 
     def snapshot(self) -> dict[str, Any]:
         """Flat JSON-safe dump for bench artifacts and results.
@@ -324,6 +334,42 @@ class PerfRecorder:
             )
         return rows
 
+    def prometheus(self) -> str:
+        """Perf histograms as Prometheus text-format histogram families.
+
+        One family per instrument (``repro_perf_<instrument>_seconds``),
+        one cell per key, cumulative ``le`` buckets plus ``_sum``/``_count``
+        — the standard histogram shape, so any scraper computes quantiles
+        with its own functions.
+        """
+        families: dict[str, list[tuple[str, PerfHistogram]]] = {}
+        for (instrument, key), hist in self.items():
+            families.setdefault(instrument, []).append((key, hist))
+        edges = range(EXPOSITION_STRIDE - 1, BUCKET_COUNT, EXPOSITION_STRIDE)
+        lines: list[str] = []
+        for instrument in sorted(families):
+            name = "repro_perf_" + instrument.replace(".", "_").replace("-", "_")
+            name += "_seconds"
+            lines.append(f"# HELP {name} Wall/substrate durations for {instrument}")
+            lines.append(f"# TYPE {name} histogram")
+            for key, hist in sorted(families[instrument]):
+                label = f'{{key="{key}"}}' if key else ""
+
+                def _le(label_value: str) -> str:
+                    if key:
+                        return f'{{key="{key}",le="{label_value}"}}'
+                    return f'{{le="{label_value}"}}'
+
+                cumulative = 0
+                for upper, cumulative in hist.cumulative(edges):
+                    lines.append(f"{name}_bucket{_le(f'{upper:.9g}')} {cumulative}")
+                lines.append(f"{name}_bucket{_le('+Inf')} {hist.count}")
+                lines.append(f"{name}_sum{label} {hist.total:.9g}")
+                lines.append(f"{name}_count{label} {hist.count}")
+        if not lines:
+            return ""
+        return "\n".join(lines) + "\n"
+
 
 class PerfSpanTap:
     """EventBus tap folding completed spans into a recorder.
@@ -344,46 +390,3 @@ class PerfSpanTap:
             self.recorder.observe(
                 "span.dur", str(event.get("span", "?")), float(event.get("dur", 0.0))
             )
-
-
-#: ``le`` boundaries rendered to Prometheus: every 4th bucket edge
-#: (8 per decade).  Cumulative counts at a boundary subset are exact;
-#: this keeps a scrape at ~80 lines per cell instead of 320.
-EXPOSITION_STRIDE = 4
-
-
-def render_perf_prometheus(recorder: PerfRecorder) -> str:
-    """Perf histograms as Prometheus text-format histogram families.
-
-    One family per instrument (``repro_perf_<instrument>_seconds``),
-    one cell per key, cumulative ``le`` buckets plus ``_sum``/``_count``
-    — the standard histogram shape, so any scraper computes quantiles
-    with its own functions.
-    """
-    families: dict[str, list[tuple[str, PerfHistogram]]] = {}
-    for (instrument, key), hist in recorder.items():
-        families.setdefault(instrument, []).append((key, hist))
-    edges = range(EXPOSITION_STRIDE - 1, BUCKET_COUNT, EXPOSITION_STRIDE)
-    lines: list[str] = []
-    for instrument in sorted(families):
-        name = "repro_perf_" + instrument.replace(".", "_").replace("-", "_")
-        name += "_seconds"
-        lines.append(f"# HELP {name} Wall/substrate durations for {instrument}")
-        lines.append(f"# TYPE {name} histogram")
-        for key, hist in sorted(families[instrument]):
-            label = f'{{key="{key}"}}' if key else ""
-
-            def _le(label_value: str) -> str:
-                if key:
-                    return f'{{key="{key}",le="{label_value}"}}'
-                return f'{{le="{label_value}"}}'
-
-            cumulative = 0
-            for upper, cumulative in hist.cumulative(edges):
-                lines.append(f"{name}_bucket{_le(f'{upper:.9g}')} {cumulative}")
-            lines.append(f"{name}_bucket{_le('+Inf')} {hist.count}")
-            lines.append(f"{name}_sum{label} {hist.total:.9g}")
-            lines.append(f"{name}_count{label} {hist.count}")
-    if not lines:
-        return ""
-    return "\n".join(lines) + "\n"

@@ -4,8 +4,8 @@ The registry is the numeric face of the trace: where the trace is the
 full ordered story, the registry is the running totals a scrape (or a
 bench artifact) wants.  It is deliberately dependency-free and
 Prometheus-shaped — counters only go up, gauges are set, histograms
-have cumulative buckets — so :mod:`repro.obs.exposition` can render it
-in the standard text format without translation.
+have cumulative buckets — so :meth:`MetricsRegistry.prometheus` renders
+it in the standard text format without translation.
 
 Instruments are keyed by (name, label values); label sets are usually
 tiny (message types, region pairs, span names), so plain dicts are
@@ -59,7 +59,7 @@ Flow families (the resource story — fed from the optional ``bytes``/
 ``frame_bytes`` stamps flow-enabled runs put on ``msg.send`` plus the
 per-drop ``flow.backpressure`` events; see :mod:`repro.obs.flow`).
 Deliberately disjoint from the families
-:func:`~repro.obs.flow.render_flow_prometheus` renders from a live
+:meth:`~repro.obs.flow.FlowTracker.prometheus` renders from a live
 tracker, so a scrape that appends both never repeats a family name:
 
 ====================================  =======  ==============================
@@ -255,8 +255,40 @@ class MetricsRegistry:
         self._instruments[instrument.name] = instrument
         return instrument
 
-    def instruments(self) -> Iterable[Counter | Gauge | Histogram]:
-        return self._instruments.values()
+    def tap(self) -> "TraceMetricsFeed":
+        """A bus subscriber that keeps this registry current."""
+        return TraceMetricsFeed(self)
+
+    def prometheus(self) -> str:
+        """The whole registry in Prometheus text exposition format 0.0.4."""
+        lines: list[str] = []
+        for instrument in self._instruments.values():
+            name = instrument.name
+            if instrument.help:
+                lines.append(f"# HELP {name} {_escape(instrument.help)}")
+            lines.append(f"# TYPE {name} {instrument.kind}")
+            if isinstance(instrument, (Counter, Gauge)):
+                for labels, value in sorted(instrument.cells.items()):
+                    lines.append(
+                        f"{name}{_labels(instrument.labelnames, labels)}"
+                        f" {_format_value(value)}"
+                    )
+            elif isinstance(instrument, Histogram):
+                for labels, counts in sorted(instrument.cells.items()):
+                    cumulative = 0
+                    for bound, count in zip(instrument.buckets, counts):
+                        cumulative += count
+                        le = _labels(instrument.labelnames, labels, f'le="{bound}"')
+                        lines.append(f"{name}_bucket{le} {cumulative}")
+                    cumulative += counts[-1]
+                    le = _labels(instrument.labelnames, labels, 'le="+Inf"')
+                    lines.append(f"{name}_bucket{le} {cumulative}")
+                    plain = _labels(instrument.labelnames, labels)
+                    lines.append(
+                        f"{name}_sum{plain} {_format_value(instrument.sums[labels])}"
+                    )
+                    lines.append(f"{name}_count{plain} {cumulative}")
+        return "\n".join(lines) + "\n"
 
     def snapshot(self) -> dict[str, Any]:
         """Point-in-time JSON-safe dump (embedded in bench artifacts).
@@ -277,6 +309,26 @@ class MetricsRegistry:
                     key = _flat_key(instrument.name, instrument.labelnames, labels)
                     out[key] = value
         return out
+
+
+def _escape(value: str) -> str:
+    return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+
+
+def _labels(labelnames, labels, extra: str = "") -> str:
+    parts = [
+        f'{name}="{_escape(str(value))}"'
+        for name, value in zip(labelnames, labels)
+    ]
+    if extra:
+        parts.append(extra)
+    return "{" + ",".join(parts) + "}" if parts else ""
+
+
+def _format_value(value: float) -> str:
+    if value == int(value):
+        return str(int(value))
+    return repr(value)
 
 
 def _flat_key(name: str, labelnames: tuple[str, ...], labels: LabelValues) -> str:

@@ -12,8 +12,6 @@ sample lists, and per-entity accounting lives in a bounded
 never a per-entity dict) — so a 100k-entity scale trace summarizes in
 memory proportional to the number of *distinct* span names, region
 pairs, and the sketch capacity, not the number of events or entities.
-The legacy per-table row functions remain for callers that already
-hold a list.
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from typing import Any, Iterable
 
-from repro.metrics.latency import percentile
 from repro.obs.demand import SpaceSavingSketch
 from repro.obs.perf import PerfHistogram
 
@@ -29,122 +26,6 @@ from repro.obs.perf import PerfHistogram
 # format_trace_summary — the harness package imports the core modules,
 # which import repro.obs.bus, and this package's __init__ imports this
 # module; a module-level import would close that cycle.
-
-
-def span_rows(events: Iterable[dict[str, Any]]) -> list[list[object]]:
-    """Per-phase latency table: one row per span name, ms units."""
-    durations: dict[str, list[float]] = defaultdict(list)
-    for event in events:
-        if event.get("type") == "span.end":
-            durations[event["span"]].append(float(event["dur"]))
-    rows: list[list[object]] = []
-    for span in sorted(durations):
-        samples = durations[span]
-        mean = sum(samples) / len(samples)
-        rows.append(
-            [
-                span,
-                len(samples),
-                f"{mean * 1000.0:.2f}",
-                f"{percentile(samples, 50) * 1000.0:.2f}",
-                f"{percentile(samples, 95) * 1000.0:.2f}",
-                f"{max(samples) * 1000.0:.2f}",
-            ]
-        )
-    return rows
-
-
-def message_rows(events: Iterable[dict[str, Any]]) -> list[list[object]]:
-    """Per-message-type counters: sent / delivered / dropped."""
-    sent: Counter[str] = Counter()
-    delivered: Counter[str] = Counter()
-    dropped: Counter[str] = Counter()
-    for event in events:
-        etype = event.get("type")
-        if etype == "msg.send":
-            sent[event["msg_type"]] += 1
-        elif etype == "msg.deliver":
-            delivered[event["msg_type"]] += 1
-        elif etype == "msg.drop":
-            dropped[event["msg_type"]] += 1
-    rows = []
-    for msg_type in sorted(set(sent) | set(delivered) | set(dropped)):
-        rows.append(
-            [msg_type, sent[msg_type], delivered[msg_type], dropped[msg_type]]
-        )
-    return rows
-
-
-def region_rows(events: Iterable[dict[str, Any]]) -> list[list[object]]:
-    """Per region-pair message volume and mean delivery latency."""
-    counts: Counter[tuple[str, str]] = Counter()
-    latency_sums: dict[tuple[str, str], float] = defaultdict(float)
-    latency_counts: Counter[tuple[str, str]] = Counter()
-    for event in events:
-        if event.get("type") != "msg.deliver":
-            continue
-        pair = (event.get("src_region", "?"), event.get("dst_region", "?"))
-        counts[pair] += 1
-        if "latency" in event:
-            latency_sums[pair] += float(event["latency"])
-            latency_counts[pair] += 1
-    rows = []
-    for pair in sorted(counts):
-        mean_ms = (
-            latency_sums[pair] / latency_counts[pair] * 1000.0
-            if latency_counts[pair]
-            else 0.0
-        )
-        rows.append([f"{pair[0]} -> {pair[1]}", counts[pair], f"{mean_ms:.2f}"])
-    return rows
-
-
-def outcome_rows(events: Iterable[dict[str, Any]]) -> list[list[object]]:
-    """Client request outcomes from completed ``request`` spans."""
-    outcomes: Counter[str] = Counter()
-    for event in events:
-        if event.get("type") == "span.end" and event.get("span") == "request":
-            outcomes[event["outcome"]] += 1
-    return [[outcome, outcomes[outcome]] for outcome in sorted(outcomes)]
-
-
-def fault_rows(events: Iterable[dict[str, Any]]) -> list[list[object]]:
-    """Injected-fault timeline: when, what, who (crash/partition story)."""
-    rows: list[list[object]] = []
-    for event in events:
-        etype = event.get("type", "")
-        if not etype.startswith("fault."):
-            continue
-        target = event.get("targets") or event.get("groups") or "-"
-        rows.append([f"{event.get('ts', 0.0):.1f}", etype[6:], target])
-    return rows
-
-
-def invariant_rows(events: Iterable[dict[str, Any]]) -> list[list[object]]:
-    """Safety-audit summary: checks run, violations by invariant."""
-    checks = 0
-    violations: Counter[str] = Counter()
-    for event in events:
-        etype = event.get("type")
-        if etype == "invariant.check":
-            checks += 1
-        elif etype == "invariant.violation":
-            violations[event.get("invariant", "?")] += 1
-    if checks == 0 and not violations:
-        return []
-    rows: list[list[object]] = [["checks recorded", checks]]
-    for invariant in sorted(violations):
-        rows.append([f"violations: {invariant}", violations[invariant]])
-    if not violations:
-        rows.append(["violations", 0])
-    return rows
-
-
-def run_meta(events: Iterable[dict[str, Any]]) -> dict[str, Any] | None:
-    for event in events:
-        if event.get("type") == "run.meta":
-            return event
-    return None
 
 
 class TraceSummaryBuilder:

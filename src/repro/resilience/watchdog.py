@@ -103,6 +103,9 @@ class LivenessWatchdog:
 
     # -- the tap (observe only, never emit) --------------------------------
 
+    def tap(self) -> "LivenessWatchdog":
+        return self
+
     def __call__(self, event: Mapping[str, Any]) -> None:
         etype = event.get("type")
         if etype == "span.begin":

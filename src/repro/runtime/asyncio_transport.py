@@ -88,9 +88,9 @@ class LiveTransport(TransportCore):
         #: Exceptions raised by ``on_message`` handlers, oldest first.
         self.errors: list[BaseException] = []
 
-    def install_perf(self, recorder) -> None:
-        """Attach a :class:`~repro.obs.perf.PerfRecorder` (or ``None``)."""
-        self.perf = recorder
+    def instrument(self, instruments) -> None:
+        super().instrument(instruments)
+        self.perf = instruments.perf
 
     def send(self, src: str, dst: str, payload: Any) -> None:
         """Send ``payload`` from ``src`` to ``dst``; best-effort delivery."""

@@ -48,19 +48,16 @@ class LiveClock:
         #: Telemetry bus, same seam as :attr:`repro.sim.kernel.Kernel.obs`
         #: — actors read their bus from the clock they already hold.
         self.obs = None
-        #: Wall-clock recorder, same seam as ``Kernel.install_perf``;
-        #: ``clock.callback`` is the live analogue of ``kernel.tick``.
-        self.perf = None
+        #: ``clock.callback`` histogram cached by :meth:`instrument` — the
+        #: live analogue of ``kernel.tick`` — or ``None`` with perf off.
         self._perf_fire = None
         #: First exceptions raised by scheduled callbacks, oldest first.
         self.errors: list[BaseException] = []
 
-    def install_perf(self, recorder) -> None:
-        """Attach a :class:`~repro.obs.perf.PerfRecorder` (or ``None``)."""
-        self.perf = recorder
-        self._perf_fire = (
-            None if recorder is None else recorder.histogram("clock.callback")
-        )
+    def instrument(self, instruments) -> None:
+        """Same verb as :meth:`repro.sim.kernel.Kernel.instrument`."""
+        perf = instruments.perf
+        self._perf_fire = None if perf is None else perf.histogram("clock.callback")
 
     # -- loop binding -------------------------------------------------------
 

@@ -102,59 +102,49 @@ class LiveCluster:
                 seed=config.seed,
             )
         experiment = Experiment(config, kernel=clock, network=transport)
-        if experiment.perf_recorder is not None:
-            # The harness installed the recorder on the clock; the live
-            # substrate also times transport dispatch and (over TCP,
-            # where frames genuinely serialize) the codec.
-            transport.install_perf(experiment.perf_recorder)
-            if self.transport_kind == "tcp":
-                from repro.net import codec
-
-                codec.set_perf_recorder(experiment.perf_recorder)
-        await transport.start()
         metrics_server = None
-        if self.metrics_port is not None:
-            from repro.obs.exposition import MetricsServer
-
-            assert experiment.registry is not None  # config.metrics forced it
-            metrics_server = MetricsServer(
-                experiment.registry,
-                self.metrics_port,
-                perf=experiment.perf_recorder,
-                flow=experiment.flow_tracker,
-            )
-            await metrics_server.start()
-            self.bound_metrics_port = metrics_server.port
-            print(
-                f"serving /metrics on http://127.0.0.1:{metrics_server.port}/metrics"
-            )
-        stats = LiveRunStats(clock, transport)
-        stats.install()
-        self.experiment = experiment
-        experiment.start()
-        ticker = None
-        if self.on_tick is not None:
-            ticker = asyncio.ensure_future(self._tick_loop(experiment))
-        await asyncio.sleep(config.duration)
-        if ticker is not None:
-            ticker.cancel()
+        try:
             try:
-                await ticker
-            except asyncio.CancelledError:
-                pass
-        if metrics_server is not None:
-            await metrics_server.stop()
-        await transport.aclose()
-        if experiment.perf_recorder is not None and self.transport_kind == "tcp":
-            # The codec recorder is module-global; leave nothing behind.
-            from repro.net import codec
+                await transport.start()
+                if self.metrics_port is not None:
+                    from repro.obs.exposition import MetricsServer
 
-            codec.set_perf_recorder(None)
-        # A callback or handler exception (e.g. an invariant violation)
-        # must fail the run, exactly as it would under the sim kernel.
-        clock.raise_errors()
-        transport.raise_errors()
-        result = experiment.collect()
+                    metrics_server = MetricsServer(
+                        experiment.instruments.prometheus, self.metrics_port
+                    )
+                    await metrics_server.start()
+                    self.bound_metrics_port = metrics_server.port
+                    print(
+                        "serving /metrics on "
+                        f"http://127.0.0.1:{metrics_server.port}/metrics"
+                    )
+                stats = LiveRunStats(clock, transport)
+                stats.install()
+                self.experiment = experiment
+                experiment.start()
+                ticker = None
+                if self.on_tick is not None:
+                    ticker = asyncio.ensure_future(self._tick_loop(experiment))
+                await asyncio.sleep(config.duration)
+                if ticker is not None:
+                    ticker.cancel()
+                    try:
+                        await ticker
+                    except asyncio.CancelledError:
+                        pass
+            finally:
+                if metrics_server is not None:
+                    await metrics_server.stop()
+                await transport.aclose()
+            # A callback or handler exception (e.g. an invariant violation)
+            # must fail the run, exactly as it would under the sim kernel.
+            clock.raise_errors()
+            transport.raise_errors()
+            result = experiment.collect()
+        finally:
+            # Over TCP the perf recorder also sits in the module-global
+            # codec seam; leave nothing behind, however the run ended.
+            experiment.instruments.close()
         return LiveReport(result=result, stats=stats.as_dict(), transport=self.transport_kind)
 
     async def _tick_loop(self, experiment) -> None:

@@ -101,6 +101,13 @@ class TcpTransport(LiveTransport):
         #: Write+drain attempts that exceeded ``send_timeout``.
         self.send_timeouts = 0
 
+    def instrument(self, instruments) -> None:
+        super().instrument(instruments)
+        # Frames genuinely serialize only here, so this substrate also
+        # times the codec; its recorder is module-global, which is why
+        # Instruments.close() must run however the run ends.
+        codec.set_perf_recorder(instruments.perf)
+
     def _detached(self, name: str) -> None:
         server = self._servers.pop(name, None)
         if server is not None:

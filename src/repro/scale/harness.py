@@ -26,8 +26,10 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from repro.core.cluster import split_initial_allocation
-from repro.net.network import Network, NetworkConfig
+from repro.net.network import Network, sim_substrate
 from repro.net.regions import PAPER_REGIONS
+from repro.obs.flow import ResourceProbe, entity_table_bytes
+from repro.obs.instruments import Instruments
 from repro.scale.batching import BatchingTransport
 from repro.scale.shards import ShardedEntityDirectory
 from repro.scale.site import ScaleSiteConfig, ScaleSiteHost
@@ -236,11 +238,9 @@ class ScaleDeployment:
     drivers: list[ScaleLoadDriver]
     directory: ShardedEntityDirectory
     config: ScaleConfig
-    obs: Any = None
-    #: Shared DemandTracker when ``config.demand`` asked for one.
-    demand: Any = None
-    #: Shared FlowTracker when ``config.flow`` asked for one.
-    flow: Any = None
+    #: The run's planes: ``.bus`` (``config.trace_path``), the shared
+    #: ``.demand`` / ``.flow`` trackers when the config asked for them.
+    instruments: Instruments
 
 
 def build_scale_deployment(
@@ -254,35 +254,11 @@ def build_scale_deployment(
     faults hit whole batch envelopes, the deployment order the fault
     tests exercise.
     """
-    kernel = Kernel(config.seed)
-    # Fresh envelope ids per deployment — same rationale as the
-    # experiment harness: fixed-seed byte accounting and traces must
-    # not depend on earlier runs in the process.
-    from repro.net.message import reset_msg_ids
-
-    reset_msg_ids()
-    # ``repro profile`` installs a process-wide event profiler; a scale
-    # kernel built while it is active reports per-callback counts to it.
-    from repro.obs import prof
-
-    profiler = prof.active()
-    if profiler is not None:
-        kernel.profiler = profiler
-    network = Network(
-        kernel,
-        NetworkConfig(
-            jitter_sigma=config.jitter_sigma,
-            loss_probability=config.loss_probability,
-        ),
+    kernel, network = sim_substrate(
+        config.seed,
+        jitter_sigma=config.jitter_sigma,
+        loss_probability=config.loss_probability,
     )
-    obs = None
-    if config.trace_path is not None:
-        from repro.obs.bus import EventBus, JsonlSink
-
-        obs = EventBus(kernel, JsonlSink(config.trace_path))
-        # Installed on the network only: message-plane telemetry scales
-        # with wire envelopes, not entities (see ScaleConfig.trace_path).
-        network.obs = obs
     transport: Any = network
     if transport_wrap is not None:
         transport = transport_wrap(transport)
@@ -302,25 +278,14 @@ def build_scale_deployment(
     for host in hosts:
         host.connect(names)
 
-    demand = None
-    if config.demand:
-        from repro.obs.demand import DemandTracker
-
-        demand = DemandTracker()
-        for host in hosts:
-            host.demand = demand
-
-    flow = None
-    if config.flow:
-        from repro.obs.flow import FlowTracker
-
-        flow = FlowTracker()
-        # The network seam covers the whole transport chain (batching
-        # and fault layers delegate ``flow`` to their inner transport).
-        network.flow = flow
-        kernel.install_flow(flow)
-        for host in hosts:
-            host.install_flow(flow)
+    instruments = Instruments(
+        trace_path=config.trace_path, demand=config.demand, flow=config.flow
+    )
+    # The bus goes on the transport alone, never ``kernel.obs``:
+    # message-plane telemetry scales with wire envelopes, not entities
+    # (see ScaleConfig.trace_path).  The outermost transport is enough —
+    # batching and fault layers delegate to the network they wrap.
+    instruments.attach(kernel, transport, *hosts)
 
     directory = ShardedEntityDirectory()
     shares = split_initial_allocation(config.maximum, len(hosts))
@@ -357,9 +322,7 @@ def build_scale_deployment(
         drivers=drivers,
         directory=directory,
         config=config,
-        obs=obs,
-        demand=demand,
-        flow=flow,
+        instruments=instruments,
     )
 
 
@@ -526,25 +489,18 @@ def run_scale(
     kernel.run(max_events=config.max_drain_events)
     wall = time.perf_counter() - start
     drained = kernel.pending == 0
-    if deployment.flow is not None:
-        from repro.obs.flow import (
-            ResourceProbe,
-            emit_flow_events,
-            entity_table_bytes,
-        )
-
-        deployment.flow.table_bytes = {
+    instruments = deployment.instruments
+    flow = instruments.flow
+    if flow is not None:
+        flow.table_bytes = {
             host.name: entity_table_bytes(host.table)
             for host in deployment.hosts
         }
         # One end-of-run RSS sample (cheap: a /proc read).  It lands in
         # the snapshot only — memory is machine-dependent and must never
         # reach the trace (see repro.obs.flow module docs).
-        ResourceProbe(deployment.flow).sample("collect", ts=kernel.now)
-        if deployment.obs is not None:
-            emit_flow_events(deployment.obs, deployment.flow)
-    if deployment.obs is not None:
-        deployment.obs.sink.close()
+        ResourceProbe(flow).sample("collect", ts=kernel.now)
+    snapshots = instruments.collect()
 
     violations: list[str] = []
     audited = 0
@@ -586,16 +542,8 @@ def run_scale(
         drained=drained,
         audited=audited,
         violations=violations,
-        demand=(
-            deployment.demand.snapshot()
-            if deployment.demand is not None
-            else None
-        ),
-        flow=(
-            deployment.flow.snapshot()
-            if deployment.flow is not None
-            else None
-        ),
+        demand=snapshots.get("demand") if config.demand else None,
+        flow=snapshots.get("flow"),
     )
     if keep_deployment:
         return result, deployment

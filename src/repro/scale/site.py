@@ -169,16 +169,16 @@ class ScaleSiteHost(Actor):
         #: entity ids with a deferred (cooldown-parked) retrigger.
         self._deferred: set[str] = set()
         self._envelopes = EnvelopeDedup(self.config.msg_dedup_window)
-        #: Optional :class:`~repro.obs.demand.DemandTracker`, injected by
-        #: the deployment builder.  The scale request path is a local
+        #: Optional :class:`~repro.obs.demand.DemandTracker`, set by
+        #: :meth:`instrument`.  The scale request path is a local
         #: call, not a message — per-request events would swamp any
         #: trace at 10^5 entities — so demand telemetry here is direct
         #: O(1) tracker updates behind the same ``is None`` seam every
         #: other instrumentation point uses.
         self.demand = None
-        #: Optional :class:`~repro.obs.flow.FlowTracker`; install via
-        #: :meth:`install_flow` so the mailbox gauge ref is cached.
-        self.flow = None
+        #: Mailbox gauge (aggregate queued acquires across entities) of
+        #: the run's :class:`~repro.obs.flow.FlowTracker`, cached by
+        #: :meth:`instrument`; ``None`` with flow off.
         self._flow_mailbox = None
         #: Queued acquires across all entities, maintained incrementally
         #: (``queued_requests()`` recomputes; this feeds the gauge).
@@ -194,16 +194,13 @@ class ScaleSiteHost(Actor):
     def connect(self, host_names: list[str]) -> None:
         self.peers = [peer for peer in host_names if peer != self.name]
 
-    def install_flow(self, tracker) -> None:
-        """Attach a :class:`~repro.obs.flow.FlowTracker` (or ``None``).
-
-        The mailbox gauge (aggregate queued acquires across entities)
-        is cached as a direct ref — the ``Kernel.install_perf`` pattern
-        — so the request path pays one ``is None`` test when off.
-        """
-        self.flow = tracker
+    def instrument(self, instruments) -> None:
+        """Take the demand tracker and the mailbox gauge; either may be
+        ``None``, and the request path then pays one ``is None`` test."""
+        self.demand = instruments.host_demand
+        flow = instruments.flow
         self._flow_mailbox = (
-            None if tracker is None else tracker.queue(f"scale.mailbox.{self.name}")
+            None if flow is None else flow.queue(f"scale.mailbox.{self.name}")
         )
 
     def add_entity(self, entity_id: str, initial_tokens: int) -> int:

@@ -35,47 +35,32 @@ class Kernel:
         #: harness installs it before any actor is built.  The kernel
         #: itself never emits — event dispatch is far too hot.
         self.obs = None
-        #: Wall-clock perf recorder (:class:`repro.obs.perf.PerfRecorder`)
-        #: or ``None``.  Dispatch is the hottest loop in the repo, so the
-        #: two histograms it feeds are cached as direct references and
-        #: the disabled path stays a single ``is None`` test.
-        self.perf = None
+        #: Refs cached by :meth:`instrument`, each ``None`` when its plane
+        #: is off.  Dispatch is the hottest loop in the repo, so the
+        #: histograms and the gauge are held directly and the disabled
+        #: path stays a single ``is None`` test per site.
         self._perf_tick = None
         self._perf_push = None
-        #: Event-identity profiler (:class:`repro.obs.prof.EventProfiler`)
-        #: or ``None``; same cached-seam pattern.
-        self.profiler = None
-        #: Flow tracker (:class:`repro.obs.flow.FlowTracker`) or ``None``;
-        #: the cached gauge watches the event heap's high watermark.
-        self.flow = None
         self._flow_heap = None
+        #: Event-identity profiler (:class:`repro.obs.prof.EventProfiler`).
+        self.profiler = None
 
-    def install_flow(self, tracker) -> None:
-        """Attach a :class:`~repro.obs.flow.FlowTracker` (or ``None``).
+    def instrument(self, instruments) -> None:
+        """Take what dispatch feeds from a
+        :class:`~repro.obs.instruments.Instruments` value.
 
-        Schedules record the heap depth into the ``kernel.heap`` gauge
-        (enqueue side only — pops are the hottest loop in the repo and
-        the watermark is what backpressure analysis needs).  Same
-        cached-ref pattern as :meth:`install_perf`.
-        """
-        self.flow = tracker
-        self._flow_heap = None if tracker is None else tracker.queue("kernel.heap")
-
-    def install_perf(self, recorder) -> None:
-        """Attach a :class:`~repro.obs.perf.PerfRecorder` (or ``None``).
-
-        ``kernel.tick`` times one dispatch (heap pop + callback);
-        ``kernel.heap_push`` times one schedule.  Wall time only — the
+        ``kernel.tick`` times one dispatch (heap pop + callback) and
+        ``kernel.heap_push`` one schedule — wall time only, the
         simulated clock is never read, so results stay bit-identical
-        with perf recording on or off.
+        with perf on or off.  The ``kernel.heap`` gauge records heap
+        depth on the enqueue side only: pops are the hot loop and the
+        watermark is what backpressure analysis needs.
         """
-        self.perf = recorder
-        if recorder is None:
-            self._perf_tick = None
-            self._perf_push = None
-        else:
-            self._perf_tick = recorder.histogram("kernel.tick")
-            self._perf_push = recorder.histogram("kernel.heap_push")
+        perf, flow = instruments.perf, instruments.flow
+        self._perf_tick = None if perf is None else perf.histogram("kernel.tick")
+        self._perf_push = None if perf is None else perf.histogram("kernel.heap_push")
+        self._flow_heap = None if flow is None else flow.queue("kernel.heap")
+        self.profiler = instruments.profiler
 
     @property
     def events_fired(self) -> int:
@@ -126,7 +111,7 @@ class Kernel:
         short by ``max_events`` leaves the clock at its last event).
 
         This is the only dispatch loop.  The perf histogram and profiler
-        are read once on entry: install them before calling ``run``.
+        are read once on entry: instrument before calling ``run``.
         """
         heap = self._queue.heap
         tick = self._perf_tick

@@ -24,7 +24,6 @@ from repro.obs import (
     DemandTracker,
     RingSink,
     SpaceSavingSketch,
-    emit_demand_events,
     format_demand_report,
     render_top,
     track_demand,
@@ -207,7 +206,7 @@ class TestDemandTap:
         kernel = Kernel(seed=1)
         sink = RingSink()
         bus = EventBus(kernel, sink)
-        kernel.schedule(10.0, lambda: emit_demand_events(bus, tracker))
+        kernel.schedule(10.0, lambda: tracker.rollup(bus))
         kernel.run(until=11.0)
         events = sink.events()
         assert validate_events(events) == []

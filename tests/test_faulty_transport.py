@@ -7,7 +7,8 @@ from repro.faults.schedule import CrashController, FaultSchedule
 from repro.net.message import Message
 from repro.net.network import Network, NetworkConfig
 from repro.net.regions import PAPER_REGIONS, Region
-from repro.obs.bus import EventBus, RingSink
+from repro.obs.bus import RingSink
+from repro.obs.instruments import Instruments
 from repro.sim.kernel import Kernel
 from repro.sim.process import Actor
 
@@ -80,7 +81,7 @@ class TestDrop:
     def test_injected_drop_emits_balanced_trace_events(self):
         kernel, faulty, a, b = build_pair()
         sink = RingSink()
-        faulty.obs = EventBus(kernel, sink)
+        Instruments(sink=sink).attach(kernel, faulty)
         faulty.degrade(["b"], drop=1.0)
         faulty.send("a", "b", "x")
         kernel.run()
@@ -130,7 +131,7 @@ class TestDuplicate:
     def test_duplicate_keeps_trace_accounting_balanced(self):
         kernel, faulty, a, b = build_pair()
         sink = RingSink()
-        faulty.obs = EventBus(kernel, sink)
+        Instruments(sink=sink).attach(kernel, faulty)
         faulty.degrade(["b"], duplicate=1.0)
         faulty.send("a", "b", "x")
         kernel.run()
@@ -239,9 +240,9 @@ class TestControllerIntegration:
     def test_scheduled_faults_emit_trace_events(self):
         kernel, faulty, controller, actors = self.build()
         sink = RingSink()
-        bus = EventBus(kernel, sink)
-        kernel.obs = bus
-        faulty.obs = bus
+        instruments = Instruments(sink=sink)
+        instruments.attach(kernel, faulty)
+        kernel.obs = instruments.bus
         controller.install(
             FaultSchedule()
             .degrade(1.0, "y", drop=0.5)

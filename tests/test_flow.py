@@ -24,14 +24,11 @@ from repro.obs import (
     ResourceProbe,
     RingSink,
     WIRE_HEADER_BYTES,
-    emit_flow_events,
     entity_table_bytes,
     format_flow_report,
-    render_flow_prometheus,
     track_flow,
     validate_events,
 )
-from repro.obs.exposition import render_prometheus
 from repro.obs.registry import MetricsRegistry, TraceMetricsFeed
 from repro.scale.entity_table import COLUMNS, EntityTable
 from repro.scale.harness import ScaleConfig, build_scale_deployment, run_scale
@@ -99,7 +96,7 @@ class TestFlowTracker:
     def test_empty_tracker_renders(self):
         tracker = FlowTracker()
         assert "0 frames" in format_flow_report(tracker)
-        assert render_flow_prometheus(tracker) == ""
+        assert tracker.prometheus() == ""
 
 
 #: Random interleavings: enqueue, dequeue, batch drain, passive observe.
@@ -170,7 +167,7 @@ class TestEndToEnd:
     def test_flow_events_validate_and_replay_exactly(self):
         experiment, events = traced_run(quick_config())
         assert validate_events(events) == []
-        live = experiment.flow_tracker
+        live = experiment.instruments.flow
         assert live is not None and live.total_frames > 0
         by_type = {event["type"] for event in events}
         assert {"flow.link", "flow.type", "flow.queue"} <= by_type
@@ -202,14 +199,14 @@ class TestEndToEnd:
         off = Experiment(quick_config(flow=False))
         on_result = on.run()
         off_result = off.run()
-        assert off.flow_tracker is None
+        assert off.instruments.flow is None
         assert on_result.committed == off_result.committed
         assert on_result.rejected == off_result.rejected
         assert on_result.flow_snapshot is not None
         assert off_result.flow_snapshot is None
 
     def test_rollup_events_only_from_the_bus_owner(self):
-        # emit_flow_events is deterministic and bounded: one flow.link
+        # FlowTracker.rollup is deterministic and bounded: one flow.link
         # per pair, one flow.type per type, one flow.queue per gauge.
         tracker = FlowTracker()
         tracker.record_send("Ping", 10, 14, "a", "b")
@@ -219,7 +216,7 @@ class TestEndToEnd:
         kernel = Kernel(seed=1)
         sink = RingSink()
         bus = EventBus(kernel, sink)
-        kernel.schedule(1.0, lambda: emit_flow_events(bus, tracker))
+        kernel.schedule(1.0, lambda: tracker.rollup(bus))
         kernel.run(until=2.0)
         events = sink.events()
         assert validate_events(events) == []
@@ -230,7 +227,7 @@ class TestEndToEnd:
         assert not any(t.startswith("flow.mem") for t in types)
 
     def test_prometheus_families_are_disjoint_from_the_feed(self):
-        # A live scrape appends render_flow_prometheus after the
+        # A live scrape appends FlowTracker.prometheus after the
         # registry render; the two must never repeat a family name.
         registry = MetricsRegistry()
         feed = TraceMetricsFeed(registry)
@@ -248,8 +245,8 @@ class TestEndToEnd:
                 if line.startswith("# TYPE")
             }
 
-        feed_families = families(render_prometheus(registry))
-        flow_families = families(render_flow_prometheus(tracker))
+        feed_families = families(registry.prometheus())
+        flow_families = families(tracker.prometheus())
         assert flow_families
         assert "repro_flow_wire_bytes_total" in feed_families
         assert not feed_families & flow_families

@@ -225,7 +225,7 @@ class TestTracedExperiment:
 
     def test_disabled_tracing_allocates_no_bus(self):
         experiment = Experiment(quick_config())
-        assert experiment.obs is None
+        assert experiment.instruments.bus is None
         assert experiment.kernel.obs is None
         assert experiment.network.obs is None
 

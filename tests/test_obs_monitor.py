@@ -27,9 +27,9 @@ from repro.obs import (
     format_audit_report,
     read_trace,
 )
-from repro.obs.exposition import CONTENT_TYPE, MetricsServer, render_prometheus
+from repro.obs.exposition import CONTENT_TYPE, MetricsServer
 from repro.obs.registry import OVERFLOW_LABEL, Counter, MetricsRegistry
-from repro.obs.summary import fault_rows, invariant_rows
+from repro.obs.summary import TraceSummaryBuilder
 from repro.sim.kernel import Kernel
 from repro.workload.trace import TraceConfig
 
@@ -209,8 +209,8 @@ class TestAuditorOnRealTraces:
     def test_online_auditor_subscribed_as_tap(self):
         experiment = Experiment(quick_config(audit=True))
         result = experiment.run()
-        assert experiment.auditor is not None
-        assert experiment.auditor.events_seen > 0
+        assert experiment.instruments.auditor is not None
+        assert experiment.instruments.auditor.events_seen > 0
         assert result.audit_violations == []
 
 
@@ -236,7 +236,7 @@ class TestCheckerReporting:
 
     def test_traced_unaudited_violation_fails_collect(self):
         experiment = Experiment(quick_config(trace_path=None, metrics=True))
-        assert experiment.checker is not None and experiment.obs is not None
+        assert experiment.checker is not None and experiment.instruments.bus is not None
         experiment.start()
         experiment.kernel.run(until=experiment.config.duration)
         experiment.checker._violation("conservation", "injected leak")
@@ -287,7 +287,7 @@ class TestRegistry:
         histogram.observe(value=0.05)
         histogram.observe(value=0.5)
         histogram.observe(value=5.0)
-        text = render_prometheus(registry)
+        text = registry.prometheus()
         assert 'h_bucket{le="0.1"} 1' in text
         assert 'h_bucket{le="1.0"} 2' in text
         assert 'h_bucket{le="+Inf"} 3' in text
@@ -341,7 +341,7 @@ class TestRegistry:
 class TestExposition:
     def test_render_is_parseable_prometheus_text(self):
         _, events = traced_run(quick_config())
-        text = render_prometheus(feed_registry(events))
+        text = feed_registry(events).prometheus()
         assert text.endswith("\n")
         typed: dict[str, str] = {}
         for line in text.strip().split("\n"):
@@ -367,7 +367,7 @@ class TestExposition:
         async def scenario():
             registry = MetricsRegistry()
             registry.counter("repro_events_total", labelnames=("type",)).inc("x")
-            server = MetricsServer(registry, port=0)
+            server = MetricsServer(registry.prometheus, port=0)
             await server.start()
             url = f"http://127.0.0.1:{server.port}/metrics"
             body, content_type = await asyncio.to_thread(self._get, url)
@@ -438,7 +438,7 @@ class TestFaultEvents:
         recovers = [e for e in events if e["type"] == "fault.recover"]
         assert crashes and recovers
         assert any("us-west1" in e["targets"] for e in crashes)
-        rows = fault_rows(events)
+        rows = TraceSummaryBuilder().consume(events).faults
         assert any(row[1] == "crash" for row in rows)
 
     def test_partition_and_heal_traced(self):
@@ -456,5 +456,6 @@ class TestFaultEvents:
 
     def test_summary_has_invariant_rows(self):
         _, events = traced_run(quick_config())
-        rows = invariant_rows(events)
-        assert rows and rows[0][0] == "checks recorded"
+        summary = TraceSummaryBuilder().consume(events)
+        assert summary.invariant_checks >= 1
+        assert not summary.invariant_violations

@@ -22,7 +22,6 @@ from repro.obs.perf import (
     bucket_index,
     bucket_ratio,
     bucket_upper,
-    render_perf_prometheus,
 )
 
 #: Latency-like values spanning the instrumented range (0.1 µs..1000 s).
@@ -163,7 +162,7 @@ class TestPerfRecorder:
         recorder = PerfRecorder()
         for value in (0.001, 0.01, 0.1):
             recorder.observe("span.dur", "request", value)
-        text = render_perf_prometheus(recorder)
+        text = recorder.prometheus()
         assert "# TYPE repro_perf_span_dur_seconds histogram" in text
         assert 'le="+Inf"' in text
         assert 'key="request"' in text

@@ -207,16 +207,23 @@ class TestHarnessWiring:
         from repro.harness.experiment import Experiment
 
         experiment = Experiment(self._config(watchdog=True, audit=True))
-        assert experiment.watchdog is not None
+        assert experiment.instruments.watchdog is not None
         result = experiment.run()
         assert result.liveness_snapshot is not None
         assert result.liveness_snapshot["sweeps"] >= 1
 
-    def test_watchdog_without_bus_is_skipped(self):
-        from repro.harness.experiment import Experiment
+    def test_watchdog_alone_forces_the_bus_and_moves_nothing(self):
+        # The watchdog consumes events, so on its own it must bring a
+        # (NullSink) bus with it — and a bus must not move results.
+        from repro.harness.experiment import Experiment, ExperimentConfig
 
-        experiment = Experiment(self._config(watchdog=True))
-        assert experiment.watchdog is None
+        watched = Experiment(ExperimentConfig(duration=5, watchdog=True)).run()
+        bare = Experiment(ExperimentConfig(duration=5)).run()
+        assert watched.liveness_snapshot["sweeps"] >= 1
+        assert bare.liveness_snapshot is None
+        assert (watched.committed, watched.rejected, watched.redistributions) == (
+            bare.committed, bare.rejected, bare.redistributions
+        )
 
     def test_expired_request_emits_liveness_event(self):
         from repro.harness.experiment import Experiment
@@ -237,7 +244,7 @@ class TestHarnessWiring:
         experiment.kernel.run(until=5.0)
         client._expire_stale_inflight()
         assert client.unanswered() == 0
-        snap = experiment.registry.snapshot()
+        snap = experiment.instruments.registry.snapshot()
         assert snap.get(
             'repro_liveness_events_total{kind="request_expired"}', 0.0
         ) >= 1.0

@@ -10,8 +10,7 @@ match however the kernel is driven and whatever is attached to it.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs.flow import FlowTracker
-from repro.obs.perf import PerfRecorder
+from repro.obs.instruments import Instruments
 from repro.obs.prof import EventProfiler
 from repro.sim.kernel import Kernel
 
@@ -136,10 +135,10 @@ DRIVES = [drive_run, drive_step, drive_budgets, drive_windows]
 
 def instrumented_kernel():
     kernel = Kernel()
-    kernel.install_perf(PerfRecorder())
-    kernel.install_flow(FlowTracker())
-    kernel.profiler = EventProfiler()
-    return kernel
+    instruments = Instruments(perf=True, flow=True)
+    instruments.profiler = EventProfiler()
+    instruments.attach(kernel)
+    return kernel, instruments
 
 
 class TestAgainstReference:
@@ -158,13 +157,14 @@ class TestAgainstReference:
     @given(program=programs)
     def test_instruments_do_not_change_dispatch(self, program):
         for drive in DRIVES:
-            kernel = instrumented_kernel()
+            kernel, instruments = instrumented_kernel()
             assert execute(kernel, program, drive) == execute(Kernel(), program, drive)
             # The one loop fed both instruments, the one push path both gauges.
-            assert kernel.profiler.events == kernel.events_fired
-            assert kernel.perf.histogram("kernel.tick").count == kernel.events_fired
-            pushes = kernel.perf.histogram("kernel.heap_push").count
-            assert pushes == kernel.flow.queue("kernel.heap").enqueued >= kernel.events_fired
+            perf, flow = instruments.perf, instruments.flow
+            assert instruments.profiler.events == kernel.events_fired
+            assert perf.histogram("kernel.tick").count == kernel.events_fired
+            pushes = perf.histogram("kernel.heap_push").count
+            assert pushes == flow.queue("kernel.heap").enqueued >= kernel.events_fired
 
     def test_budget_cut_leaves_clock_at_last_event(self):
         for kernel in (Kernel(), ReferenceKernel()):
