@@ -8,15 +8,17 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from repro.baselines.raft.node import RaftConfig, RaftNode
-from repro.core.app_manager import AppManager, FixedTargetRouting
-from repro.core.client import WorkloadClient
+from repro.baselines.statemachine import LogDeployment
 from repro.core.entity import Entity
 from repro.net.transport import Clock, Transport
 from repro.net.regions import PAPER_REGIONS, Region
 
 
-class CockroachLikeCluster:
+class CockroachLikeCluster(LogDeployment):
     """A wired Raft/leaseholder deployment with per-region app managers."""
+
+    replica_class = RaftNode
+    prefix = "raft"
 
     def __init__(
         self,
@@ -27,64 +29,6 @@ class CockroachLikeCluster:
         replica_regions: Sequence[Region] = PAPER_REGIONS,
         config: RaftConfig | None = None,
     ) -> None:
-        self.kernel = kernel
-        self.network = network
-        self.entity = entity
-        self.replicas: list[RaftNode] = []
-        self.app_managers: dict[Region, AppManager] = {}
-        self.clients: list[WorkloadClient] = []
-
-        maxima = {entity.id: entity.maximum}
-        for index, region in enumerate(replica_regions):
-            node = RaftNode(
-                kernel=kernel,
-                name=f"raft-{region.value}",
-                region=region,
-                network=network,
-                maxima=maxima,
-                config=config,
-                preferred_leader=(index == 0),
-            )
-            self.replicas.append(node)
-        names = [node.name for node in self.replicas]
-        for node in self.replicas:
-            node.connect(names)
-
-        routing = FixedTargetRouting(self.current_leaseholder)
-        for region in client_regions:
-            self.app_managers[region] = AppManager(
-                kernel=kernel,
-                name=f"am-{region.value}",
-                region=region,
-                network=network,
-                routing=routing,
-            )
-
-    def current_leaseholder(self) -> str | None:
-        for node in self.replicas:
-            if node.is_leader and not node.crashed:
-                return node.name
-        for node in self.replicas:
-            if not node.crashed:
-                return node.name
-        return None
-
-    def add_client(self, region: Region, operations, metrics=None, name=None) -> WorkloadClient:
-        client = WorkloadClient(
-            kernel=self.kernel,
-            name=name or f"client-{region.value}-{len(self.clients)}",
-            region=region,
-            app_manager=self.app_managers[region],
-            entity_id=self.entity.id,
-            operations=operations,
-            metrics=metrics,
+        super().__init__(
+            kernel, network, entity, client_regions, replica_regions, config
         )
-        self.clients.append(client)
-        return client
-
-    def start(self) -> None:
-        for client in self.clients:
-            client.start()
-
-    def committed_commands(self) -> int:
-        return max(node.commits for node in self.replicas)

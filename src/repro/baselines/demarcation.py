@@ -24,16 +24,16 @@ from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from repro.core.app_manager import AppManager, ClosestRegionRouting
-from repro.core.client import WorkloadClient
+from repro.core.app_manager import ClosestRegionRouting
+from repro.core.cluster import Deployment, split_initial_allocation
 from repro.core.entity import Entity, EntityState
-from repro.core.messages import ForwardedRequest, SiteResponse
-from repro.core.requests import ClientResponse, RequestKind, RequestStatus
-from repro.metrics.invariants import ConservationChecker, InvariantViolation
-from repro.net.message import EnvelopeDedup, Message
+from repro.core.messages import ForwardedRequest
+from repro.core.requests import RequestKind, RequestStatus
+from repro.core.site import Server
+from repro.metrics.invariants import ConservationChecker
+from repro.net.message import Message
 from repro.net.transport import Clock, Transport
 from repro.net.regions import Region, rtt
-from repro.sim.process import Actor
 from repro.storage.recovery import RecoveryWal
 
 
@@ -67,7 +67,7 @@ class DemarcationConfig:
     borrow_cooldown: float = 0.2
 
 
-class EscrowSite(Actor):
+class EscrowSite(Server):
     """One value-partitioned site with pairwise escrow borrowing."""
 
     def __init__(
@@ -80,14 +80,11 @@ class EscrowSite(Actor):
         initial_tokens: int,
         config: DemarcationConfig | None = None,
     ) -> None:
-        super().__init__(kernel, name)
-        self.region = region
-        self.network = network
-        self.entity = entity
         self.config = config or DemarcationConfig()
+        super().__init__(kernel, name, region, network, self.config.service_time)
+        self.entity = entity
         self.state = EntityState(entity.id, initial_tokens)
         self.min_keep = int(initial_tokens * self.config.min_keep_fraction)
-        self.peers: list[str] = []
         self._peer_regions: dict[str, Region] = {}
         self._pending: deque[ForwardedRequest] = deque()
         self._borrowing = False
@@ -97,17 +94,9 @@ class EscrowSite(Actor):
         self._campaign_granted = 0
         self._next_borrow_allowed = 0.0
         self._borrow_timer = self.timer(self._on_borrow_timeout)
-        self._busy_until = 0.0
-        # Envelope dedup: the fault layer (and a live transport after a
-        # reconnect) can deliver the same envelope twice; a duplicated
-        # BorrowGrant would mint tokens, so escrow needs this as much as
-        # Samya does.
-        self._envelopes = EnvelopeDedup()
         #: Durable escrow balance, replayed on recovery.
         self.wal = RecoveryWal(name)
         self.initial_tokens = initial_tokens
-        #: Compatibility hooks for the shared conservation checker.
-        self.apply_listeners: list = []
         self.counters = {
             "granted_acquires": 0,
             "granted_releases": 0,
@@ -118,7 +107,6 @@ class EscrowSite(Actor):
             "tokens_borrowed": 0,
             "borrow_requests": 0,
         }
-        network.attach(self, region)
         self._persist()
 
     def connect(self, sites: list["EscrowSite"]) -> None:
@@ -129,18 +117,7 @@ class EscrowSite(Actor):
             self._peer_regions, key=lambda name: rtt(self.region, self._peer_regions[name])
         )
 
-    # -- message entry ------------------------------------------------------
-
-    def on_message(self, message: Message) -> None:
-        if self.crashed:
-            return
-        if self._envelopes.seen(message.msg_id):
-            return  # duplicate frame: a re-granted borrow would mint tokens
-        start = max(self.now, self._busy_until)
-        self._busy_until = start + self.config.service_time
-        self.kernel.schedule(
-            self._busy_until - self.now, self._guarded, self._dispatch, (message,)
-        )
+    # -- message dispatch (behind the shell's service queue) -------------------
 
     def _dispatch(self, message: Message) -> None:
         payload = message.payload
@@ -160,12 +137,12 @@ class EscrowSite(Actor):
             self.counters["granted_releases"] += 1
             self.counters["released_tokens"] += request.amount
             self._persist()
-            self._respond(fwd, RequestStatus.GRANTED)
+            self._reply(fwd, RequestStatus.GRANTED)
             self._drain()
             return
         if request.kind is RequestKind.READ:
             # Demarcation has no global read protocol; answer locally.
-            self._respond(fwd, RequestStatus.GRANTED, value=self.state.tokens_left)
+            self._reply(fwd, RequestStatus.GRANTED, value=self.state.tokens_left)
             return
         if not self._pending and self.state.can_acquire(request.amount):
             self._grant_acquire(fwd)
@@ -179,16 +156,7 @@ class EscrowSite(Actor):
         self.counters["granted_acquires"] += 1
         self.counters["acquired_tokens"] += amount
         self._persist()
-        self._respond(fwd, RequestStatus.GRANTED)
-
-    def _respond(self, fwd: ForwardedRequest, status: RequestStatus, value: int | None = None) -> None:
-        response = ClientResponse(
-            request_id=fwd.request.request_id,
-            status=status,
-            value=value,
-            served_by=self.name,
-        )
-        self.network.send(self.name, fwd.reply_to, SiteResponse(response))
+        self._reply(fwd, RequestStatus.GRANTED)
 
     def _deficit(self) -> int:
         demand = sum(fwd.request.amount for fwd in self._pending)
@@ -204,7 +172,7 @@ class EscrowSite(Actor):
             elif final:
                 self._pending.popleft()
                 self.counters["rejected"] += 1
-                self._respond(fwd, RequestStatus.REJECTED)
+                self._reply(fwd, RequestStatus.REJECTED)
             else:
                 break
 
@@ -320,7 +288,6 @@ class EscrowSite(Actor):
 
     def recover(self) -> None:
         super().recover()
-        self._busy_until = self.now
         stored = self.wal.replay().get("escrow")
         if stored is not None:
             tokens_left, lent, borrowed = stored
@@ -334,6 +301,10 @@ class EscrowSite(Actor):
 
 class EscrowConservationChecker(ConservationChecker):
     """Conservation audit that accounts tokens in flight between sites."""
+
+    def watch(self, sites: list) -> None:
+        # Transfers are read off the sites' counters; nothing to listen for.
+        self._sites = list(sites)
 
     def in_transit_tokens(self) -> int:
         lent = sum(site.counters["tokens_lent"] for site in self._sites)
@@ -381,7 +352,7 @@ class EscrowConservationChecker(ConservationChecker):
             )
 
 
-class DemarcationCluster:
+class DemarcationCluster(Deployment):
     """A wired Demarcation/Escrow deployment."""
 
     def __init__(
@@ -392,17 +363,8 @@ class DemarcationCluster:
         regions: Sequence[Region],
         config: DemarcationConfig | None = None,
     ) -> None:
-        self.kernel = kernel
-        self.network = network
-        self.entity = entity
-        self.sites: list[EscrowSite] = []
-        self.app_managers: dict[Region, AppManager] = {}
-        self.clients: list[WorkloadClient] = []
-
-        share, remainder = divmod(entity.maximum, len(regions))
-        for index, region in enumerate(regions):
-            tokens = share + (1 if index < remainder else 0)
-            site = EscrowSite(
+        sites = [
+            EscrowSite(
                 kernel=kernel,
                 name=f"escrow-{region.value}",
                 region=region,
@@ -411,33 +373,20 @@ class DemarcationCluster:
                 initial_tokens=tokens,
                 config=config,
             )
-            self.sites.append(site)
-        for site in self.sites:
-            site.connect(self.sites)
-
-        routing = ClosestRegionRouting(network, self.sites)
-        for region in regions:
-            self.app_managers[region] = AppManager(
-                kernel=kernel,
-                name=f"am-{region.value}",
-                region=region,
-                network=network,
-                routing=routing,
+            for region, tokens in zip(
+                regions, split_initial_allocation(entity.maximum, len(regions))
             )
+        ]
+        for site in sites:
+            site.connect(sites)
+        routing = ClosestRegionRouting(network, sites)
+        super().__init__(kernel, network, entity, sites, routing, regions)
+        self.sites = sites
 
-    def add_client(self, region: Region, operations, metrics=None, name=None) -> WorkloadClient:
-        client = WorkloadClient(
-            kernel=self.kernel,
-            name=name or f"client-{region.value}-{len(self.clients)}",
-            region=region,
-            app_manager=self.app_managers[region],
-            entity_id=self.entity.id,
-            operations=operations,
-            metrics=metrics,
-        )
-        self.clients.append(client)
-        return client
+    def total_tokens_left(self) -> int:
+        return sum(site.state.tokens_left for site in self.sites)
 
-    def start(self) -> None:
-        for client in self.clients:
-            client.start()
+    def make_checker(self, maximum: int) -> EscrowConservationChecker:
+        checker = EscrowConservationChecker(maximum)
+        checker.watch(self.sites)
+        return checker

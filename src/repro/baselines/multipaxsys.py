@@ -11,15 +11,17 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from repro.baselines.paxos.replica import PaxosConfig, PaxosReplica
-from repro.core.app_manager import AppManager, FixedTargetRouting
-from repro.core.client import WorkloadClient
+from repro.baselines.statemachine import LogDeployment
 from repro.core.entity import Entity
 from repro.net.transport import Clock, Transport
 from repro.net.regions import MULTIPAXSYS_REGIONS, Region
 
 
-class MultiPaxSysCluster:
+class MultiPaxSysCluster(LogDeployment):
     """A wired MultiPaxSys deployment with per-region app managers."""
+
+    replica_class = PaxosReplica
+    prefix = "paxos"
 
     def __init__(
         self,
@@ -30,65 +32,6 @@ class MultiPaxSysCluster:
         replica_regions: Sequence[Region] = MULTIPAXSYS_REGIONS,
         config: PaxosConfig | None = None,
     ) -> None:
-        self.kernel = kernel
-        self.network = network
-        self.entity = entity
-        self.replicas: list[PaxosReplica] = []
-        self.app_managers: dict[Region, AppManager] = {}
-        self.clients: list[WorkloadClient] = []
-
-        maxima = {entity.id: entity.maximum}
-        for index, region in enumerate(replica_regions):
-            replica = PaxosReplica(
-                kernel=kernel,
-                name=f"paxos-{region.value}",
-                region=region,
-                network=network,
-                maxima=maxima,
-                config=config,
-                is_initial_leader=(index == 0),
-            )
-            self.replicas.append(replica)
-        names = [replica.name for replica in self.replicas]
-        for replica in self.replicas:
-            replica.connect(names)
-
-        routing = FixedTargetRouting(self.current_leader)
-        for region in client_regions:
-            self.app_managers[region] = AppManager(
-                kernel=kernel,
-                name=f"am-{region.value}",
-                region=region,
-                network=network,
-                routing=routing,
-            )
-
-    def current_leader(self) -> str | None:
-        """The live leader, or a live replica that can relay, or None."""
-        for replica in self.replicas:
-            if replica.is_leader and not replica.crashed:
-                return replica.name
-        for replica in self.replicas:
-            if not replica.crashed:
-                return replica.name
-        return None
-
-    def add_client(self, region: Region, operations, metrics=None, name=None) -> WorkloadClient:
-        client = WorkloadClient(
-            kernel=self.kernel,
-            name=name or f"client-{region.value}-{len(self.clients)}",
-            region=region,
-            app_manager=self.app_managers[region],
-            entity_id=self.entity.id,
-            operations=operations,
-            metrics=metrics,
+        super().__init__(
+            kernel, network, entity, client_regions, replica_regions, config
         )
-        self.clients.append(client)
-        return client
-
-    def start(self) -> None:
-        for client in self.clients:
-            client.start()
-
-    def committed_commands(self) -> int:
-        return max(replica.commits for replica in self.replicas)

@@ -14,7 +14,6 @@ merges the majority's log tails before resuming.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from repro.baselines.paxos.messages import (
@@ -27,14 +26,12 @@ from repro.baselines.paxos.messages import (
     Prepare,
     Promise,
 )
-from repro.baselines.statemachine import TokenCommand, TokenStateMachine
-from repro.core.messages import ForwardedRequest, SiteResponse
-from repro.core.requests import ClientResponse, RequestKind, RequestStatus
-from repro.net.message import EnvelopeDedup, Message
+from repro.baselines.statemachine import LogServer
+from repro.core.messages import ForwardedRequest
+from repro.net.message import Message
 from repro.net.transport import Clock, Transport
 from repro.net.regions import Region
-from repro.sim.process import Actor
-from repro.storage.wal import LogEntry, WriteAheadLog
+from repro.storage.wal import LogEntry
 
 
 @dataclass
@@ -49,7 +46,7 @@ class PaxosConfig:
     retransmit_interval: float = 0.5
 
 
-class PaxosReplica(Actor):
+class PaxosReplica(LogServer):
     """One member of the MultiPaxSys replica group."""
 
     def __init__(
@@ -62,32 +59,15 @@ class PaxosReplica(Actor):
         config: PaxosConfig | None = None,
         is_initial_leader: bool = False,
     ) -> None:
-        super().__init__(kernel, name)
-        self.region = region
-        self.network = network
-        self.config = config or PaxosConfig()
-        self.log = WriteAheadLog()
-        self.state_machine = TokenStateMachine(maxima)
-        self.commit_index = 0
-        self.applied_index = 0
-        self.peers: list[str] = []
+        super().__init__(kernel, name, region, network, maxima, config or PaxosConfig())
         self.is_leader = is_initial_leader
         self.ballot: Ballot = (1, name) if is_initial_leader else (0, "")
         self.promised: Ballot = self.ballot
-        self.known_leader: str | None = name if is_initial_leader else None
+        self.known_leader = name if is_initial_leader else None
 
-        self._pending: deque[ForwardedRequest] = deque()
         self._inflight: tuple[LogEntry, set[str], ForwardedRequest | None] | None = None
         self._promises: dict[str, Promise] = {}
-        # Envelope dedup: a duplicated ForwardedRequest at the leader
-        # would be proposed (and committed) twice; drop repeats here.
-        self._envelopes = EnvelopeDedup()
-        self._busy_until = 0.0
-        self._election_timer = self.timer(self._on_election_timeout)
         self._retransmit_timer = self.timer(self._on_retransmit)
-        self._heartbeat_timer = self.timer(self._on_heartbeat_tick)
-        self.commits = 0
-        network.attach(self, region)
 
     # -- wiring -----------------------------------------------------------
 
@@ -98,27 +78,6 @@ class PaxosReplica(Actor):
             self._heartbeat_timer.restart(self.config.heartbeat_interval)
         else:
             self._arm_election_timer()
-
-    @property
-    def majority(self) -> int:
-        return (len(self.peers) + 1) // 2 + 1
-
-    def _arm_election_timer(self) -> None:
-        base = self.config.election_timeout
-        self._election_timer.restart(base * (1.0 + self.rng().random()))
-
-    # -- message entry (same single-server model as SamyaSite) ---------------
-
-    def on_message(self, message: Message) -> None:
-        if self.crashed:
-            return
-        if self._envelopes.seen(message.msg_id):
-            return
-        start = max(self.now, self._busy_until)
-        self._busy_until = start + self.config.service_time
-        self.kernel.schedule(
-            self._busy_until - self.now, self._guarded, self._dispatch, (message,)
-        )
 
     def _dispatch(self, message: Message) -> None:
         payload = message.payload
@@ -140,38 +99,14 @@ class PaxosReplica(Actor):
         elif isinstance(payload, Promise):
             self._on_promise(payload, src)
 
-    # -- client requests ---------------------------------------------------
+    # -- proposing ---------------------------------------------------------
 
-    def _on_client_request(self, fwd: ForwardedRequest) -> None:
-        if not self.is_leader:
-            # Stale routing: relay to the leader if we know one.
-            if self.known_leader is not None and self.known_leader != self.name:
-                self.network.send(self.name, self.known_leader, fwd)
-            else:
-                self._respond(fwd, RequestStatus.FAILED)
-            return
-        request = fwd.request
-        if request.kind is RequestKind.READ:
-            # Leaseholder-style local read at the leader (§5.8).
-            self._respond(
-                fwd,
-                RequestStatus.GRANTED,
-                value=self.state_machine.available(request.entity_id),
-            )
-            return
-        self._pending.append(fwd)
-        self._pump()
-
-    def _pump(self) -> None:
+    def _propose_next(self) -> None:
         """Propose the next command iff nothing is in flight: conflicting
         transactions execute sequentially (§1, design choice (1))."""
         if not self.is_leader or self._inflight is not None or not self._pending:
             return
-        fwd = self._pending.popleft()
-        request = fwd.request
-        command = TokenCommand(
-            request.request_id, request.kind, request.entity_id, request.amount
-        )
+        fwd, command = self._next_command()
         entry = self.log.append(self.ballot[0], command)
         self._inflight = (entry, {self.name}, fwd)
         self._broadcast_accept(entry)
@@ -192,48 +127,10 @@ class PaxosReplica(Actor):
         self._inflight = None
         self._retransmit_timer.cancel()
         self.commit_index = max(self.commit_index, entry.index)
-        self._apply_committed(respond_to={entry.index: fwd})
+        self._apply_committed({entry.index: fwd})
         # Recovered-but-uncommitted tail entries (from an election) are
         # driven to commit before fresh client commands.
         self._maybe_continue_tail()
-
-    def _apply_committed(self, respond_to: dict[int, ForwardedRequest | None] | None = None) -> None:
-        while self.applied_index < min(self.commit_index, self.log.last_index):
-            self.applied_index += 1
-            entry = self.log.get(self.applied_index)
-            assert entry is not None
-            if entry.command is None:
-                granted = True  # no-op entry
-            else:
-                granted = self.state_machine.apply(entry.command)
-                self.commits += 1
-            obs = self.obs
-            if obs is not None:
-                extra = (
-                    {"trace_id": f"req-{entry.command.request_id}"}
-                    if entry.command is not None
-                    else {}
-                )
-                obs.emit(
-                    "consensus.commit",
-                    node=self.name,
-                    index=entry.index,
-                    granted=granted,
-                    **extra,
-                )
-            fwd = (respond_to or {}).get(self.applied_index)
-            if fwd is not None:
-                status = RequestStatus.GRANTED if granted else RequestStatus.REJECTED
-                self._respond(fwd, status)
-
-    def _respond(self, fwd: ForwardedRequest, status: RequestStatus, value: int | None = None) -> None:
-        response = ClientResponse(
-            request_id=fwd.request.request_id,
-            status=status,
-            value=value,
-            served_by=self.name,
-        )
-        self.network.send(self.name, fwd.reply_to, SiteResponse(response))
 
     # -- phase 2 (follower) --------------------------------------------------
 
@@ -322,9 +219,7 @@ class PaxosReplica(Actor):
         self.is_leader = False
         self._heartbeat_timer.cancel()
         self._retransmit_timer.cancel()
-        for fwd in self._pending:
-            self._respond(fwd, RequestStatus.FAILED)
-        self._pending.clear()
+        self._fail_pending()
         self._inflight = None
 
     # -- leader liveness / elections ----------------------------------------
@@ -417,20 +312,16 @@ class PaxosReplica(Actor):
                 self._broadcast_accept(entry)
                 self._retransmit_timer.restart(self.config.retransmit_interval)
             else:
-                self._pump()
+                self._propose_next()
 
     # -- crash handling -----------------------------------------------------
 
     def crash(self) -> None:
         super().crash()
-        self._election_timer.cancel()
-        self._heartbeat_timer.cancel()
         self._retransmit_timer.cancel()
-        self._pending.clear()
         self._inflight = None
 
     def recover(self) -> None:
         super().recover()
-        self._busy_until = self.now
         self.is_leader = False
         self._arm_election_timer()

@@ -13,7 +13,6 @@ of previous terms (§5.4.2 of the Raft paper).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from repro.baselines.raft.messages import (
@@ -22,14 +21,11 @@ from repro.baselines.raft.messages import (
     RequestVote,
     RequestVoteReply,
 )
-from repro.baselines.statemachine import TokenCommand, TokenStateMachine
-from repro.core.messages import ForwardedRequest, SiteResponse
-from repro.core.requests import ClientResponse, RequestKind, RequestStatus
+from repro.baselines.statemachine import LogServer
+from repro.core.messages import ForwardedRequest
 from repro.net.message import Message
 from repro.net.transport import Clock, Transport
 from repro.net.regions import Region
-from repro.sim.process import Actor
-from repro.storage.wal import WriteAheadLog
 
 
 @dataclass
@@ -42,7 +38,7 @@ class RaftConfig:
     initial_leader_boost: float = 0.05
 
 
-class RaftNode(Actor):
+class RaftNode(LogServer):
     """One replica of the Raft group."""
 
     FOLLOWER = "follower"
@@ -59,64 +55,31 @@ class RaftNode(Actor):
         config: RaftConfig | None = None,
         preferred_leader: bool = False,
     ) -> None:
-        super().__init__(kernel, name)
-        self.region = region
-        self.network = network
-        self.config = config or RaftConfig()
+        super().__init__(kernel, name, region, network, maxima, config or RaftConfig())
         self.preferred_leader = preferred_leader
         self.term = 0
         self.voted_for: str | None = None
-        self.log = WriteAheadLog()
-        self.state_machine = TokenStateMachine(maxima)
-        self.commit_index = 0
-        self.applied_index = 0
         self.role = RaftNode.FOLLOWER
-        self.known_leader: str | None = None
-        self.peers: list[str] = []
 
         self._votes: set[str] = set()
         self._next_index: dict[str, int] = {}
         self._match_index: dict[str, int] = {}
-        self._pending: deque[ForwardedRequest] = deque()
         self._awaiting: dict[int, ForwardedRequest] = {}  # log index -> client
         self._proposing = False  # one conflicting command in flight
-        self._busy_until = 0.0
-        self._election_timer = self.timer(self._on_election_timeout)
-        self._heartbeat_timer = self.timer(self._on_heartbeat_tick)
-        self.commits = 0
-        network.attach(self, region)
 
     # -- wiring -------------------------------------------------------------
 
     def connect(self, names: list[str]) -> None:
         self.peers = [peer for peer in names if peer != self.name]
-        self._arm_election_timer(first=True)
-
-    @property
-    def majority(self) -> int:
-        return (len(self.peers) + 1) // 2 + 1
+        if self.preferred_leader:
+            # First-election head start, so the group opens under this node.
+            self._election_timer.restart(self.config.initial_leader_boost)
+        else:
+            self._arm_election_timer()
 
     @property
     def is_leader(self) -> bool:
         return self.role is not None and self.role == RaftNode.LEADER
-
-    def _arm_election_timer(self, first: bool = False) -> None:
-        if first and self.preferred_leader:
-            self._election_timer.restart(self.config.initial_leader_boost)
-            return
-        base = self.config.election_timeout
-        self._election_timer.restart(base * (1.0 + self.rng().random()))
-
-    # -- message entry -----------------------------------------------------
-
-    def on_message(self, message: Message) -> None:
-        if self.crashed:
-            return
-        start = max(self.now, self._busy_until)
-        self._busy_until = start + self.config.service_time
-        self.kernel.schedule(
-            self._busy_until - self.now, self._guarded, self._dispatch, (message,)
-        )
 
     def _dispatch(self, message: Message) -> None:
         payload = message.payload
@@ -132,35 +95,12 @@ class RaftNode(Actor):
         elif isinstance(payload, RequestVoteReply):
             self._on_vote_reply(payload, src)
 
-    # -- client path ----------------------------------------------------------
-
-    def _on_client_request(self, fwd: ForwardedRequest) -> None:
-        if not self.is_leader:
-            if self.known_leader is not None and self.known_leader != self.name:
-                self.network.send(self.name, self.known_leader, fwd)
-            else:
-                self._respond(fwd, RequestStatus.FAILED)
-            return
-        request = fwd.request
-        if request.kind is RequestKind.READ:
-            # Leaseholder read: served locally at the leader.
-            self._respond(
-                fwd,
-                RequestStatus.GRANTED,
-                value=self.state_machine.available(request.entity_id),
-            )
-            return
-        self._pending.append(fwd)
-        self._propose_next()
+    # -- proposing -------------------------------------------------------------
 
     def _propose_next(self) -> None:
         if not self.is_leader or self._proposing or not self._pending:
             return
-        fwd = self._pending.popleft()
-        request = fwd.request
-        command = TokenCommand(
-            request.request_id, request.kind, request.entity_id, request.amount
-        )
+        fwd, command = self._next_command()
         entry = self.log.append(self.term, command)
         self._awaiting[entry.index] = fwd
         self._proposing = True
@@ -252,47 +192,10 @@ class RaftNode(Actor):
                 break
 
     def _apply_committed(self) -> None:
-        progressed = False
-        while self.applied_index < self.commit_index:
-            self.applied_index += 1
-            entry = self.log.get(self.applied_index)
-            assert entry is not None
-            if entry.command is not None:
-                granted = self.state_machine.apply(entry.command)
-                self.commits += 1
-            else:
-                granted = True  # leader no-op
-            obs = self.obs
-            if obs is not None:
-                extra = (
-                    {"trace_id": f"req-{entry.command.request_id}"}
-                    if entry.command is not None
-                    else {}
-                )
-                obs.emit(
-                    "consensus.commit",
-                    node=self.name,
-                    index=entry.index,
-                    granted=granted,
-                    **extra,
-                )
-            fwd = self._awaiting.pop(self.applied_index, None)
-            if fwd is not None:
-                status = RequestStatus.GRANTED if granted else RequestStatus.REJECTED
-                self._respond(fwd, status)
-                progressed = True
+        progressed = super()._apply_committed(self._awaiting)
         if progressed or (self._proposing and self.applied_index >= self.log.last_index):
             self._proposing = False
             self._propose_next()
-
-    def _respond(self, fwd: ForwardedRequest, status: RequestStatus, value: int | None = None) -> None:
-        response = ClientResponse(
-            request_id=fwd.request.request_id,
-            status=status,
-            value=value,
-            served_by=self.name,
-        )
-        self.network.send(self.name, fwd.reply_to, SiteResponse(response))
 
     # -- elections -----------------------------------------------------------
 
@@ -356,9 +259,7 @@ class RaftNode(Actor):
             self.known_leader = leader
         if stepped_down:
             self._heartbeat_timer.cancel()
-            for fwd in self._pending:
-                self._respond(fwd, RequestStatus.FAILED)
-            self._pending.clear()
+            self._fail_pending()
             self._awaiting.clear()
             self._proposing = False
         self._arm_election_timer()
@@ -373,14 +274,10 @@ class RaftNode(Actor):
 
     def crash(self) -> None:
         super().crash()
-        self._election_timer.cancel()
-        self._heartbeat_timer.cancel()
-        self._pending.clear()
         self._awaiting.clear()
         self._proposing = False
 
     def recover(self) -> None:
         super().recover()
-        self._busy_until = self.now
         self.role = RaftNode.FOLLOWER
         self._arm_election_timer()

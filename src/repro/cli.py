@@ -225,7 +225,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     systems = [name.strip() for name in args.systems.split(",") if name.strip()]
     unknown = [name for name in systems if name not in SYSTEMS]
     if unknown:
-        print(f"unknown systems: {unknown}; pick from {SYSTEMS}", file=sys.stderr)
+        print(f"unknown systems: {unknown}; pick from {tuple(SYSTEMS)}", file=sys.stderr)
         return 2
     base = _base_config(args)
     rows = []

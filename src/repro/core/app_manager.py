@@ -79,8 +79,10 @@ class AppManager(Actor):
     app manager may relay the client request to another site."  The
     manager therefore retries an unanswered request against the
     next-closest site after ``retry_timeout``.  Retries make delivery
-    at-least-once; the serving sites deduplicate by request id so the
-    *effect* stays exactly-once.
+    at-least-once; the *effect* stays exactly-once where the serving
+    system deduplicates by request id: a Samya site in its response
+    cache, the log baselines in the replicated state machine.  An escrow
+    site does not (DESIGN.md, "Server and deployment shells").
     """
 
     #: Re-route an unanswered request after this many seconds (0 = never).

@@ -6,9 +6,9 @@ straightforward; a run-time library can provide lookup and directory
 services to identify the sites that maintain a specific resource data."
 This module is that run-time library: each entity gets its own site
 group (its own Avantan instances, token pool, and constraint), a
-directory maps entity ids to the group, and a per-region
-:class:`DirectoryAppManager` routes every client request to the closest
-live site *of that request's entity*.
+directory maps entity ids to the group, and every region's app manager
+routes each client request to the closest live site *of that request's
+entity*.
 
 Entities are fully independent — a redistribution of ``"VM"`` tokens
 never blocks ``"disk-gb"`` traffic — which is exactly what running the
@@ -20,9 +20,9 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from repro.core.app_manager import AppManager, ClosestRegionRouting
+from repro.core.app_manager import ClosestRegionRouting
 from repro.core.client import WorkloadClient
-from repro.core.cluster import split_initial_allocation
+from repro.core.cluster import Deployment, split_initial_allocation
 from repro.core.config import SamyaConfig
 from repro.core.entity import Entity
 from repro.core.requests import ClientRequest
@@ -72,21 +72,6 @@ class EntityDirectory:
         return self._shards.entities()
 
 
-class DirectoryAppManager(AppManager):
-    """An app manager that routes by the request's entity id."""
-
-    def __init__(
-        self,
-        kernel: Clock,
-        name: str,
-        region: Region,
-        network: Transport,
-        directory: EntityDirectory,
-    ) -> None:
-        super().__init__(kernel, name, region, network, routing=_DirectoryRouting(directory))
-        self.directory = directory
-
-
 class _DirectoryRouting:
     """Routing policy resolving the per-entity site group first."""
 
@@ -100,12 +85,13 @@ class _DirectoryRouting:
         return routing.select(request, region)
 
 
-class MultiEntityDeployment:
+class MultiEntityDeployment(Deployment):
     """Several entities, each with its own Samya site group, one network.
 
     Sites are named ``site-<entity>-<region>``; every region the
-    deployment spans gets one :class:`DirectoryAppManager` shared by all
-    entities, so a client simply tags its requests with an entity id.
+    deployment spans gets one app manager routing through the directory,
+    shared by all entities, so a client simply tags its requests with an
+    entity id.
     """
 
     def __init__(
@@ -117,29 +103,22 @@ class MultiEntityDeployment:
     ) -> None:
         if not specs:
             raise ValueError("need at least one entity spec")
-        self.kernel = kernel
-        self.network = network
         self.regions = tuple(regions)
         self.directory = EntityDirectory()
         self.sites_by_entity: dict[str, list[SamyaSite]] = {}
         self.checkers: dict[str, ConservationChecker] = {}
-        self.clients: list[WorkloadClient] = []
 
         for spec in specs:
-            self._deploy_entity(spec)
+            self._deploy_entity(kernel, network, spec)
 
-        self.app_managers: dict[Region, DirectoryAppManager] = {
-            region: DirectoryAppManager(
-                kernel=kernel,
-                name=f"am-{region.value}",
-                region=region,
-                network=network,
-                directory=self.directory,
-            )
-            for region in self.regions
-        }
+        sites = [site for group in self.sites_by_entity.values() for site in group]
+        routing = _DirectoryRouting(self.directory)
+        # No default entity: every client names its own.
+        super().__init__(kernel, network, None, sites, routing, self.regions)
 
-    def _deploy_entity(self, spec: EntitySpec) -> None:
+    def _deploy_entity(
+        self, kernel: Clock, network: Transport, spec: EntitySpec
+    ) -> None:
         entity = spec.entity
         entity_regions = spec.regions or self.regions
         unknown = set(entity_regions) - set(self.regions)
@@ -152,10 +131,10 @@ class MultiEntityDeployment:
                 spec.predictor_factory(region, 0) if spec.predictor_factory else None
             )
             site = SamyaSite(
-                kernel=self.kernel,
+                kernel=kernel,
                 name=f"site-{entity.id}-{region.value}",
                 region=region,
-                network=self.network,
+                network=network,
                 entity=entity,
                 initial_tokens=tokens,
                 config=spec.config,
@@ -166,7 +145,7 @@ class MultiEntityDeployment:
         for site in sites:
             site.connect(names)
         self.sites_by_entity[entity.id] = sites
-        self.directory.register(entity.id, ClosestRegionRouting(self.network, sites))
+        self.directory.register(entity.id, ClosestRegionRouting(network, sites))
         checker = ConservationChecker(entity.maximum)
         checker.watch(sites)
         self.checkers[entity.id] = checker
@@ -183,21 +162,8 @@ class MultiEntityDeployment:
     ) -> WorkloadClient:
         if entity_id not in self.sites_by_entity:
             raise ValueError(f"unknown entity {entity_id!r}")
-        client = WorkloadClient(
-            kernel=self.kernel,
-            name=name or f"client-{entity_id}-{region.value}-{len(self.clients)}",
-            region=region,
-            app_manager=self.app_managers[region],
-            entity_id=entity_id,
-            operations=operations,
-            metrics=metrics,
-        )
-        self.clients.append(client)
-        return client
-
-    def start(self) -> None:
-        for client in self.clients:
-            client.start()
+        name = name or f"client-{entity_id}-{region.value}-{len(self.clients)}"
+        return self._attach_client(region, entity_id, operations, metrics, name)
 
     def check_all(self) -> None:
         """Audit conservation of every entity's token pool."""

@@ -43,14 +43,117 @@ from repro.storage.recovery import RecoveryWal
 
 _read_ids = itertools.count(1)
 
+#: Answered request ids a server remembers for request-level dedup
+#: (``SamyaSite``'s response cache, the log baselines' state machine).
+#: A constant: it only has to outlast the app manager's retry horizon.
+REQUEST_DEDUP_WINDOW = 8192
 
-class SamyaSite(Actor, RedistributionLedger):
+
+class Server(Actor):
+    """The server shell every compared system runs inside.
+
+    The server is modelled as a single server: each message costs a
+    service time and waits behind earlier work, which is what turns
+    offered load into finite throughput and queueing latency.  The shell
+    owns that queue, the envelope dedup in front of it and the plain
+    reply to the app manager, so the systems §5 compares differ in their
+    protocols and not in their apparatus.  A system supplies
+    ``_dispatch`` and its two costs: ``request_cost`` for a
+    ``ForwardedRequest``, ``protocol_cost`` (the same, unless given) for
+    everything else.
+
+    Envelope dedup: a live transport may retransmit an unconfirmed frame
+    after a reconnect, and the fault layer deliberately re-delivers
+    envelopes, so the same ``msg_id`` can arrive twice.  Executing the
+    second copy would double-serve a request, mint tokens out of a
+    duplicated escrow grant, or commit one command twice.
+    """
+
+    #: In steady state every insert past the window evicts one id, so the
+    #: trace event is sampled: the first eviction (the window just became
+    #: lossy) and every 4096th after it, each carrying the running total.
+    _DEDUP_EVICT_SAMPLE = 4096
+
+    def __init__(
+        self,
+        kernel: Clock,
+        name: str,
+        region: Region,
+        network: Transport,
+        request_cost: float,
+        protocol_cost: float | None = None,
+        dedup_window: int = 1 << 16,
+    ) -> None:
+        super().__init__(kernel, name)
+        self.region = region
+        self.network = network
+        #: The other servers of the system, by name; set by ``connect``.
+        self.peers: list[str] = []
+        self._request_cost = request_cost
+        self._protocol_cost = request_cost if protocol_cost is None else protocol_cost
+        self._envelopes = EnvelopeDedup(dedup_window, on_evict=self._on_dedup_evict)
+        self._busy_until = 0.0
+        network.attach(self, region)
+
+    def _on_dedup_evict(self, total: int) -> None:
+        if total != 1 and total % self._DEDUP_EVICT_SAMPLE != 0:
+            return
+        obs = self.obs
+        if obs is not None:
+            obs.emit(
+                "dedup.evict",
+                node=self.name,
+                evictions=total,
+                window=self._envelopes.limit,
+            )
+
+    def on_message(self, message: Message) -> None:
+        """Queue the message behind in-progress work, then dispatch."""
+        if self.crashed:
+            return
+        if self._envelopes.seen(message.msg_id):
+            return  # duplicate frame: already queued/processed once
+        cost = (
+            self._request_cost
+            if isinstance(message.payload, ForwardedRequest)
+            else self._protocol_cost
+        )
+        start = max(self.now, self._busy_until)
+        self._busy_until = start + cost
+        self.kernel.schedule(
+            self._busy_until - self.now, self._guarded, self._dispatch, (message,)
+        )
+
+    def _reply(
+        self, fwd: ForwardedRequest, status: RequestStatus, value: int | None = None
+    ) -> ClientResponse:
+        response = ClientResponse(
+            request_id=fwd.request.request_id,
+            status=status,
+            value=value,
+            served_by=self.name,
+        )
+        self.network.send(self.name, fwd.reply_to, SiteResponse(response))
+        return response
+
+    def recover(self) -> None:
+        super().recover()
+        self._busy_until = self.now
+
+
+class SamyaSite(Server, RedistributionLedger):
     """One geo-distributed data shard holding a fraction of the tokens.
 
     Token accounting around the protocol (pledge, reserve, delta apply)
     is the inherited :class:`~repro.core.ledger.RedistributionLedger`;
     this class supplies its hooks: TokensWanted from prediction and the
     queue, the queue drain, and the WAL / trace / counter side effects.
+
+    At-least-once delivery is deduplicated at two levels: retried
+    *requests* (app-manager failover) by request_id in
+    ``_handle_client``, and retransmitted *envelopes* by ``msg_id`` in
+    the shell — together they keep effects exactly-once over a lossy
+    real socket, not just in sim.
     """
 
     def __init__(
@@ -65,12 +168,18 @@ class SamyaSite(Actor, RedistributionLedger):
         predictor: Predictor | None = None,
         reallocator: Reallocator | None = None,
     ) -> None:
-        super().__init__(kernel, name)
-        RedistributionLedger.__init__(self, EntityState(entity.id, initial_tokens))
-        self.region = region
-        self.network = network
-        self.entity = entity
         self.config = config or SamyaConfig()
+        super().__init__(
+            kernel,
+            name,
+            region,
+            network,
+            request_cost=self.config.service_time,
+            protocol_cost=self.config.protocol_service_time,
+            dedup_window=self.config.msg_dedup_window,
+        )
+        RedistributionLedger.__init__(self, EntityState(entity.id, initial_tokens))
+        self.entity = entity
         self.initial_tokens = initial_tokens
         self.predictor = predictor
         self.reallocator = reallocator
@@ -78,7 +187,6 @@ class SamyaSite(Actor, RedistributionLedger):
         #: what a recovered site believes is exactly what reached disk.
         self.wal = RecoveryWal(name)
         self.history = DemandHistory()
-        self.peers: list[str] = []
 
         self._pending: deque[ForwardedRequest] = deque()
         self._pending_ids: set[int] = set()
@@ -87,14 +195,6 @@ class SamyaSite(Actor, RedistributionLedger):
         # another site when this one looks dead; if it was merely slow,
         # the duplicate must not execute twice.
         self._response_cache: dict[int, ClientResponse] = {}
-        self._response_order: deque[int] = deque()
-        # Envelope dedup: a live transport may retransmit an unconfirmed
-        # frame after a reconnect, and the fault layer deliberately
-        # re-delivers envelopes, so the same msg_id can arrive twice.
-        self._envelopes = EnvelopeDedup(
-            self.config.msg_dedup_window, on_evict=self._on_dedup_evict
-        )
-        self._busy_until = 0.0
         self._draining = False
         self._epoch_index = 0
         #: Forecast stashed at the previous epoch close — the demand the
@@ -123,7 +223,6 @@ class SamyaSite(Actor, RedistributionLedger):
             "pledge_recoveries": 0,
         }
 
-        network.attach(self, region)
         self._persist_entity()
         self._schedule_epoch()
 
@@ -142,53 +241,7 @@ class SamyaSite(Actor, RedistributionLedger):
             self.config.blocked_retry_interval,
         )
 
-    # -- message entry / service-time model -----------------------------------
-
-    #: In steady state every insert past the window evicts one id, so the
-    #: trace event is sampled: the first eviction (the window just became
-    #: lossy) and every 4096th after it, each carrying the running total.
-    _DEDUP_EVICT_SAMPLE = 4096
-
-    def _on_dedup_evict(self, total: int) -> None:
-        if total != 1 and total % self._DEDUP_EVICT_SAMPLE != 0:
-            return
-        obs = self.obs
-        if obs is not None:
-            obs.emit(
-                "dedup.evict",
-                node=self.name,
-                evictions=total,
-                window=self._envelopes.limit,
-            )
-
-    def on_message(self, message: Message) -> None:
-        """Queue the message behind in-progress work, then dispatch.
-
-        The site is modelled as a single server: each message costs a
-        service time and waits behind earlier work, which is what turns
-        offered load into finite throughput and queueing latency.
-
-        At-least-once delivery is deduplicated at two levels: retried
-        *requests* (app-manager failover) by request_id in
-        ``_handle_client``, and retransmitted *envelopes* (a live
-        transport resending an unconfirmed frame) by ``msg_id`` here —
-        together they keep effects exactly-once over a lossy real
-        socket, not just in sim.
-        """
-        if self.crashed:
-            return
-        if self._envelopes.seen(message.msg_id):
-            return  # duplicate frame: already queued/processed once
-        cost = (
-            self.config.service_time
-            if isinstance(message.payload, ForwardedRequest)
-            else self.config.protocol_service_time
-        )
-        start = max(self.now, self._busy_until)
-        self._busy_until = start + cost
-        self.kernel.schedule(
-            self._busy_until - self.now, self._guarded, self._dispatch, (message,)
-        )
+    # -- message dispatch (behind the shell's service queue) -------------------
 
     def _dispatch(self, message: Message) -> None:
         payload = message.payload
@@ -207,7 +260,7 @@ class SamyaSite(Actor, RedistributionLedger):
 
     # -- request handling module (steps 3-5 of §4.1.2) -------------------------
 
-    _RESPONSE_CACHE_LIMIT = 8192
+    _RESPONSE_CACHE_LIMIT = REQUEST_DEDUP_WINDOW
 
     def _handle_client(self, fwd: ForwardedRequest) -> None:
         request = fwd.request
@@ -314,18 +367,10 @@ class SamyaSite(Actor, RedistributionLedger):
                 waited=waited,
                 trace_id=f"req-{fwd.request.request_id}",
             )
-        response = ClientResponse(
-            request_id=fwd.request.request_id,
-            status=status,
-            value=value,
-            served_by=self.name,
-        )
-        self._response_cache[response.request_id] = response
-        self._response_order.append(response.request_id)
-        if len(self._response_order) > self._RESPONSE_CACHE_LIMIT:
-            oldest = self._response_order.popleft()
-            self._response_cache.pop(oldest, None)
-        self.network.send(self.name, fwd.reply_to, SiteResponse(response))
+        cache = self._response_cache
+        cache[fwd.request.request_id] = self._reply(fwd, status, value)
+        if len(cache) > self._RESPONSE_CACHE_LIMIT:
+            del cache[next(iter(cache))]  # the oldest answer ages out
 
     # -- prediction & triggers (§4.2) -----------------------------------------
 
@@ -599,7 +644,6 @@ class SamyaSite(Actor, RedistributionLedger):
 
     def recover(self) -> None:
         super().recover()
-        self._busy_until = self.now
         # Reconstruct from the replayed log (§3.1: "reconstructs its
         # previous state ... stored on stable storage").  A log with no
         # entity record means the disk never saw this site's state —
@@ -633,10 +677,6 @@ class SamyaSite(Actor, RedistributionLedger):
         self.recover_pledge(driver="recovery")
 
     # -- introspection -------------------------------------------------------------
-
-    @property
-    def tokens_left(self) -> int:
-        return self.state.tokens_left
 
     def redistribution_stats(self) -> dict[str, int]:
         stats = self.protocol.stats.as_dict() if self.protocol is not None else {}

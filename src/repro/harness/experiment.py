@@ -12,14 +12,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
 from repro.baselines.crdb import CockroachLikeCluster
-from repro.baselines.demarcation import DemarcationCluster, EscrowConservationChecker
+from repro.baselines.demarcation import DemarcationCluster
 from repro.baselines.multipaxsys import MultiPaxSysCluster
 from repro.core.client import WorkloadClient
-from repro.core.cluster import SamyaCluster
+from repro.core.cluster import Deployment, SamyaCluster
 from repro.core.config import AvantanVariant, SamyaConfig
 from repro.core.entity import Entity
 from repro.core.reallocation import (
@@ -41,20 +42,13 @@ from repro.prediction.lstm import LstmPredictor
 from repro.prediction.oracle import OraclePredictor
 from repro.prediction.random_walk import RandomWalkPredictor
 from repro.prediction.seasonal import SeasonalNaivePredictor
+from repro.workload.allocation import historic_allocation, proportional_split
 from repro.workload.readwrite import mix_reads
 from repro.workload.requests import (
     demand_per_compressed_interval,
     regional_operations,
 )
 from repro.workload.trace import SyntheticAzureTrace, TraceConfig
-
-SYSTEMS = (
-    "samya-majority",
-    "samya-star",
-    "multipaxsys",
-    "crdb",
-    "demarcation",
-)
 
 PREDICTORS = ("none", "seasonal", "random-walk", "arima", "lstm", "oracle")
 
@@ -156,7 +150,9 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         if self.system not in SYSTEMS:
-            raise ValueError(f"unknown system {self.system!r}; pick from {SYSTEMS}")
+            raise ValueError(
+                f"unknown system {self.system!r}; pick from {tuple(SYSTEMS)}"
+            )
         if self.predictor not in PREDICTORS:
             raise ValueError(
                 f"unknown predictor {self.predictor!r}; pick from {PREDICTORS}"
@@ -224,6 +220,94 @@ class ExperimentResult:
         return self.committed_total / self.duration if self.duration > 0 else 0.0
 
 
+# -- system construction ------------------------------------------------------
+
+
+def _build_samya(variant: AvantanVariant, experiment: "Experiment") -> SamyaCluster:
+    config = experiment.config
+    allocation = None
+    if config.initial_allocation == "historic":
+        per_region = historic_allocation(
+            experiment.trace,
+            list(config.regions),
+            config.maximum,
+            end_interval=config.start_interval,
+        )
+        # SamyaCluster places one site per region per replica rank;
+        # split each region's share across its replicas.
+        allocation = []
+        for replica in range(config.sites_per_region):
+            for index in range(len(config.regions)):
+                shares = proportional_split(
+                    per_region[index], [1.0] * config.sites_per_region
+                )
+                allocation.append(shares[replica])
+    return SamyaCluster(
+        kernel=experiment.kernel,
+        network=experiment.network,
+        entity=experiment.entity,
+        regions=config.regions,
+        sites_per_region=config.sites_per_region,
+        config=SamyaConfig(
+            variant=variant,
+            epoch_seconds=config.epoch_seconds or config.compressed_interval,
+            enforce_constraint=config.enforce_constraint,
+            redistribute=config.redistribute,
+            proactive=config.proactive and config.predictor != "none",
+            reactive_wanted_literal=config.paper_literal_reactive,
+            queue_during_cooldown=config.paper_literal_reactive,
+            reactive_cooldown=1.0 if config.paper_literal_reactive else 5.0,
+        ),
+        predictor_factory=experiment._make_predictor,
+        reallocator=REALLOCATORS[config.reallocator](),
+        initial_allocation=allocation,
+    )
+
+
+def _build_multipaxsys(experiment: "Experiment") -> MultiPaxSysCluster:
+    config = experiment.config
+    replica_regions = (
+        config.regions if config.multipaxsys_paper_regions else MULTIPAXSYS_REGIONS
+    )
+    return MultiPaxSysCluster(
+        experiment.kernel,
+        experiment.network,
+        experiment.entity,
+        client_regions=config.regions,
+        replica_regions=replica_regions,
+    )
+
+
+def _build_crdb(experiment: "Experiment") -> CockroachLikeCluster:
+    regions = experiment.config.regions
+    return CockroachLikeCluster(
+        experiment.kernel,
+        experiment.network,
+        experiment.entity,
+        client_regions=regions,
+        replica_regions=regions,
+    )
+
+
+def _build_demarcation(experiment: "Experiment") -> DemarcationCluster:
+    return DemarcationCluster(
+        experiment.kernel,
+        experiment.network,
+        experiment.entity,
+        regions=experiment.config.regions,
+    )
+
+
+#: The systems §5 compares: name -> builder(experiment) -> Deployment.
+SYSTEMS = {
+    "samya-majority": partial(_build_samya, AvantanVariant.MAJORITY),
+    "samya-star": partial(_build_samya, AvantanVariant.STAR),
+    "multipaxsys": _build_multipaxsys,
+    "crdb": _build_crdb,
+    "demarcation": _build_demarcation,
+}
+
+
 class Experiment:
     """A built, not-yet-run experiment; exposes internals for tests.
 
@@ -266,39 +350,19 @@ class Experiment:
         self.trace = SyntheticAzureTrace(config.trace)
         self.entity = Entity(config.entity_id, config.maximum)
         self.metrics = MetricsHub(config.bucket_seconds)
-        self.clients: list[WorkloadClient] = []
+        self.cluster: Deployment = SYSTEMS[config.system](self)
+        self.servers: list = self.cluster.servers
+        self.clients: list[WorkloadClient] = self.cluster.clients
         self.checker: ConservationChecker | None = None
-        self.cluster = self._build_cluster()
+        if config.check_invariants:
+            self.checker = self.cluster.make_checker(config.maximum)
         if self.checker is not None:
             # With a bus, safety violations become invariant.violation
             # trace events (audited, never lost) instead of mid-run raises.
             self.checker.obs = self.instruments.bus
-        self.servers = self._servers()
         self._add_clients()
         self._controller = CrashController(self.kernel, self.network)
         self._install_faults()
-
-    # -- system construction ------------------------------------------------
-
-    def _samya_config(self) -> SamyaConfig:
-        config = self.config
-        variant = (
-            AvantanVariant.MAJORITY
-            if config.system == "samya-majority"
-            else AvantanVariant.STAR
-        )
-        return SamyaConfig(
-            variant=variant,
-            epoch_seconds=config.epoch_seconds or config.compressed_interval,
-            enforce_constraint=config.enforce_constraint,
-            redistribute=config.redistribute,
-            proactive=config.proactive and config.predictor != "none",
-            reactive_wanted_literal=config.paper_literal_reactive,
-            queue_during_cooldown=config.paper_literal_reactive,
-            reactive_cooldown=(
-                1.0 if config.paper_literal_reactive else 5.0
-            ),
-        )
 
     def _make_predictor(self, region: Region, replica: int):
         config = self.config
@@ -346,84 +410,6 @@ class Experiment:
             raise AssertionError(config.predictor)
         return predictor
 
-    def _build_cluster(self):
-        config = self.config
-        if config.system in ("samya-majority", "samya-star"):
-            allocation = None
-            if config.initial_allocation == "historic":
-                from repro.workload.allocation import historic_allocation
-
-                per_region = historic_allocation(
-                    self.trace,
-                    list(config.regions),
-                    config.maximum,
-                    end_interval=config.start_interval,
-                )
-                # SamyaCluster places one site per region per replica
-                # rank; split each region's share across its replicas.
-                from repro.workload.allocation import proportional_split
-
-                allocation = []
-                for replica in range(config.sites_per_region):
-                    for index in range(len(config.regions)):
-                        shares = proportional_split(
-                            per_region[index], [1.0] * config.sites_per_region
-                        )
-                        allocation.append(shares[replica])
-            cluster = SamyaCluster(
-                kernel=self.kernel,
-                network=self.network,
-                entity=self.entity,
-                regions=config.regions,
-                sites_per_region=config.sites_per_region,
-                config=self._samya_config(),
-                predictor_factory=self._make_predictor,
-                reallocator=REALLOCATORS[config.reallocator](),
-                initial_allocation=allocation,
-            )
-            if config.check_invariants and config.enforce_constraint:
-                self.checker = ConservationChecker(config.maximum)
-                self.checker.watch(cluster.sites)
-            return cluster
-        if config.system == "multipaxsys":
-            replica_regions = (
-                config.regions
-                if config.multipaxsys_paper_regions
-                else MULTIPAXSYS_REGIONS
-            )
-            return MultiPaxSysCluster(
-                kernel=self.kernel,
-                network=self.network,
-                entity=self.entity,
-                client_regions=config.regions,
-                replica_regions=replica_regions,
-            )
-        if config.system == "crdb":
-            return CockroachLikeCluster(
-                kernel=self.kernel,
-                network=self.network,
-                entity=self.entity,
-                client_regions=config.regions,
-                replica_regions=config.regions,
-            )
-        if config.system == "demarcation":
-            cluster = DemarcationCluster(
-                kernel=self.kernel,
-                network=self.network,
-                entity=self.entity,
-                regions=config.regions,
-            )
-            if config.check_invariants:
-                self.checker = EscrowConservationChecker(config.maximum)
-                self.checker._sites = cluster.sites
-            return cluster
-        raise AssertionError(config.system)  # pragma: no cover
-
-    def _servers(self) -> list:
-        if hasattr(self.cluster, "sites"):
-            return list(self.cluster.sites)
-        return list(self.cluster.replicas)
-
     # -- workload ----------------------------------------------------------------
 
     def _add_clients(self) -> None:
@@ -444,7 +430,6 @@ class Experiment:
             client = self.cluster.add_client(region, operations, metrics=self.metrics)
             client.max_outstanding = config.max_outstanding
             client.request_timeout = config.request_timeout
-            self.clients.append(client)
 
     # -- faults ------------------------------------------------------------------
 
@@ -515,19 +500,6 @@ class Experiment:
                     "in the trace; re-run with auditing or see "
                     "invariant.violation events"
                 )
-        tokens_left = None
-        if hasattr(self.cluster, "sites"):
-            tokens_left = sum(site.state.tokens_left for site in self.cluster.sites)
-        redistributions = (
-            self.cluster.redistribution_totals()
-            if hasattr(self.cluster, "redistribution_totals")
-            else {}
-        )
-        rounds = (
-            self.cluster.round_summary().as_dict()
-            if hasattr(self.cluster, "round_summary")
-            else {}
-        )
         result = ExperimentResult(
             system=config.system,
             duration=config.duration,
@@ -540,9 +512,9 @@ class Experiment:
             latency=self.metrics.latency_summary(),
             read_latency=self.metrics.read_latency_summary(),
             throughput_series=self.metrics.throughput.series(0.0, config.duration),
-            redistributions=redistributions,
-            rounds=rounds,
-            tokens_left_total=tokens_left,
+            redistributions=self.cluster.redistribution_totals(),
+            rounds=self.cluster.round_summary(),
+            tokens_left_total=self.cluster.total_tokens_left(),
             invariant_checks=self.checker.checks if self.checker else 0,
         )
         snapshots = self.instruments.collect(

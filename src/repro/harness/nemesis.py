@@ -184,14 +184,7 @@ def run_nemesis(
             system=system,
             result=result,
             post_heal_committed=post_heal,
-            unresolved_pledges=sum(
-                1
-                for server in experiment.servers
-                if getattr(server, "unresolved_pledge", None) is not None
-            ),
-            pledge_recoveries=sum(
-                getattr(server, "counters", {}).get("pledge_recoveries", 0)
-                for server in experiment.servers
-            ),
+            unresolved_pledges=experiment.cluster.unresolved_pledges(),
+            pledge_recoveries=result.redistributions.get("pledge_recoveries", 0),
         )
     return report

@@ -129,9 +129,7 @@ def _build(kernel, network, maximum: int, regions, config: SamyaConfig):
         regions=list(regions),
         config=config,
     )
-    checker = ConservationChecker(maximum)
-    checker.watch(cluster.sites)
-    return cluster, checker
+    return cluster, cluster.make_checker(maximum)
 
 
 def _attach_clients(
@@ -163,11 +161,7 @@ def _outcome(
         committed=metrics.committed,
         rejected=metrics.rejected,
         failed=metrics.failed,
-        redistributions_completed=sum(
-            site.protocol.stats.completed
-            for site in cluster.sites
-            if site.protocol is not None
-        ),
+        redistributions_completed=cluster.redistribution_totals()["completed"],
         conserved=(settled + outstanding == maximum),
         settled=settled,
     )
