@@ -608,98 +608,49 @@ def cmd_sweep_scale(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    import os
-    import subprocess
     from pathlib import Path
 
     from repro.harness import regression
 
-    specs = regression.load_specs()
-    names = set(specs)
-    if args.select:
-        names = {name for name in names if args.select in name}
-        if not names:
-            print(
-                f"no registered benchmark matches {args.select!r}; "
-                f"known: {sorted(specs)}",
-                file=sys.stderr,
-            )
-            return 2
+    figures = regression.load_figures()
+    selected = [figure for figure in figures if (args.select or "") in figure.name]
+    if not selected:
+        print(
+            f"no registered benchmark matches {args.select!r}; "
+            f"known: {[figure.name for figure in figures]}",
+            file=sys.stderr,
+        )
+        return 2
+    names = {figure.name for figure in selected}
     artifacts_dir = Path(args.artifacts)
-    baselines_dir = (
-        Path(args.baselines)
-        if args.baselines is not None
-        else regression.default_baseline_dir()
-    )
+    baselines_dir = Path(args.baselines or regression.default_baseline_dir())
 
     if args.list:
-        rows = [
-            [
-                name,
-                specs[name].default.describe(),
-                len(specs[name].overrides),
-                regression.SPEC_SOURCES[name].name
-                if name in regression.SPEC_SOURCES
-                else "?",
-            ]
-            for name in sorted(names)
-        ]
         print(
             format_table(
-                ["bench", "default tolerance", "overrides", "source"],
-                rows,
-                title=f"registered baselines ({baselines_dir})",
+                ["bench", "default tolerance", "overrides", "claim"],
+                [
+                    [figure.name, figure.default.describe(), len(figure.overrides),
+                     figure.doc.strip().partition("\n")[0]]
+                    for figure in selected
+                ],
+                title=f"benchmarks/figures.py rows ({baselines_dir})",
             )
         )
         return 0
 
     if not args.check:
-        files = regression.bench_files_for(names)
-        if not files:
-            print("selection maps to no bench files", file=sys.stderr)
-            return 2
-        print(f"running {len(files)} bench file(s) -> {artifacts_dir}")
-        if os.environ.get("REPRO_BENCH_INPROCESS"):
-            # `repro profile bench` path: the sampler lives in this
-            # process, so the suite must too.
-            import pytest
-
-            os.environ["BENCH_OUT_DIR"] = str(artifacts_dir)
-            returncode = int(
-                pytest.main(
-                    ["-q", "-p", "no:cacheprovider", *[str(p) for p in files]]
-                )
-            )
-        else:
-            env = dict(os.environ)
-            env["BENCH_OUT_DIR"] = str(artifacts_dir)
-            src = Path(__file__).resolve().parents[1]
-            env["PYTHONPATH"] = os.pathsep.join(
-                part for part in (str(src), env.get("PYTHONPATH")) if part
-            )
-            command = [
-                sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                *[str(path) for path in files],
-            ]
-            returncode = subprocess.run(command, env=env).returncode
-        if returncode != 0:
-            print(
-                f"benchmark run failed (pytest exit {returncode})",
-                file=sys.stderr,
-            )
-            return 1
-
+        print(f"running {len(selected)} figure(s) -> {artifacts_dir}")
+        regression.run_figures(selected, artifacts_dir)
     if args.update_baselines:
-        written = regression.update_baselines(artifacts_dir, baselines_dir, names)
-        for path in written:
+        # Only artifacts with the paper's shape are promoted; the rest
+        # show up as shape / error findings in the verdict below.
+        for path in regression.update_baselines(
+            artifacts_dir, baselines_dir, names
+        ):
             print(f"baseline updated: {path}")
-        if not written:
-            print(f"no BENCH_*.json artifacts in {artifacts_dir}", file=sys.stderr)
-            return 2
-        return 0
-
     findings, compared = regression.check_artifacts(
-        artifacts_dir, baselines_dir, names
+        artifacts_dir, baselines_dir, names, figures
     )
     print(regression.format_report(findings, compared, len(names)))
     return 1 if any(finding.fatal for finding in findings) else 0
@@ -709,13 +660,10 @@ def cmd_profile(args: argparse.Namespace) -> int:
     """Run any repro subcommand under the wall-clock stack sampler.
 
     The inner command runs **in this process** so the sampler sees its
-    stacks; ``repro profile bench`` additionally flips the bench suite
-    to in-process pytest for the same reason.  With ``--events`` a
-    deterministic event profiler is attached to every sim kernel the
-    inner command builds.
+    stacks (``bench`` included: its runner is in-process).  With
+    ``--events`` a deterministic event profiler is attached to every sim
+    kernel the inner command builds.
     """
-    import os
-
     from repro.obs import prof
 
     inner = list(args.cmd)
@@ -736,9 +684,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
     if args.events:
         event_profiler = prof.EventProfiler()
         prof.set_active(event_profiler)
-    bench_inner = inner[0] == "bench"
-    if bench_inner:
-        os.environ["REPRO_BENCH_INPROCESS"] = "1"
     sampler = prof.StackSampler(interval=args.interval / 1000.0)
     sampler.start()
     try:
@@ -748,8 +693,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
     finally:
         sampler.stop()
         prof.set_active(None)
-        if bench_inner:
-            os.environ.pop("REPRO_BENCH_INPROCESS", None)
 
     samples = sampler.write_collapsed(args.out)
     print(f"\nwall-clock profile: {samples} samples -> {args.out}")
@@ -1045,7 +988,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench_parser.add_argument(
         "--update-baselines", action="store_true",
-        help="promote artifacts to committed baselines instead of gating",
+        help="promote artifacts whose shape checks pass to baselines, then gate",
     )
     bench_parser.add_argument(
         "-k", dest="select", default=None, metavar="SUBSTRING",
@@ -1061,7 +1004,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench_parser.add_argument(
         "--list", action="store_true",
-        help="list registered benches and tolerances, run nothing",
+        help="list the figure rows and their tolerances, run nothing",
     )
     bench_parser.set_defaults(func=cmd_bench)
 

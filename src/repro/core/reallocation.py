@@ -117,7 +117,8 @@ class ProportionalReallocator:
 
     Nobody is rejected outright; every want is scaled by ``spare /
     total_wanted`` (floored), and the integer slack plus trailing spares
-    are split equally.  Contrast strategy for ``bench_ablation_realloc``.
+    are split equally.  Contrast strategy for the ``ablation_realloc``
+    figure.
     """
 
     def allocate(self, states: Sequence[SiteTokenState]) -> dict[str, int]:

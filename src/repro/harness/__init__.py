@@ -1,10 +1,9 @@
 """Experiment harness: build, run, and report paper experiments.
 
-Each benchmark in ``benchmarks/`` is a thin wrapper over
-:func:`run_experiment` with the parameters of one table or figure.
-The entity-count scale sweep (``benchmarks/bench_scale_entities.py``,
-``repro sweep-scale``) runs on the separate scale harness re-exported
-here from :mod:`repro.scale.harness`.
+Each row of ``benchmarks/figures.py`` is the parameters of one table or
+figure over :func:`run_experiment`.  The entity-count scale sweep (the
+``scale_entities`` row, ``repro sweep-scale``) runs on the separate
+scale harness re-exported here from :mod:`repro.scale.harness`.
 """
 
 from repro.faults.schedule import RegionFault, resolve_faults

@@ -15,7 +15,7 @@ measurement is pure dispatch overhead).  The result — events per wall
 second — is stamped into bench artifacts as a top-level
 ``calibration`` field, and the regression gate divides every
 calibrated metric by it before comparing (see
-``repro.harness.regression.BenchSpec.calibrated``).  Tolerances on
+``repro.harness.regression.Figure.calibrated``).  Tolerances on
 calibrated metrics stay wide (±50%): the ratio removes the machine
 constant, not scheduler jitter or thermal noise.
 """

@@ -1,15 +1,14 @@
-"""Benchmark regression gate: baselines, tolerances, and the comparison.
+"""Benchmark regression gate: figure rows, the runner, and the comparison.
 
-Every benchmark writes a ``BENCH_<name>.json`` artifact
-(``harness.report.write_bench_json``); this module turns those from
-write-only exhaust into a gate.  Committed baselines live under
-``benchmarks/baselines/`` and each ``bench_*.py`` *registers* its
-artifact name with per-metric tolerances via :func:`register_baseline`.
-``python -m repro bench`` (see ``repro.cli``) runs the suite, compares
-every numeric headline leaf against its baseline, and exits non-zero
-when any metric drifts beyond tolerance — which is what makes the BENCH
-trajectory real: a perf or correctness regression fails CI with the
-metric named, instead of rotting silently.
+Every table and figure of the paper's §5 is one :class:`Figure` row of
+``benchmarks/figures.py``.  :func:`run_figures` runs rows in-process and
+writes one ``BENCH_<name>.json`` artifact per row — numbers first, the
+paper-shape check outcomes beside them — and :func:`check_artifacts`
+derives the whole verdict from those artifacts and the committed
+baselines under ``benchmarks/baselines/``.  ``python -m repro bench``
+(see ``repro.cli``) is that loop: it exits non-zero with the metric or
+the check named, so a perf, correctness or paper-shape regression fails
+CI instead of rotting silently.
 
 Comparison rules:
 
@@ -25,7 +24,7 @@ Comparison rules:
   are not comparable.  Baselines produced before bench-json/2 may lack
   ``schema``/``git_sha``/``seed``; the comparison backfills those as
   ``unknown`` (a note, never a failure) so old artifacts stay usable.
-* **Calibrated** metrics (``BenchSpec.calibrated``) are wall-clock
+* **Calibrated** metrics (``Figure.calibrated``) are wall-clock
   rates: never comparable across machines directly, so each side is
   first divided by its artifact's top-level ``calibration`` stamp (the
   machine's no-op kernel dispatch rate, ``harness.calibration``) and
@@ -33,19 +32,30 @@ Comparison rules:
   calibration stamp downgrades the comparison to a note — old
   baselines and ad-hoc runs must not fail the gate on provenance they
   never had.
+* Every ``ok: false`` entry of the artifact's ``shape`` section is a
+  fatal ``shape`` finding (``error`` when the runner caught an
+  exception; the drifted numbers of such a row are not compared).
 """
 
 from __future__ import annotations
 
 import importlib.util
 import json
-import shutil
-import sys
-from dataclasses import dataclass, field
+import traceback
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass, field, replace
 from pathlib import Path
+from time import perf_counter
 from typing import Any
 
-from repro.harness.report import BENCH_SCHEMA, format_table, git_sha
+from repro.harness.calibration import calibration_point
+from repro.harness.experiment import run_experiment
+from repro.harness.report import (
+    BENCH_SCHEMA,
+    format_table,
+    git_sha,
+    write_bench_json,
+)
 
 
 @dataclass(frozen=True)
@@ -70,71 +80,67 @@ class Tolerance:
         return " or ".join(parts) if parts else "exact"
 
 
-@dataclass
-class BenchSpec:
-    """One benchmark's registration: artifact name + tolerances."""
+@dataclass(frozen=True)
+class Figure:
+    """One row of the figure list: what runs, what it reports, what holds it.
+
+    The comparison reads only ``name`` and the tolerances; everything
+    else is what :func:`run_figures` needs to regenerate the artifact.
+    ``results`` below is ``{label: what run(config) returned}``.
+    """
 
     name: str
-    default: Tolerance = field(default_factory=lambda: Tolerance(rel=0.10))
+    #: The paper claim the row reproduces (first line: ``bench --list``).
+    doc: str = ""
+    #: label -> config, variants built by ``replace(BASE, ...)``.
+    points: dict[Any, Any] = field(default_factory=dict)
+    #: Runs one point.
+    run: Callable[[Any], Any] = run_experiment
+    #: The gated numbers (the artifact's ``headline`` tree).
+    headline: Callable[[dict], dict[str, Any]] = lambda results: {}
+    #: The paper's shape as ``(label, ok, detail)`` checks — all judged,
+    #: none raising, so one violated property does not hide the next.
+    shape: Callable[[dict], list[tuple[str, bool, str]]] = lambda results: []
+    #: The printed rows/series, laid out like the paper's.
+    table: Callable[[dict], str] = lambda results: ""
+    #: Label of the ``ExperimentConfig`` point that runs with
+    #: ``metrics=True`` (the registry rides along: passive; results identical)
+    #: and whose metrics / demand / flow snapshots become the artifact's
+    #: informational sections.
+    observed: Any = None
+    #: Those sections for a row ``run_experiment`` does not run.
+    sections: Callable[[dict], dict[str, Any]] | None = None
+    #: The workload seed the points share: artifacts whose seeds differ
+    #: are not comparable.
+    seed: int | None = None
+    default: Tolerance = Tolerance(rel=0.10)
     overrides: dict[str, Tolerance] = field(default_factory=dict)
     #: Dotted-path prefixes to skip entirely (unstable diagnostics).
     ignore: tuple[str, ...] = ()
     #: Dotted-path prefixes gated as calibration ratios (wall-clock
-    #: rates divided by each artifact's ``calibration`` stamp).
+    #: rates divided by each artifact's ``calibration`` stamp); a row
+    #: that declares any has its artifact stamped.
     calibrated: dict[str, Tolerance] = field(default_factory=dict)
 
     def calibrated_for(self, path: str) -> Tolerance | None:
-        best: Tolerance | None = None
-        best_len = -1
-        for prefix, tolerance in self.calibrated.items():
-            if (path == prefix or path.startswith(prefix + ".")) and len(
-                prefix
-            ) > best_len:
-                best, best_len = tolerance, len(prefix)
-        return best
+        return _longest_prefix(self.calibrated, path)
 
     def tolerance_for(self, path: str) -> Tolerance:
-        best: Tolerance | None = None
-        best_len = -1
-        for prefix, tolerance in self.overrides.items():
-            if (path == prefix or path.startswith(prefix + ".")) and len(
-                prefix
-            ) > best_len:
-                best, best_len = tolerance, len(prefix)
-        return best if best is not None else self.default
+        override = _longest_prefix(self.overrides, path)
+        return override if override is not None else self.default
 
     def ignored(self, path: str) -> bool:
-        return any(
-            path == prefix or path.startswith(prefix + ".")
-            for prefix in self.ignore
-        )
+        return any(_under(path, prefix) for prefix in self.ignore)
 
 
-#: Artifact name -> spec; populated by the bench modules at import time.
-SPECS: dict[str, BenchSpec] = {}
-
-#: Artifact name -> the bench_*.py that registered it (filled by
-#: load_specs; lets the CLI run exactly the files a selection needs).
-SPEC_SOURCES: dict[str, Path] = {}
+def _under(path: str, prefix: str) -> bool:
+    """Dotted-path prefix match: ``a.b`` is under ``a`` and ``a.b``, not ``a.``."""
+    return path == prefix or path.startswith(prefix + ".")
 
 
-def register_baseline(
-    name: str,
-    default: Tolerance | None = None,
-    overrides: dict[str, Tolerance] | None = None,
-    ignore: tuple[str, ...] = (),
-    calibrated: dict[str, Tolerance] | None = None,
-) -> BenchSpec:
-    """Declare a benchmark's baseline contract (called by bench_*.py)."""
-    spec = BenchSpec(
-        name=name,
-        default=default if default is not None else Tolerance(rel=0.10),
-        overrides=dict(overrides or {}),
-        ignore=tuple(ignore),
-        calibrated=dict(calibrated or {}),
-    )
-    SPECS[name] = spec
-    return spec
+def _longest_prefix(table: dict[str, Tolerance], path: str) -> Tolerance | None:
+    matches = [prefix for prefix in table if _under(path, prefix)]
+    return table[max(matches, key=len)] if matches else None
 
 
 @dataclass(frozen=True)
@@ -142,13 +148,11 @@ class Finding:
     """One comparison outcome worth reporting."""
 
     bench: str
-    kind: str  # "regression" | "missing" | "extra" | "seed" | "note"
+    #: "regression" | "missing" | "extra" | "seed" | "shape" | "error" | "note"
+    kind: str
     metric: str
     detail: str
     fatal: bool
-
-    def row(self) -> list[object]:
-        return [self.bench, self.kind, self.metric, self.detail]
 
 
 def numeric_leaves(tree: Any, prefix: str = "") -> dict[str, float]:
@@ -163,13 +167,26 @@ def numeric_leaves(tree: Any, prefix: str = "") -> dict[str, float]:
     return out
 
 
+def _drift(base: float, current: float) -> float:
+    """Signed percent change from ``base`` (infinite from a zero base)."""
+    return (current - base) / base * 100.0 if base else float("inf")
+
+
+def _stamp(payload: dict[str, Any]) -> float:
+    """An artifact's ``calibration`` stamp; 0.0 when absent or malformed."""
+    value = payload.get("calibration")
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    return 0.0
+
+
 def _compare_calibrated(
     bench: str,
     path: str,
     base_value: float,
     cur_value: float,
-    base_calibration: Any,
-    cur_calibration: Any,
+    base_cal: float,
+    cur_cal: float,
     tolerance: Tolerance,
 ) -> list[Finding]:
     """Gate one wall-clock metric as a calibration ratio.
@@ -179,18 +196,6 @@ def _compare_calibrated(
     produced it), cancelling the machine constant.  Either stamp
     missing means the metric cannot be gated — a note, not a failure.
     """
-    base_cal = (
-        float(base_calibration)
-        if isinstance(base_calibration, (int, float))
-        and not isinstance(base_calibration, bool)
-        else 0.0
-    )
-    cur_cal = (
-        float(cur_calibration)
-        if isinstance(cur_calibration, (int, float))
-        and not isinstance(cur_calibration, bool)
-        else 0.0
-    )
     if base_cal <= 0.0 or cur_cal <= 0.0:
         missing = "baseline" if base_cal <= 0.0 else "current artifact"
         return [
@@ -202,22 +207,17 @@ def _compare_calibrated(
     cur_ratio = cur_value / cur_cal
     if tolerance.allows(base_ratio, cur_ratio):
         return []
-    drift = (
-        (cur_ratio - base_ratio) / base_ratio * 100.0
-        if base_ratio
-        else float("inf")
-    )
     return [
         Finding(bench, "regression", path,
                 f"calibrated ratio {base_ratio:.4g} -> {cur_ratio:.4g} "
-                f"({drift:+.1f}%, tolerance {tolerance.describe()}; raw "
-                f"{base_value:g} @ {base_cal:.3g} ev/s -> {cur_value:g} "
-                f"@ {cur_cal:.3g} ev/s)", fatal=True)
+                f"({_drift(base_ratio, cur_ratio):+.1f}%, tolerance "
+                f"{tolerance.describe()}; raw {base_value:g} @ {base_cal:.3g} "
+                f"ev/s -> {cur_value:g} @ {cur_cal:.3g} ev/s)", fatal=True)
     ]
 
 
 def compare_payloads(
-    current: dict[str, Any], baseline: dict[str, Any], spec: BenchSpec
+    current: dict[str, Any], baseline: dict[str, Any], spec: Figure
 ) -> list[Finding]:
     """All findings from one artifact-vs-baseline comparison."""
     bench = spec.name
@@ -257,21 +257,17 @@ def compare_payloads(
             findings.extend(
                 _compare_calibrated(
                     bench, path, base_value, cur_value,
-                    baseline.get("calibration"), current.get("calibration"),
+                    _stamp(baseline), _stamp(current),
                     calibrated,
                 )
             )
             continue
         tolerance = spec.tolerance_for(path)
         if not tolerance.allows(base_value, cur_value):
-            drift = (
-                (cur_value - base_value) / base_value * 100.0
-                if base_value
-                else float("inf")
-            )
             findings.append(
                 Finding(bench, "regression", path,
-                        f"{base_value:g} -> {cur_value:g} ({drift:+.1f}%, "
+                        f"{base_value:g} -> {cur_value:g} "
+                        f"({_drift(base_value, cur_value):+.1f}%, "
                         f"tolerance {tolerance.describe()})", fatal=True)
             )
     for path in sorted(set(cur_metrics) - set(base_metrics)):
@@ -297,109 +293,170 @@ def default_baseline_dir() -> Path:
     return repo_bench_dir() / "baselines"
 
 
-def artifact_name(path: Path) -> str | None:
-    if path.name.startswith("BENCH_") and path.suffix == ".json":
-        return path.name[len("BENCH_"):-len(".json")]
-    return None
+def bench_files(directory: Path) -> dict[str, Path]:
+    """Artifact name -> ``BENCH_<name>.json`` path, for one directory."""
+    return {
+        path.stem[len("BENCH_"):]: path
+        for path in sorted(directory.glob("BENCH_*.json"))
+    }
 
 
-def load_specs(bench_dir: Path | None = None) -> dict[str, BenchSpec]:
-    """Import every ``bench_*.py`` so their registrations land in SPECS.
+def load_figures() -> tuple[Figure, ...]:
+    """The rows of ``benchmarks/figures.py``, in paper order.
 
-    Import is cheap (module level builds configs, runs nothing); the
-    modules are loaded under a ``benchspec_`` alias so pytest can still
-    import them normally later in the same process.
+    Loaded by path (``benchmarks/`` is not a package).  Importing it
+    builds configs and runs nothing.
     """
-    directory = bench_dir if bench_dir is not None else repo_bench_dir()
-    for path in sorted(directory.glob("bench_*.py")):
-        module_name = f"benchspec_{path.stem}"
-        if module_name in sys.modules:
-            continue
-        inserted = str(directory) not in sys.path
-        if inserted:
-            sys.path.insert(0, str(directory))  # bench modules import conftest
-        before = set(SPECS)
+    path = repo_bench_dir() / "figures.py"
+    module_spec = importlib.util.spec_from_file_location("repro_figures", path)
+    module = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(module)
+    return tuple(module.FIGURES)
+
+
+def run_figures(figures: Sequence[Figure], out_dir: Path) -> list[Path]:
+    """Run each row in-process: points, artifact, then the printed table.
+
+    The artifact is written *before* anything is judged — headline
+    numbers with the shape outcomes beside them in a ``shape`` section —
+    so a figure whose shape broke still leaves its numbers behind, and
+    :func:`check_artifacts` (not this function) turns ``ok: false``
+    entries into findings.  Nothing raises past a row: an exception is
+    recorded as an ``error`` entry of that row's artifact and the next
+    row runs.  Points whose configs compare equal run once per call and
+    the rows share the result (fig3b and table2b are the same five).
+    """
+    memo: list[tuple[Any, Any, Any]] = []
+
+    def run_once(run: Callable[[Any], Any], config: Any) -> Any:
+        for seen_run, seen_config, result in memo:
+            if seen_run is run and seen_config == config:
+                return result
+        result = run(config)
+        memo.append((run, config, result))
+        return result
+
+    written: list[Path] = []
+    for figure in figures:
+        start = perf_counter()
+        headline, sections, checks, text = {}, {}, [], ""
         try:
-            module_spec = importlib.util.spec_from_file_location(module_name, path)
-            if module_spec is None or module_spec.loader is None:
-                continue
-            module = importlib.util.module_from_spec(module_spec)
-            sys.modules[module_name] = module
-            module_spec.loader.exec_module(module)
-        finally:
-            if inserted:
-                sys.path.remove(str(directory))
-        for name in set(SPECS) - before:
-            SPEC_SOURCES[name] = path
-    return SPECS
+            results = {
+                label: run_once(
+                    figure.run,
+                    replace(config, metrics=True)
+                    if label == figure.observed
+                    else config,
+                )
+                for label, config in figure.points.items()
+            }
+            headline = figure.headline(results)
+            if figure.observed is not None:
+                observed = results[figure.observed]
+                sections = {
+                    "metrics": observed.metrics_snapshot,
+                    "demand": observed.demand_snapshot,
+                    "flow": observed.flow_snapshot,
+                }
+            elif figure.sections is not None:
+                sections = figure.sections(results)
+            checks = [
+                {"label": label, "ok": bool(ok), "detail": detail}
+                for label, ok, detail in figure.shape(results)
+            ]
+            text = figure.table(results)
+        except Exception as exc:  # one bad row must not hide the others
+            traceback.print_exc()
+            checks.append(
+                {"label": "raised", "ok": False, "error": True,
+                 "detail": f"{type(exc).__name__}: {exc}"}
+            )
+        written.append(
+            write_bench_json(
+                figure.name,
+                headline,
+                config={str(label): c for label, c in figure.points.items()},
+                seed=figure.seed,
+                out_dir=out_dir,
+                calibration=calibration_point() if figure.calibrated else None,
+                shape=checks,
+                **sections,
+            )
+        )
+        print(f"\n== {figure.name} ({perf_counter() - start:.1f} s wall) ==")
+        print(text)
+    return written
 
 
-def bench_files_for(names: set[str]) -> list[Path]:
-    """The bench_*.py files a selection of artifact names lives in."""
-    return sorted({SPEC_SOURCES[name] for name in names if name in SPEC_SOURCES})
+def failed_checks(payload: dict[str, Any]) -> list[dict[str, Any]]:
+    """The ``ok: false`` entries of an artifact's ``shape`` section."""
+    return [check for check in payload.get("shape", []) if not check["ok"]]
 
 
 def check_artifacts(
     artifacts_dir: Path,
     baselines_dir: Path,
     names: set[str] | None = None,
+    figures: Sequence[Figure] = (),
 ) -> tuple[list[Finding], int]:
-    """Compare every selected artifact/baseline pair.
+    """The whole verdict, from artifacts alone.
 
+    Every selected artifact's failed shape checks are findings, and its
+    headline is compared against its baseline under the tolerances of
+    its row in ``figures`` (a name without a row gets the defaults).
     Returns (findings, compared_count).  Selection (``names``) limits
     the gate to benches actually run — a subset run must not fail on
     the baselines it skipped.
     """
+    rows = {figure.name: figure for figure in figures}
     findings: list[Finding] = []
     compared = 0
-    artifacts = {
-        name: path
-        for path in sorted(artifacts_dir.glob("BENCH_*.json"))
-        if (name := artifact_name(path)) is not None
-    }
-    baselines = {
-        name: path
-        for path in sorted(baselines_dir.glob("BENCH_*.json"))
-        if (name := artifact_name(path)) is not None
-    }
+    artifacts = bench_files(artifacts_dir)
+    baselines = bench_files(baselines_dir)
+
+    def missing(name: str, detail: str) -> None:
+        findings.append(Finding(name, "missing", "-", detail, fatal=True))
+
     selected = names if names is not None else set(artifacts) | set(baselines)
     for name in sorted(selected):
-        spec = SPECS.get(name, BenchSpec(name=name))
         artifact_path = artifacts.get(name)
         baseline_path = baselines.get(name)
-        if artifact_path is None and baseline_path is None:
-            findings.append(
-                Finding(name, "missing", "-",
-                        "no artifact and no baseline for selected bench",
-                        fatal=True)
-            )
-            continue
-        if baseline_path is None:
-            findings.append(
-                Finding(name, "missing", "-",
-                        "no committed baseline; run "
-                        "`python -m repro bench --update-baselines`",
-                        fatal=True)
-            )
-            continue
         if artifact_path is None:
-            findings.append(
-                Finding(name, "missing", "-",
-                        f"baseline exists but no artifact in {artifacts_dir}",
-                        fatal=True)
+            missing(
+                name,
+                f"baseline exists but no artifact in {artifacts_dir}"
+                if baseline_path is not None
+                else "no artifact and no baseline for selected bench",
             )
             continue
         try:
             current = json.loads(artifact_path.read_text(encoding="utf-8"))
-            baseline = json.loads(baseline_path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            findings.append(
-                Finding(name, "missing", "-", f"unreadable artifact: {exc}",
-                        fatal=True)
+            baseline = (
+                json.loads(baseline_path.read_text(encoding="utf-8"))
+                if baseline_path is not None
+                else None
             )
+        except (OSError, json.JSONDecodeError) as exc:
+            missing(name, f"unreadable artifact: {exc}")
             continue
-        compared += 1
-        findings.extend(compare_payloads(current, baseline, spec))
+        failed = failed_checks(current)
+        findings.extend(
+            Finding(name, "error" if check.get("error") else "shape",
+                    check["label"], check["detail"], fatal=True)
+            for check in failed
+        )
+        if baseline is None:
+            missing(
+                name,
+                "no committed baseline; run "
+                "`python -m repro bench --update-baselines`",
+            )
+        elif not any(check.get("error") for check in failed):
+            # (A row that raised did not finish: its numbers are partial.)
+            compared += 1
+            findings.extend(
+                compare_payloads(current, baseline, rows.get(name, Figure(name)))
+            )
     return findings, compared
 
 
@@ -408,14 +465,19 @@ def update_baselines(
     baselines_dir: Path,
     names: set[str] | None = None,
 ) -> list[Path]:
-    """Promote artifacts to committed baselines (backfilling provenance)."""
+    """Promote artifacts to committed baselines (backfilling provenance).
+
+    An artifact that carries a failed shape check or an error is not
+    promoted: a baseline records a figure that has the paper's shape.
+    """
     baselines_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
-    for path in sorted(artifacts_dir.glob("BENCH_*.json")):
-        name = artifact_name(path)
-        if name is None or (names is not None and name not in names):
+    for name, path in bench_files(artifacts_dir).items():
+        if names is not None and name not in names:
             continue
         payload = json.loads(path.read_text(encoding="utf-8"))
+        if failed_checks(payload):
+            continue
         # Backfill: artifacts written before bench-json/2 gain the
         # provenance fields at promotion time.
         payload.setdefault("schema", BENCH_SCHEMA)
@@ -429,13 +491,6 @@ def update_baselines(
     return written
 
 
-def copy_artifacts(src: Path, dst: Path) -> None:
-    """Mirror BENCH artifacts (CI upload helper)."""
-    dst.mkdir(parents=True, exist_ok=True)
-    for path in src.glob("BENCH_*.json"):
-        shutil.copy2(path, dst / path.name)
-
-
 def format_report(
     findings: list[Finding], compared: int, checked_names: int
 ) -> str:
@@ -447,7 +502,7 @@ def format_report(
         lines.append(
             format_table(
                 ["bench", "kind", "metric", "detail"],
-                [finding.row() for finding in findings],
+                [[f.bench, f.kind, f.metric, f.detail] for f in findings],
                 title="regression gate findings",
             )
         )

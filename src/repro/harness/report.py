@@ -28,8 +28,8 @@ _GIT_SHA: str | None = None
 def git_sha() -> str:
     """The current commit (``-dirty`` suffixed), or ``unknown``.
 
-    Cached per process: benchmarks call ``write_bench_json`` once each
-    and must not pay a subprocess per artifact.
+    Cached per process: the runner writes one artifact per figure and
+    must not pay a subprocess per artifact.
     """
     global _GIT_SHA
     if _GIT_SHA is None:
@@ -112,6 +112,7 @@ def write_bench_json(
     calibration: float | None = None,
     demand: dict[str, Any] | None = None,
     flow: dict[str, Any] | None = None,
+    shape: list[dict[str, Any]] | None = None,
 ) -> Path:
     """Write ``BENCH_<name>.json``: headline numbers + provenance.
 
@@ -133,13 +134,12 @@ def write_bench_json(
     ``calibration`` stamps
     the machine's reference dispatch rate
     (``harness.calibration.calibration_point``) so the regression gate
-    can compare wall-clock metrics across machines as ratios.  The
-    artifact lands in
-    ``out_dir``, the ``BENCH_OUT_DIR`` env var, or the current
-    directory, in that order — CI points BENCH_OUT_DIR at its artifact
-    upload path.
+    can compare wall-clock metrics across machines as ratios.  ``shape``
+    (the row's paper-shape checks, ``{label, ok, detail}`` entries) is the
+    one section besides ``headline`` the gate reads.  The artifact lands
+    in ``out_dir`` (default: the current directory).
     """
-    directory = Path(out_dir or os.environ.get("BENCH_OUT_DIR", "."))
+    directory = Path(out_dir or ".")
     directory.mkdir(parents=True, exist_ok=True)
     payload: dict[str, Any] = {
         "bench": name,
@@ -161,6 +161,8 @@ def write_bench_json(
         payload["flow"] = flow
     if calibration is not None:
         payload["calibration"] = round(calibration, 1)
+    if shape is not None:
+        payload["shape"] = shape
     path = directory / f"BENCH_{name}.json"
     path.write_text(
         json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n",

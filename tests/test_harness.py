@@ -203,9 +203,3 @@ class TestReport:
         assert payload["headline"] == {"committed": 7}
         assert payload["seed"] == 2
         assert payload["config"]["duration"] == 20.0
-
-    def test_write_bench_json_env_dir(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("BENCH_OUT_DIR", str(tmp_path / "artifacts"))
-        path = write_bench_json("envdemo", {"x": 1})
-        assert path.parent == tmp_path / "artifacts"
-        assert path.exists()

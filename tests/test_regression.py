@@ -5,12 +5,11 @@ import json
 import pytest
 
 from repro.harness.regression import (
-    BenchSpec,
+    Figure,
     Tolerance,
     check_artifacts,
     compare_payloads,
     format_report,
-    load_specs,
     numeric_leaves,
     update_baselines,
 )
@@ -58,7 +57,7 @@ class TestNumericLeaves:
 
 class TestSpecSelection:
     def test_longest_prefix_override_wins(self):
-        spec = BenchSpec(
+        spec = Figure(
             name="x",
             default=Tolerance(rel=0.1),
             overrides={
@@ -71,13 +70,13 @@ class TestSpecSelection:
         assert spec.tolerance_for("committed.a").rel == 0.1
 
     def test_ignore_prefixes(self):
-        spec = BenchSpec(name="x", ignore=("debug",))
+        spec = Figure(name="x", ignore=("debug",))
         assert spec.ignored("debug.counter")
         assert not spec.ignored("debugging")  # prefix match is dotted
 
 
 class TestComparePayloads:
-    SPEC = BenchSpec(name="x", default=Tolerance(rel=0.10))
+    SPEC = Figure(name="x", default=Tolerance(rel=0.10))
 
     def test_within_tolerance_passes(self):
         findings = compare_payloads(
@@ -123,7 +122,7 @@ class TestComparePayloads:
 class TestCalibratedMetrics:
     """Wall-clock metrics gated as ratios against the machine calibration."""
 
-    SPEC = BenchSpec(
+    SPEC = Figure(
         name="x",
         default=Tolerance(rel=0.05),
         calibrated={"wall_events_per_sec": Tolerance(rel=0.5)},
@@ -237,18 +236,6 @@ class TestDirectories:
 
 
 class TestRegisteredSpecs:
-    def test_every_committed_baseline_has_a_spec(self):
-        from repro.harness.regression import default_baseline_dir
-
-        specs = load_specs()
-        committed = {
-            path.name[len("BENCH_"):-len(".json")]
-            for path in default_baseline_dir().glob("BENCH_*.json")
-        }
-        assert committed, "baselines must be committed"
-        missing = committed - set(specs)
-        assert not missing, f"baselines without register_baseline: {missing}"
-
     def test_committed_baselines_carry_provenance(self):
         from repro.harness.regression import default_baseline_dir
 
