@@ -72,83 +72,19 @@ def _result_rows(result) -> list[list[object]]:
     ]
 
 
-def _report_perf(result, enabled: bool) -> None:
-    """Print the wall-clock perf histogram table for a --perf run."""
-    if not enabled or not result.perf_snapshot:
-        return
-    rows = [
-        [
-            name,
-            cell["count"],
-            f"{cell['mean_ms']:.4f}",
-            f"{cell['p50_ms']:.4f}",
-            f"{cell['p95_ms']:.4f}",
-            f"{cell['max_ms']:.4f}",
-        ]
-        for name, cell in sorted(result.perf_snapshot.items())
-    ]
-    print()
-    print(
-        format_table(
-            ["instrument", "count", "mean ms", "p50 ms", "p95 ms", "max ms"],
-            rows,
-            title="wall-clock perf histograms",
-        )
-    )
+def _report_planes(result, args: argparse.Namespace) -> None:
+    """Print the tables of the planes a ``--perf`` / ``--flow`` run asked
+    for — the same formatters ``repro trace --flow`` and a bench
+    artifact's sections go through."""
+    from repro.obs.flow import format_flow_report
+    from repro.obs.perf import format_perf_report
 
-
-def _report_flow(result, enabled: bool) -> None:
-    """Print the wire/queue flow tables for a --flow run."""
-    if not enabled or not result.flow_snapshot:
-        return
-    snapshot = result.flow_snapshot
-    print()
-    header = (
-        f"flow — {snapshot['frames']} frames, "
-        f"{snapshot['frame_bytes']:,} wire bytes "
-        f"({snapshot['payload_bytes']:,} payload)"
-    )
-    batch = snapshot.get("batch")
-    if batch and "coalescing_ratio" in batch:
-        header += f", coalescing x{batch['coalescing_ratio']}"
-    print(header)
-    types = snapshot.get("types") or []
-    if types:
-        total = snapshot["frame_bytes"] or 1
+    if args.perf and result.perf_snapshot:
         print()
-        print(
-            format_table(
-                ["msg type", "frames", "frame B", "B/frame", "share"],
-                [
-                    [
-                        row["msg_type"],
-                        row["frames"],
-                        f"{row['frame_bytes']:,}",
-                        f"{row['mean_frame_bytes']:.1f}",
-                        f"{100.0 * row['frame_bytes'] / total:.1f}%",
-                    ]
-                    for row in types
-                ],
-                title="wire bytes by message type",
-            )
-        )
-    queues = [
-        row for row in (snapshot.get("queues") or [])
-        if row["high"] or row["dropped"]
-    ]
-    if queues:
+        print(format_perf_report(result.perf_snapshot))
+    if args.flow and result.flow_snapshot:
         print()
-        print(
-            format_table(
-                ["queue", "high", "last depth", "enq", "deq", "dropped"],
-                [
-                    [row["queue"], row["high"], row["depth"],
-                     row["enqueued"], row["dequeued"], row["dropped"]]
-                    for row in queues
-                ],
-                title="queue watermarks",
-            )
-        )
+        print(format_flow_report(result.flow_snapshot))
 
 
 def _report_audit(result, enabled: bool) -> int:
@@ -182,8 +118,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         samples = [(t, v) for t, v in result.throughput_series if int(t) % 10 == 0]
         print()
         print(format_series(samples, title="throughput", x_label="t (s)", y_label="tps"))
-    _report_perf(result, args.perf)
-    _report_flow(result, args.flow)
+    _report_planes(result, args)
     return _report_audit(result, args.audit)
 
 
@@ -216,8 +151,7 @@ def cmd_live(args: argparse.Namespace) -> int:
             title="live-run health",
         )
     )
-    _report_perf(report.result, args.perf)
-    _report_flow(report.result, args.flow)
+    _report_planes(report.result, args)
     return _report_audit(report.result, args.audit)
 
 
@@ -295,64 +229,71 @@ def _summarize_trace_file(
     demand: bool = False,
     flow: bool = False,
 ) -> int:
-    """Each pass streams the file (``iter_trace``) — a 100k-entity scale
-    trace never materializes as a list, whatever its size."""
+    """One streaming pass (``iter_trace``) feeds everything the flags
+    ask for — a 100k-entity scale trace never materializes as a list and
+    a ``.gz`` is decompressed once."""
     from repro.obs import (
         SCHEMA,
+        InvariantAuditor,
         analyze_critical_paths,
-        audit_events,
         format_audit_report,
         format_critical_path_report,
         format_demand_report,
         format_flow_report,
-        format_trace_summary,
         iter_trace,
-        track_demand,
-        track_flow,
         validate_event,
     )
+    from repro.obs.summary import TraceSummaryBuilder
+
+    summary = TraceSummaryBuilder()
+    auditor = InvariantAuditor() if audit else None
+    errors: list[str] = []
+
+    def folded():
+        """The events, each pushed through every fold on its way to the
+        one consumer that pulls (the critical-path analysis)."""
+        for index, event in enumerate(iter_trace(path)):
+            invalid = validate_event(event) if validate else ()
+            if invalid:
+                # The report is suppressed from here on, so the folds
+                # need not survive what the schema already rejected.
+                errors.extend(f"event {index}: {error}" for error in invalid)
+                continue
+            summary.add(event)
+            if auditor is not None:
+                auditor.observe(event)
+            yield event
 
     try:
-        if validate:
-            errors: list[str] = []
-            count = 0
-            for index, event in enumerate(iter_trace(path)):
-                count += 1
-                errors.extend(
-                    f"event {index}: {error}" for error in validate_event(event)
-                )
-            if errors:
-                for error in errors[:20]:
-                    print(error, file=sys.stderr)
-                print(f"{len(errors)} schema error(s) in {path}", file=sys.stderr)
-                return 1
-            print(f"validated {count} events against {SCHEMA}")
-            print()
-        print(format_trace_summary(iter_trace(path), source=path))
-
-        def section(text: str) -> None:
-            print()
-            print(text)
-
-        if demand:
-            section(format_demand_report(track_demand(iter_trace(path)), source=path))
-        if flow:
-            section(format_flow_report(track_flow(iter_trace(path)), source=path))
         if critical_path:
-            section(
-                format_critical_path_report(
-                    analyze_critical_paths(iter_trace(path), max_requests=max_requests)
-                )
-            )
-        if audit:
-            auditor = audit_events(iter_trace(path))
-            section(format_audit_report(auditor))
-            if not auditor.ok:
-                return 1
+            paths = analyze_critical_paths(folded(), max_requests=max_requests)
+        else:
+            for _ in folded():
+                pass
+        if auditor is not None:
+            auditor.finish()
     except (OSError, ValueError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    return 0
+    if errors:
+        for error in errors[:20]:
+            print(error, file=sys.stderr)
+        print(f"{len(errors)} schema error(s) in {path}", file=sys.stderr)
+        return 1
+    sections = []
+    if validate:
+        sections.append(f"validated {summary.events} events against {SCHEMA}")
+    sections.append(summary.format(source=path))
+    if demand:
+        sections.append(format_demand_report(summary.demand, source=path))
+    if flow:
+        sections.append(format_flow_report(summary.flow.snapshot(), source=path))
+    if critical_path:
+        sections.append(format_critical_path_report(paths))
+    if auditor is not None:
+        sections.append(format_audit_report(auditor))
+    print("\n\n".join(sections))
+    return 0 if auditor is None or auditor.ok else 1
 
 
 def cmd_trace(args: argparse.Namespace) -> int:

@@ -26,7 +26,8 @@ one place that decides which of these planes a run has and attaches them:
   (Eq. 1, token conservation) and reports violations instead of
   asserting mid-run.
 * :mod:`repro.obs.registry` — a counter/gauge/histogram registry fed
-  from the same emit sites, snapshot into bench artifacts.
+  from the same emit sites, snapshot into bench artifacts, and the one
+  Prometheus writer every plane's ``families()`` goes through.
 * :mod:`repro.obs.exposition` — the asyncio ``/metrics`` endpoint
   for live runs.
 * :mod:`repro.obs.flow` — the flow & resource plane: per-link wire

@@ -389,6 +389,69 @@ class DemandTracker:
             out["locality_ratio"] = round(self.locality_ratio, 6)
         return out
 
+    def families(self):
+        """The ``repro_demand_*`` metric families, for
+        :func:`repro.obs.registry.prometheus` (live ``/metrics``).
+
+        A counter cell appears with its first increment and a gauge
+        with its first observation; the per-entity family is the
+        sketch's rows, so it is bounded by ``top_k`` however many
+        entities a run touches.
+        """
+        sites = list(self.sites.items())  # the writer sorts cells
+        node = ("node",)
+        yield (
+            "repro_demand_requests_total", "counter",
+            "Granted acquires by how they were served", ("node", "path"),
+            {
+                (name, path): count
+                for name, site in sites
+                for path, count in (("local", site.local), ("waited", site.waited))
+                if count
+            },
+        )
+        yield (
+            "repro_demand_rejected_total", "counter", "Rejected acquires", node,
+            {(name,): site.rejected for name, site in sites if site.rejected},
+        )
+        yield (
+            "repro_demand_starved_total", "counter",
+            "Acquires that waited on a round and were still rejected", node,
+            {(name,): site.starved for name, site in sites if site.starved},
+        )
+        yield (
+            "repro_demand_locality_ratio", "gauge",
+            "local / (local + waited) granted acquires", node,
+            {
+                (name,): site.locality_ratio
+                for name, site in sites
+                if site.local + site.waited
+            },
+        )
+        yield (
+            "repro_demand_entity_requests_total", "counter",
+            "Requests per entity (space-saving sketch rows)", ("entity",),
+            {(entity,): count for entity, count, _ in self.hot.items()},
+        )
+        yield (
+            "repro_demand_prediction_error", "gauge",
+            "Last epoch's signed forecast error (predicted - observed)", node,
+            {
+                (name,): round(site.scorecard[-1][1] - site.scorecard[-1][2], 6)
+                for name, site in sites
+                if site.scorecard
+            },
+        )
+        yield (
+            "repro_demand_prediction_mape_pct", "gauge",
+            "Running mean absolute percentage forecast error", node,
+            {
+                (name,): round(site.mape_pct, 6)
+                for name, site in sites
+                if site.ape_count
+            },
+        )
+
     def rollup(self, bus: Any) -> None:
         """Write ``demand.*`` summary events into the trace.
 

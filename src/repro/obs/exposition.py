@@ -1,9 +1,9 @@
 """The live ``/metrics`` endpoint.
 
-The text each plane renders (``prometheus()``) follows the exposition
-format 0.0.4: ``# HELP`` and ``# TYPE`` headers per metric family, one
-sample per line, histograms as cumulative ``_bucket{le=...}`` series
-plus ``_sum``/``_count``.
+The text (:func:`repro.obs.registry.prometheus`, the one writer)
+follows the exposition format 0.0.4: ``# HELP`` and ``# TYPE`` headers
+per metric family, one sample per line, histograms as cumulative
+``_bucket{le=...}`` series plus ``_sum``/``_count``.
 The server is a minimal asyncio HTTP/1.0 responder — just enough for
 ``curl`` and a Prometheus scraper — because a live run already owns an
 event loop and must not grow a web-framework dependency.
@@ -11,8 +11,9 @@ event loop and must not grow a web-framework dependency.
 Wiring: ``python -m repro live --metrics-port 9100`` starts the
 endpoint next to the experiment; every scrape is
 :meth:`repro.obs.instruments.Instruments.prometheus` — the registry its
-feed tap keeps current, then the perf histograms and ``repro_flow_*``
-families of whichever planes the run has.
+feed tap keeps current, then the ``repro_demand_*``, ``repro_perf_*``
+and ``repro_flow_*`` families of whichever planes the run has, each
+yielded by the plane that owns the numbers.
 """
 
 from __future__ import annotations

@@ -21,16 +21,15 @@ resource plane:
   envelopes vs inner messages and envelope bytes vs the bytes the same
   payloads would have cost sent bare, so the batching win (and its
   header overhead) is a number, not a belief.
-* **Memory telemetry** — the opt-in :class:`ResourceProbe` samples
-  RSS (and, when asked, tracemalloc) keyed to a protocol phase, and
-  the scale harness folds the columnar ``EntityTable``'s exact byte
-  accounting in at collect.
+* **Memory telemetry** — :class:`ResourceProbe` samples RSS keyed to a
+  protocol phase, and the scale harness folds the columnar
+  ``EntityTable``'s exact byte accounting in at collect.
 
 Surfaces follow the house pattern: bounded ``flow.*`` rollup events
 written by the bus *owner* at collect (:meth:`FlowTracker.rollup` — taps
 never emit), an offline ``repro trace FILE --flow`` report
-(:func:`track_flow` + :func:`format_flow_report`), Prometheus gauges on
-live ``/metrics`` (:meth:`FlowTracker.prometheus`), and a ``flow``
+(:func:`track_flow` + :func:`format_flow_report`), ``repro_flow_*``
+families on live ``/metrics`` (:meth:`FlowTracker.families`), and a ``flow``
 section in bench artifacts (:meth:`FlowTracker.snapshot`) whose
 :meth:`FlowTracker.headline` subtree the regression gate pins — the
 byte budget the planned binary codec must beat.
@@ -56,7 +55,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Mapping
 
-# NOTE: repro.harness.report is imported lazily inside format_flow_report
+# NOTE: repro.harness.report is imported lazily inside the formatters
 # (same cycle-avoidance as repro.obs.summary / repro.obs.demand).
 
 __all__ = [
@@ -66,6 +65,7 @@ __all__ = [
     "WIRE_HEADER_BYTES",
     "entity_table_bytes",
     "format_flow_report",
+    "format_wire_table",
     "track_flow",
 ]
 
@@ -159,6 +159,27 @@ class _BatchFlow:
         return self.envelope_bytes / self.inner_bytes
 
 
+#: The per-cell ``repro_flow_*`` families: name, kind, help, label names,
+#: the tracker dict holding the cells, the cell attribute sampled.
+_FAMILIES = (
+    ("repro_flow_link_bytes_total", "counter",
+     "Framed wire bytes per region link", ("src", "dst"), "links", "frame_bytes"),
+    ("repro_flow_link_frames_total", "counter",
+     "Frames per region link", ("src", "dst"), "links", "frames"),
+    ("repro_flow_type_bytes_total", "counter",
+     "Framed wire bytes per message type", ("msg_type",), "types", "frame_bytes"),
+    ("repro_flow_type_frames_total", "counter",
+     "Frames per message type", ("msg_type",), "types", "frames"),
+    ("repro_flow_queue_depth", "gauge",
+     "Last observed queue depth", ("queue",), "queues", "depth"),
+    ("repro_flow_queue_high_watermark", "gauge",
+     "Maximum observed queue depth", ("queue",), "queues", "high"),
+    ("repro_flow_queue_dropped_total", "counter",
+     "Messages dropped at a full queue (backpressure)", ("queue",),
+     "queues", "dropped"),
+)
+
+
 class FlowTracker:
     """Streaming wire/queue/memory accounting (see module docs).
 
@@ -235,8 +256,6 @@ class FlowTracker:
         phase: str,
         rss_bytes: int,
         peak_rss_bytes: int | None = None,
-        traced_bytes: int | None = None,
-        traced_peak_bytes: int | None = None,
         ts: float = 0.0,
     ) -> None:
         sample: dict[str, Any] = {
@@ -244,10 +263,6 @@ class FlowTracker:
         }
         if peak_rss_bytes is not None:
             sample["peak_rss_bytes"] = peak_rss_bytes
-        if traced_bytes is not None:
-            sample["traced_bytes"] = traced_bytes
-        if traced_peak_bytes is not None:
-            sample["traced_peak_bytes"] = traced_peak_bytes
         self.memory.append(sample)
 
     # -- reads ---------------------------------------------------------------
@@ -423,144 +438,44 @@ class FlowTracker:
                 inner_bytes=batch.inner_bytes,
             )
 
-    def prometheus(self) -> str:
-        """Flow state as Prometheus text-format families (live ``/metrics``)."""
-        lines: list[str] = []
-
-        def family(name: str, kind: str, help_text: str, samples: list[str]) -> None:
-            if not samples:
-                return
-            lines.append(f"# HELP {name} {help_text}")
-            lines.append(f"# TYPE {name} {kind}")
-            lines.extend(samples)
-
-        family(
-            "repro_flow_link_bytes_total",
-            "counter",
-            "Framed wire bytes per region link",
-            [
-                f'repro_flow_link_bytes_total{{src="{src}",dst="{dst}"}} '
-                f"{self.links[(src, dst)].frame_bytes}"
-                for src, dst in sorted(self.links)
-            ],
-        )
-        family(
-            "repro_flow_link_frames_total",
-            "counter",
-            "Frames per region link",
-            [
-                f'repro_flow_link_frames_total{{src="{src}",dst="{dst}"}} '
-                f"{self.links[(src, dst)].frames}"
-                for src, dst in sorted(self.links)
-            ],
-        )
-        family(
-            "repro_flow_type_bytes_total",
-            "counter",
-            "Framed wire bytes per message type",
-            [
-                f'repro_flow_type_bytes_total{{msg_type="{name}"}} '
-                f"{self.types[name].frame_bytes}"
-                for name in sorted(self.types)
-            ],
-        )
-        family(
-            "repro_flow_type_frames_total",
-            "counter",
-            "Frames per message type",
-            [
-                f'repro_flow_type_frames_total{{msg_type="{name}"}} '
-                f"{self.types[name].frames}"
-                for name in sorted(self.types)
-            ],
-        )
-        family(
-            "repro_flow_queue_depth",
-            "gauge",
-            "Last observed queue depth",
-            [
-                f'repro_flow_queue_depth{{queue="{name}"}} '
-                f"{self.queues[name].depth}"
-                for name in sorted(self.queues)
-            ],
-        )
-        family(
-            "repro_flow_queue_high_watermark",
-            "gauge",
-            "Maximum observed queue depth",
-            [
-                f'repro_flow_queue_high_watermark{{queue="{name}"}} '
-                f"{self.queues[name].high}"
-                for name in sorted(self.queues)
-            ],
-        )
-        family(
-            "repro_flow_queue_dropped_total",
-            "counter",
-            "Messages dropped at a full queue (backpressure)",
-            [
-                f'repro_flow_queue_dropped_total{{queue="{name}"}} '
-                f"{self.queues[name].dropped}"
-                for name in sorted(self.queues)
-            ],
-        )
+    def families(self):
+        """Flow state as ``repro_flow_*`` metric families, for
+        :func:`repro.obs.registry.prometheus` (live ``/metrics``).  A
+        family appears with its first cell, the batch counters with the
+        first envelope — a run without a batcher has no such family."""
+        for name, kind, help_text, labelnames, source, field in _FAMILIES:
+            cells = {
+                key if isinstance(key, tuple) else (key,): getattr(cell, field)
+                for key, cell in getattr(self, source).items()
+            }
+            if cells:
+                yield name, kind, help_text, labelnames, cells
         batch = self.batch
         if batch.envelopes or batch.passthrough:
-            family(
-                "repro_flow_batch_envelopes_total",
-                "counter",
-                "Batch envelopes sent",
-                [f"repro_flow_batch_envelopes_total {batch.envelopes}"],
-            )
-            family(
-                "repro_flow_batch_inner_total",
-                "counter",
-                "Payloads coalesced into envelopes",
-                [f"repro_flow_batch_inner_total {batch.inner}"],
-            )
-            family(
-                "repro_flow_batch_passthrough_total",
-                "counter",
-                "Singleton payloads sent bare",
-                [f"repro_flow_batch_passthrough_total {batch.passthrough}"],
-            )
-        if not lines:
-            return ""
-        return "\n".join(lines) + "\n"
+            for noun, help_text, value in (
+                ("envelopes", "Batch envelopes sent", batch.envelopes),
+                ("inner", "Payloads coalesced into envelopes", batch.inner),
+                ("passthrough", "Singleton payloads sent bare", batch.passthrough),
+            ):
+                yield (
+                    f"repro_flow_batch_{noun}_total", "counter", help_text,
+                    (), {(): value},
+                )
 
 
 class ResourceProbe:
-    """Opt-in process memory sampler keyed to protocol phase.
+    """Process memory sampler keyed to protocol phase.
 
     RSS comes from ``/proc/self/statm`` when available (Linux), with
-    ``resource.getrusage`` peak RSS alongside; tracemalloc is off by
-    default because it costs real time, and flow-enabled runs must not
-    distort the wall-clock numbers the calibrated gate watches.
+    ``resource.getrusage`` peak RSS alongside — both one cheap read, so
+    flow-enabled runs do not distort the wall-clock numbers the
+    calibrated gate watches.
     Samples land in the tracker's snapshot only — never in the trace —
     because memory is machine-dependent (see module docs).
     """
 
-    def __init__(
-        self, tracker: FlowTracker | None = None, tracemalloc_enabled: bool = False
-    ) -> None:
+    def __init__(self, tracker: FlowTracker | None = None) -> None:
         self.tracker = tracker
-        self.tracemalloc_enabled = tracemalloc_enabled
-        self._started_tracemalloc = False
-
-    def start(self) -> None:
-        if self.tracemalloc_enabled:
-            import tracemalloc
-
-            if not tracemalloc.is_tracing():
-                tracemalloc.start()
-                self._started_tracemalloc = True
-
-    def stop(self) -> None:
-        if self._started_tracemalloc:
-            import tracemalloc
-
-            tracemalloc.stop()
-            self._started_tracemalloc = False
 
     @staticmethod
     def rss_bytes() -> int:
@@ -588,30 +503,11 @@ class ResourceProbe:
 
     def sample(self, phase: str, ts: float = 0.0) -> dict[str, Any]:
         """One sample; folded into the tracker when one is attached."""
-        traced = traced_peak = None
-        if self.tracemalloc_enabled:
-            import tracemalloc
-
-            if tracemalloc.is_tracing():
-                traced, traced_peak = tracemalloc.get_traced_memory()
         rss = self.rss_bytes()
         peak = self.peak_rss_bytes()
         if self.tracker is not None:
-            self.tracker.record_memory(
-                phase,
-                rss,
-                peak_rss_bytes=peak,
-                traced_bytes=traced,
-                traced_peak_bytes=traced_peak,
-                ts=ts,
-            )
-        sample: dict[str, Any] = {
-            "phase": phase, "rss_bytes": rss, "peak_rss_bytes": peak,
-        }
-        if traced is not None:
-            sample["traced_bytes"] = traced
-            sample["traced_peak_bytes"] = traced_peak
-        return sample
+            self.tracker.record_memory(phase, rss, peak_rss_bytes=peak, ts=ts)
+        return {"phase": phase, "rss_bytes": rss, "peak_rss_bytes": peak}
 
 
 def entity_table_bytes(table: Any) -> dict[str, Any]:
@@ -722,12 +618,39 @@ def track_flow(events: Iterable[Mapping[str, Any]]) -> FlowTracker:
     return tracker
 
 
-def _ratio(value: float | None, digits: int = 2) -> str:
-    return f"{value:.{digits}f}" if value is not None else "-"
+def _ratio(numerator: int, denominator: int, digits: int = 2) -> str:
+    return f"{numerator / denominator:.{digits}f}" if denominator else "-"
 
 
-def format_flow_report(tracker: FlowTracker, source: str = "") -> str:
-    """Deterministic plain-text flow report (``repro trace --flow``).
+def format_wire_table(snapshot: Mapping[str, Any]) -> str:
+    """Wire bytes per message type — a section of the flow report and,
+    for a flow-enabled trace, of the trace summary."""
+    from repro.harness.report import format_table
+
+    total = snapshot["frame_bytes"] or 1
+    rows = [
+        [
+            row["msg_type"],
+            row["frames"],
+            f"{row['payload_bytes']:,}",
+            f"{row['frame_bytes']:,}",
+            f"{row['mean_frame_bytes']:.1f}",
+            f"{100.0 * row['frame_bytes'] / total:.1f}%",
+        ]
+        for row in snapshot["types"]
+    ]
+    return format_table(
+        ["msg type", "frames", "payload B", "frame B", "B/frame", "share"],
+        rows,
+        title="wire bytes by message type (framed = payload + 4B header)",
+    )
+
+
+def format_flow_report(snapshot: Mapping[str, Any], source: str = "") -> str:
+    """Deterministic plain-text flow report from a
+    :meth:`FlowTracker.snapshot` — the live tracker's (``run / live
+    --flow``), a replayed trace's (``repro trace --flow``) or a bench
+    artifact's ``flow`` section.
 
     Memory samples are deliberately excluded (machine-dependent); they
     are visible in bench artifacts' ``flow`` sections instead.
@@ -736,47 +659,27 @@ def format_flow_report(tracker: FlowTracker, source: str = "") -> str:
 
     sections: list[str] = []
     header = (
-        f"flow report — {tracker.total_frames} frames, "
-        f"{tracker.total_frame_bytes:,} wire bytes "
-        f"({tracker.total_payload_bytes:,} payload)"
+        f"flow report — {snapshot['frames']} frames, "
+        f"{snapshot['frame_bytes']:,} wire bytes "
+        f"({snapshot['payload_bytes']:,} payload)"
     )
     if source:
         header += f" from {source}"
-    batch = tracker.batch
-    if batch.envelopes:
+    batch = snapshot.get("batch")
+    if batch and batch["envelopes"]:
         header += (
-            f"\ncoalescing: {batch.inner} payloads in {batch.envelopes} "
-            f"envelopes (x{_ratio(batch.coalescing_ratio)}), "
-            f"{batch.passthrough} passthrough, envelope overhead "
-            f"{_ratio(batch.overhead_ratio, 4)}"
+            f"\ncoalescing: {batch['inner']} payloads in {batch['envelopes']} "
+            f"envelopes (x{_ratio(batch['inner'], batch['envelopes'])}), "
+            f"{batch['passthrough']} passthrough, envelope overhead "
+            f"{_ratio(batch['envelope_bytes'], batch['inner_bytes'], 4)}"
         )
     sections.append(header)
 
-    types = tracker.type_rows()
-    if types:
-        total = tracker.total_frame_bytes or 1
-        rows = [
-            [
-                row["msg_type"],
-                row["frames"],
-                f"{row['payload_bytes']:,}",
-                f"{row['frame_bytes']:,}",
-                f"{row['mean_frame_bytes']:.1f}",
-                f"{100.0 * row['frame_bytes'] / total:.1f}%",
-            ]
-            for row in types
-        ]
-        sections.append(
-            format_table(
-                ["msg type", "frames", "payload B", "frame B", "B/frame", "share"],
-                rows,
-                title="wire bytes by message type (framed = payload + 4B header)",
-            )
-        )
+    if snapshot["types"]:
+        sections.append(format_wire_table(snapshot))
 
-    links = tracker.link_rows()
-    if links:
-        total = tracker.total_frame_bytes or 1
+    if snapshot["links"]:
+        total = snapshot["frame_bytes"] or 1
         rows = [
             [
                 f"{row['src_region'] or '?'} -> {row['dst_region'] or '?'}",
@@ -784,7 +687,7 @@ def format_flow_report(tracker: FlowTracker, source: str = "") -> str:
                 f"{row['frame_bytes']:,}",
                 f"{100.0 * row['frame_bytes'] / total:.1f}%",
             ]
-            for row in links
+            for row in snapshot["links"]
         ]
         sections.append(
             format_table(
@@ -794,8 +697,7 @@ def format_flow_report(tracker: FlowTracker, source: str = "") -> str:
             )
         )
 
-    queues = tracker.queue_rows()
-    if queues:
+    if snapshot["queues"]:
         rows = [
             [
                 row["queue"],
@@ -805,7 +707,7 @@ def format_flow_report(tracker: FlowTracker, source: str = "") -> str:
                 row["dequeued"],
                 row["dropped"],
             ]
-            for row in queues
+            for row in snapshot["queues"]
         ]
         sections.append(
             format_table(

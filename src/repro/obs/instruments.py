@@ -8,7 +8,8 @@ text — for the core, live and scale harnesses alike (DESIGN.md §3).
   / metrics / perf / watchdog`` is asked: those four consume events, so
   without an on-disk trace a :class:`~repro.obs.bus.NullSink` discards
   what the taps have seen.  The registry feed and the demand tracker
-  ride every bus (O(sites + K) state, no emits, no randomness).
+  ride every bus (O(sites + K) state, no emits, no randomness) and
+  fold disjoint numbers: a figure has one owner (DESIGN.md §3).
 * Tap order is plane order: auditor, registry feed, demand, perf
   spans, watchdog.  The auditor is first so it sees every event before
   any other consumer could mutate shared state (none do today; the
@@ -31,7 +32,7 @@ from repro.obs.bus import EventBus, JsonlSink, NullSink, Sink
 from repro.obs.demand import DemandTracker
 from repro.obs.flow import FlowTracker
 from repro.obs.perf import PerfRecorder
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import MetricsRegistry, prometheus
 from repro.resilience import LivenessWatchdog
 
 
@@ -154,5 +155,11 @@ class Instruments:
         return {name: plane.snapshot() for name, plane in self.planes.items()}
 
     def prometheus(self) -> str:
-        """One ``/metrics`` scrape: registry, perf, then flow families."""
-        return "".join(render() for render in self._verbs("prometheus"))
+        """One ``/metrics`` scrape: the families of every present plane
+        that has any (registry, demand, perf, flow), through the one
+        writer."""
+        return prometheus(
+            family
+            for families in self._verbs("families")
+            for family in families()
+        )

@@ -5,7 +5,7 @@ the sim kernel's event loop, the codec, and the live transports burn
 wall time that no table showed.  This module is the measurement layer
 for exactly that: log-bucketed duration histograms cheap enough for the
 kernel's dispatch loop, a :class:`PerfRecorder` holding the standard
-instruments, and Prometheus rendering so ``/metrics`` serves the same
+instruments, and a ``families()`` verb so ``/metrics`` serves the same
 numbers a bench artifact embeds.
 
 Design constraints, in order:
@@ -171,7 +171,7 @@ class PerfHistogram:
 
         ``indices`` must be ascending; cumulative counts at any boundary
         subset are exact (coarsening loses resolution, never counts) —
-        this is what the Prometheus renderer downsamples through.
+        this is what the Prometheus writer downsamples through.
         """
         running = 0
         occupied = sorted(self.buckets)
@@ -232,6 +232,7 @@ class PerfHistogram:
 #: (8 per decade).  Cumulative counts at a boundary subset are exact;
 #: this keeps a scrape at ~80 lines per cell instead of 320.
 EXPOSITION_STRIDE = 4
+EXPOSITION_EDGES = range(EXPOSITION_STRIDE - 1, BUCKET_COUNT, EXPOSITION_STRIDE)
 
 
 class PerfRecorder:
@@ -314,61 +315,47 @@ class PerfRecorder:
             recorder._hists[(instrument, key)] = PerfHistogram.from_dict(dump)
         return recorder
 
-    def rows(self) -> list[list[object]]:
-        """CLI table rows: instrument, key, count, mean/p50/p95/max ms."""
-        rows: list[list[object]] = []
+    def families(self):
+        """One histogram family per instrument
+        (``repro_perf_<instrument>_seconds``), one cell per key, for
+        :func:`repro.obs.registry.prometheus`.  The key-less cell of
+        ``kernel.tick`` and friends carries no label values, so it
+        renders without an empty ``key=""``."""
+        grouped: dict[str, dict[tuple[str, ...], PerfHistogram]] = {}
         for (instrument, key), hist in self.items():
-            if hist.count == 0:
-                continue
-            summary = hist.summary()
-            rows.append(
-                [
-                    instrument,
-                    key or "-",
-                    hist.count,
-                    f"{summary.mean * 1000.0:.4f}",
-                    f"{summary.p50 * 1000.0:.4f}",
-                    f"{summary.p95 * 1000.0:.4f}",
-                    f"{summary.maximum * 1000.0:.4f}",
-                ]
-            )
-        return rows
-
-    def prometheus(self) -> str:
-        """Perf histograms as Prometheus text-format histogram families.
-
-        One family per instrument (``repro_perf_<instrument>_seconds``),
-        one cell per key, cumulative ``le`` buckets plus ``_sum``/``_count``
-        — the standard histogram shape, so any scraper computes quantiles
-        with its own functions.
-        """
-        families: dict[str, list[tuple[str, PerfHistogram]]] = {}
-        for (instrument, key), hist in self.items():
-            families.setdefault(instrument, []).append((key, hist))
-        edges = range(EXPOSITION_STRIDE - 1, BUCKET_COUNT, EXPOSITION_STRIDE)
-        lines: list[str] = []
-        for instrument in sorted(families):
+            grouped.setdefault(instrument, {})[(key,) if key else ()] = hist
+        for instrument, cells in grouped.items():
             name = "repro_perf_" + instrument.replace(".", "_").replace("-", "_")
-            name += "_seconds"
-            lines.append(f"# HELP {name} Wall/substrate durations for {instrument}")
-            lines.append(f"# TYPE {name} histogram")
-            for key, hist in sorted(families[instrument]):
-                label = f'{{key="{key}"}}' if key else ""
+            yield (
+                name + "_seconds",
+                "histogram",
+                f"Wall/substrate durations for {instrument}",
+                ("key",),
+                cells,
+            )
 
-                def _le(label_value: str) -> str:
-                    if key:
-                        return f'{{key="{key}",le="{label_value}"}}'
-                    return f'{{le="{label_value}"}}'
 
-                cumulative = 0
-                for upper, cumulative in hist.cumulative(edges):
-                    lines.append(f"{name}_bucket{_le(f'{upper:.9g}')} {cumulative}")
-                lines.append(f"{name}_bucket{_le('+Inf')} {hist.count}")
-                lines.append(f"{name}_sum{label} {hist.total:.9g}")
-                lines.append(f"{name}_count{label} {hist.count}")
-        if not lines:
-            return ""
-        return "\n".join(lines) + "\n"
+def format_perf_report(snapshot: dict[str, Any]) -> str:
+    """The perf table of ``run / live --perf``, from a
+    :meth:`PerfRecorder.snapshot` (a run result's or a bench artifact's)."""
+    from repro.harness.report import format_table
+
+    rows = [
+        [
+            name,
+            cell["count"],
+            f"{cell['mean_ms']:.4f}",
+            f"{cell['p50_ms']:.4f}",
+            f"{cell['p95_ms']:.4f}",
+            f"{cell['max_ms']:.4f}",
+        ]
+        for name, cell in sorted(snapshot.items())
+    ]
+    return format_table(
+        ["instrument", "count", "mean ms", "p50 ms", "p95 ms", "max ms"],
+        rows,
+        title="wall-clock perf histograms",
+    )
 
 
 class PerfSpanTap:

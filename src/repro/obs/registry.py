@@ -4,8 +4,14 @@ The registry is the numeric face of the trace: where the trace is the
 full ordered story, the registry is the running totals a scrape (or a
 bench artifact) wants.  It is deliberately dependency-free and
 Prometheus-shaped — counters only go up, gauges are set, histograms
-have cumulative buckets — so :meth:`MetricsRegistry.prometheus` renders
-it in the standard text format without translation.
+have cumulative buckets — and this module holds the one writer of that
+text format, :func:`prometheus`, which renders *families*: plain
+``(name, kind, help, labelnames, cells)`` values, ``cells`` mapping
+label-value tuples to a number or a
+:class:`~repro.obs.perf.PerfHistogram`.  Every plane that has numbers
+for a scrape yields such values from a ``families()`` verb
+(:class:`MetricsRegistry` here, the demand, perf and flow planes in
+their own modules); none of them formats text.
 
 Instruments are keyed by (name, label values); label sets are usually
 tiny (message types, region pairs, span names), so plain dicts are
@@ -21,7 +27,11 @@ event into the standard instrument set below, which means sim runs,
 live runs, and offline trace replays all produce identical metrics for
 identical traffic.
 
-Standard instruments (all prefixed ``repro_``):
+Standard instruments (all prefixed ``repro_``) — only what nothing but
+the event stream knows.  Token locality and forecast error belong to
+:class:`~repro.obs.demand.DemandTracker`, wire bytes and queues to
+:class:`~repro.obs.flow.FlowTracker`; each renders its own families
+(DESIGN.md §3, "one owner per number"):
 
 ==============================  =========  ==============================
 name                            kind       labels
@@ -37,172 +47,105 @@ name                            kind       labels
 ``invariant_violations_total``  counter    ``invariant``
 ``tokens_left``                 gauge      ``node``
 ``clock_seconds``               gauge      —
+``pledge_opened_total``         counter    ``node``
+``pledge_settled_total``        counter    ``node``, ``reason``
+``pledge_recoveries_total``     counter    ``node``
+``pledges_open``                gauge      ``node``
+``liveness_events_total``       counter    ``kind``
 ==============================  =========  ==============================
-
-Demand/contention families (the efficiency story — fed from the same
-``site.serve`` / ``epoch.close`` events, present whenever the producer
-stamps the optional ``entity``/``waited``/``predicted`` fields):
-
-====================================  =======  =======================
-name                                  kind     labels
-====================================  =======  =======================
-``demand_requests_total``             counter  ``node``, ``path`` (local/waited)
-``demand_rejected_total``             counter  ``node``
-``demand_starved_total``              counter  ``node``
-``demand_locality_ratio``             gauge    ``node``
-``demand_entity_requests_total``      counter  ``entity`` (cap-bounded)
-``demand_prediction_error``           gauge    ``node``
-``demand_prediction_mape_pct``        gauge    ``node``
-====================================  =======  =======================
-
-Flow families (the resource story — fed from the optional ``bytes``/
-``frame_bytes`` stamps flow-enabled runs put on ``msg.send`` plus the
-per-drop ``flow.backpressure`` events; see :mod:`repro.obs.flow`).
-Deliberately disjoint from the families
-:meth:`~repro.obs.flow.FlowTracker.prometheus` renders from a live
-tracker, so a scrape that appends both never repeats a family name:
-
-====================================  =======  ==============================
-name                                  kind     labels
-====================================  =======  ==============================
-``flow_wire_bytes_total``             counter  ``msg_type`` (framed bytes)
-``flow_wire_frames_total``            counter  ``msg_type``
-``flow_backpressure_total``           counter  ``queue``
-====================================  =======  ==============================
 """
 
 from __future__ import annotations
 
-import bisect
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
-#: Default histogram buckets (seconds): spans the intra-region RTT
-#: (~1 ms) through consensus-system client queueing (seconds).
-DEFAULT_BUCKETS = (
-    0.001,
-    0.0025,
-    0.005,
-    0.01,
-    0.025,
-    0.05,
-    0.1,
-    0.25,
-    0.5,
-    1.0,
-    2.5,
-    5.0,
-    10.0,
-)
+from repro.obs.perf import EXPOSITION_EDGES, PerfHistogram
 
 LabelValues = tuple[str, ...]
+
+#: One metric family, as every plane's ``families()`` yields it and
+#: :func:`prometheus` renders it: ``(name, kind, help, labelnames,
+#: cells)``; a ``histogram`` family's cells are ``PerfHistogram``\ s.
+Family = tuple[str, str, str, tuple[str, ...], Mapping[LabelValues, Any]]
 
 #: The label value unseen combinations collapse into once an instrument
 #: hits its cell cap.
 OVERFLOW_LABEL = "__other__"
 
 
-def _bounded_key(
-    cells: Mapping[LabelValues, Any],
-    labels: tuple[str, ...],
-    labelnames: tuple[str, ...],
-    limit: int | None,
-) -> LabelValues:
-    """The cell to write: the real key, or the overflow cell at the cap.
+class _Instrument:
+    """One family's cells, one per label-value tuple, behind the cap.
 
     Existing cells always keep updating — the cap only stops *new*
     combinations from allocating, so totals stay exact and only the
     attribution of the long tail coarsens.
     """
-    key = tuple(labels)
-    if limit is None or key in cells or len(cells) < limit:
-        return key
-    return (OVERFLOW_LABEL,) * len(labelnames)
+
+    kind = ""
+
+    def __init__(
+        self,
+        name: str,
+        help: str,
+        labelnames: tuple[str, ...] = (),
+        max_cells: int | None = None,
+    ) -> None:
+        self.name = name
+        self.help = help
+        self.labelnames = labelnames
+        self.max_cells = max_cells
+        self.cells: dict[LabelValues, Any] = {}
+
+    def _key(self, labels: tuple[str, ...]) -> LabelValues:
+        """The cell to write: the real key, or the overflow cell at the cap."""
+        cells = self.cells
+        limit = self.max_cells
+        if limit is None or labels in cells or len(cells) < limit:
+            return labels
+        return (OVERFLOW_LABEL,) * len(self.labelnames)
 
 
-class Counter:
-    """Monotone counter, one cell per label-value tuple."""
+class Counter(_Instrument):
+    """Monotone counter."""
 
     kind = "counter"
 
-    def __init__(
-        self,
-        name: str,
-        help: str,
-        labelnames: tuple[str, ...] = (),
-        max_cells: int | None = None,
-    ) -> None:
-        self.name = name
-        self.help = help
-        self.labelnames = labelnames
-        self.max_cells = max_cells
-        self.cells: dict[LabelValues, float] = {}
-
     def inc(self, *labels: str, value: float = 1.0) -> None:
-        key = _bounded_key(self.cells, labels, self.labelnames, self.max_cells)
+        key = self._key(labels)
         self.cells[key] = self.cells.get(key, 0.0) + value
 
 
-class Gauge:
-    """Last-write-wins value, one cell per label-value tuple."""
+class Gauge(_Instrument):
+    """Last-write-wins value."""
 
     kind = "gauge"
 
-    def __init__(
-        self,
-        name: str,
-        help: str,
-        labelnames: tuple[str, ...] = (),
-        max_cells: int | None = None,
-    ) -> None:
-        self.name = name
-        self.help = help
-        self.labelnames = labelnames
-        self.max_cells = max_cells
-        self.cells: dict[LabelValues, float] = {}
-
     def set(self, *labels: str, value: float) -> None:
-        key = _bounded_key(self.cells, labels, self.labelnames, self.max_cells)
-        self.cells[key] = value
+        self.cells[self._key(labels)] = value
 
 
-class Histogram:
-    """Cumulative-bucket histogram (Prometheus semantics)."""
+class Distribution(_Instrument):
+    """Histogram family: one mergeable
+    :class:`~repro.obs.perf.PerfHistogram` per cell — the histogram the
+    perf plane and the trace summary already use, so a percentile is
+    the same number on every surface."""
 
     kind = "histogram"
 
-    def __init__(
-        self,
-        name: str,
-        help: str,
-        labelnames: tuple[str, ...] = (),
-        buckets: tuple[float, ...] = DEFAULT_BUCKETS,
-        max_cells: int | None = None,
-    ) -> None:
-        self.name = name
-        self.help = help
-        self.labelnames = labelnames
-        self.max_cells = max_cells
-        self.buckets = tuple(sorted(buckets))
-        #: label values -> [per-bucket counts..., +Inf count]
-        self.cells: dict[LabelValues, list[int]] = {}
-        self.sums: dict[LabelValues, float] = {}
-
     def observe(self, *labels: str, value: float) -> None:
-        key = _bounded_key(self.cells, labels, self.labelnames, self.max_cells)
-        counts = self.cells.get(key)
-        if counts is None:
-            counts = [0] * (len(self.buckets) + 1)
-            self.cells[key] = counts
-            self.sums[key] = 0.0
-        counts[bisect.bisect_left(self.buckets, value)] += 1
-        self.sums[key] += value
+        key = self._key(labels)
+        hist = self.cells.get(key)
+        if hist is None:
+            hist = self.cells[key] = PerfHistogram()
+        hist.record(value)
 
     def count(self, *labels: str) -> int:
-        return sum(self.cells.get(tuple(labels), ()))
+        hist = self.cells.get(labels)
+        return hist.count if hist is not None else 0
 
 
 class MetricsRegistry:
-    """Holds instruments; snapshot/render are the two read paths.
+    """Holds instruments; snapshot and families are the two read paths.
 
     ``max_label_values`` bounds the per-instrument cell count (see the
     module docs); ``None`` disables the cap.
@@ -212,83 +155,51 @@ class MetricsRegistry:
         if max_label_values is not None and max_label_values <= 0:
             raise ValueError("max_label_values must be positive or None")
         self.max_label_values = max_label_values
-        self._instruments: dict[str, Counter | Gauge | Histogram] = {}
+        self._instruments: dict[str, _Instrument] = {}
 
     def counter(
         self, name: str, help: str = "", labelnames: tuple[str, ...] = ()
     ) -> Counter:
-        return self._get_or_create(
-            Counter(name, help, labelnames, max_cells=self.max_label_values)
-        )
+        return self._get_or_create(Counter, name, help, labelnames)
 
     def gauge(
         self, name: str, help: str = "", labelnames: tuple[str, ...] = ()
     ) -> Gauge:
-        return self._get_or_create(
-            Gauge(name, help, labelnames, max_cells=self.max_label_values)
-        )
+        return self._get_or_create(Gauge, name, help, labelnames)
 
     def histogram(
-        self,
-        name: str,
-        help: str = "",
-        labelnames: tuple[str, ...] = (),
-        buckets: tuple[float, ...] = DEFAULT_BUCKETS,
-    ) -> Histogram:
-        return self._get_or_create(
-            Histogram(
-                name, help, labelnames, buckets, max_cells=self.max_label_values
-            )
-        )
+        self, name: str, help: str = "", labelnames: tuple[str, ...] = ()
+    ) -> Distribution:
+        return self._get_or_create(Distribution, name, help, labelnames)
 
-    def _get_or_create(self, instrument):
-        existing = self._instruments.get(instrument.name)
-        if existing is not None:
-            if type(existing) is not type(instrument) or (
-                existing.labelnames != instrument.labelnames
-            ):
-                raise ValueError(
-                    f"instrument {instrument.name!r} re-registered with a "
-                    "different kind or label set"
-                )
-            return existing
-        self._instruments[instrument.name] = instrument
-        return instrument
+    def _get_or_create(self, cls, name, help, labelnames):
+        existing = self._instruments.get(name)
+        if existing is None:
+            existing = self._instruments[name] = cls(
+                name, help, labelnames, max_cells=self.max_label_values
+            )
+        elif type(existing) is not cls or existing.labelnames != labelnames:
+            raise ValueError(
+                f"instrument {name!r} re-registered with a "
+                "different kind or label set"
+            )
+        return existing
 
     def tap(self) -> "TraceMetricsFeed":
         """A bus subscriber that keeps this registry current."""
         return TraceMetricsFeed(self)
 
-    def prometheus(self) -> str:
-        """The whole registry in Prometheus text exposition format 0.0.4."""
-        lines: list[str] = []
+    def families(self) -> Iterator[Family]:
+        """Every instrument, registration order (cell-less ones too: a
+        scrape lists a family before its first sample)."""
         for instrument in self._instruments.values():
-            name = instrument.name
-            if instrument.help:
-                lines.append(f"# HELP {name} {_escape(instrument.help)}")
-            lines.append(f"# TYPE {name} {instrument.kind}")
-            if isinstance(instrument, (Counter, Gauge)):
-                for labels, value in sorted(instrument.cells.items()):
-                    lines.append(
-                        f"{name}{_labels(instrument.labelnames, labels)}"
-                        f" {_format_value(value)}"
-                    )
-            elif isinstance(instrument, Histogram):
-                for labels, counts in sorted(instrument.cells.items()):
-                    cumulative = 0
-                    for bound, count in zip(instrument.buckets, counts):
-                        cumulative += count
-                        le = _labels(instrument.labelnames, labels, f'le="{bound}"')
-                        lines.append(f"{name}_bucket{le} {cumulative}")
-                    cumulative += counts[-1]
-                    le = _labels(instrument.labelnames, labels, 'le="+Inf"')
-                    lines.append(f"{name}_bucket{le} {cumulative}")
-                    plain = _labels(instrument.labelnames, labels)
-                    lines.append(
-                        f"{name}_sum{plain} {_format_value(instrument.sums[labels])}"
-                    )
-                    lines.append(f"{name}_count{plain} {cumulative}")
-        return "\n".join(lines) + "\n"
+            yield (
+                instrument.name,
+                instrument.kind,
+                instrument.help,
+                instrument.labelnames,
+                instrument.cells,
+            )
 
     def snapshot(self) -> dict[str, Any]:
         """Point-in-time JSON-safe dump (embedded in bench artifacts).
@@ -298,17 +209,44 @@ class MetricsRegistry:
         in the scrape path, where it belongs).
         """
         out: dict[str, Any] = {}
-        for instrument in self._instruments.values():
-            if isinstance(instrument, Histogram):
-                for labels, counts in sorted(instrument.cells.items()):
-                    key = _flat_key(instrument.name, instrument.labelnames, labels)
-                    out[key + "_count"] = sum(counts)
-                    out[key + "_sum"] = round(instrument.sums[labels], 9)
-            else:
-                for labels, value in sorted(instrument.cells.items()):
-                    key = _flat_key(instrument.name, instrument.labelnames, labels)
+        for name, kind, _, labelnames, cells in self.families():
+            for labels, value in sorted(cells.items()):
+                key = _flat_key(name, labelnames, labels)
+                if kind == "histogram":
+                    out[key + "_count"] = value.count
+                    out[key + "_sum"] = round(value.total, 9)
+                else:
                     out[key] = value
         return out
+
+
+def prometheus(families: Iterable[Family]) -> str:
+    """``families`` in Prometheus text exposition format 0.0.4 — the
+    only writer of that format under ``src/repro``.
+
+    A histogram cell renders ``PerfHistogram``'s own edges (every
+    :data:`~repro.obs.perf.EXPOSITION_STRIDE`-th, cumulative counts at
+    a boundary subset being exact) plus ``_sum`` / ``_count``, so any
+    scraper computes quantiles with its own functions.
+    """
+    lines: list[str] = []
+    for name, kind, help, labelnames, cells in families:
+        if help:
+            lines.append(f"# HELP {name} {_escape(help)}")
+        lines.append(f"# TYPE {name} {kind}")
+        for labels, value in sorted(cells.items()):
+            plain = _labels(labelnames, labels)
+            if kind != "histogram":
+                lines.append(f"{name}{plain} {_format_value(value)}")
+                continue
+            for upper, cumulative in value.cumulative(EXPOSITION_EDGES):
+                le = _labels(labelnames, labels, f'le="{upper:.9g}"')
+                lines.append(f"{name}_bucket{le} {cumulative}")
+            le = _labels(labelnames, labels, 'le="+Inf"')
+            lines.append(f"{name}_bucket{le} {value.count}")
+            lines.append(f"{name}_sum{plain} {_format_value(value.total)}")
+            lines.append(f"{name}_count{plain} {value.count}")
+    return "\n".join(lines) + "\n" if lines else ""
 
 
 def _escape(value: str) -> str:
@@ -386,54 +324,6 @@ class TraceMetricsFeed:
         self.clock = registry.gauge(
             "repro_clock_seconds", "Substrate clock of the last event"
         )
-        self.demand_requests = registry.counter(
-            "repro_demand_requests_total",
-            "Granted acquires by how they were served",
-            ("node", "path"),
-        )
-        self.demand_rejected = registry.counter(
-            "repro_demand_rejected_total", "Rejected acquires", ("node",)
-        )
-        self.demand_starved = registry.counter(
-            "repro_demand_starved_total",
-            "Acquires that waited on a round and were still rejected",
-            ("node",),
-        )
-        self.demand_locality = registry.gauge(
-            "repro_demand_locality_ratio",
-            "local / (local + waited) granted acquires",
-            ("node",),
-        )
-        self.demand_entity = registry.counter(
-            "repro_demand_entity_requests_total",
-            "Requests per entity (long tail collapses at the cell cap)",
-            ("entity",),
-        )
-        self.demand_pred_error = registry.gauge(
-            "repro_demand_prediction_error",
-            "Last epoch's signed forecast error (predicted - observed)",
-            ("node",),
-        )
-        self.demand_pred_mape = registry.gauge(
-            "repro_demand_prediction_mape_pct",
-            "Running mean absolute percentage forecast error",
-            ("node",),
-        )
-        self.flow_wire_bytes = registry.counter(
-            "repro_flow_wire_bytes_total",
-            "Framed wire bytes sent per message type",
-            ("msg_type",),
-        )
-        self.flow_wire_frames = registry.counter(
-            "repro_flow_wire_frames_total",
-            "Encoded frames sent per message type",
-            ("msg_type",),
-        )
-        self.flow_backpressure = registry.counter(
-            "repro_flow_backpressure_total",
-            "Per-drop backpressure events at a full queue",
-            ("queue",),
-        )
         self.pledge_opened = registry.counter(
             "repro_pledge_opened_total",
             "Balances frozen by answering a foreign election",
@@ -459,10 +349,6 @@ class TraceMetricsFeed:
             "Watchdog detections and client write-offs",
             ("kind",),
         )
-        #: node -> [local, waited] running split for the locality gauge.
-        self._locality: dict[str, list[int]] = {}
-        #: node -> [ape_sum, ape_count] running MAPE accumulators.
-        self._mape: dict[str, list[float]] = {}
 
     def __call__(self, event: Mapping[str, Any]) -> None:
         etype = event.get("type", "")
@@ -472,20 +358,6 @@ class TraceMetricsFeed:
             self.clock.set(value=float(ts))
         if etype.startswith("msg."):
             self.messages.inc(etype[4:], str(event.get("msg_type", "?")))
-            if etype == "msg.send":
-                # Byte stamps only exist on flow-enabled runs; the
-                # end-of-run flow.* rollups are deliberately NOT folded
-                # here — they would double-count these increments.
-                frame = event.get("frame_bytes")
-                payload = event.get("bytes")
-                if isinstance(frame, bool):
-                    frame = None
-                if not isinstance(frame, int) and isinstance(payload, int) and not isinstance(payload, bool):
-                    frame = payload + 4
-                if isinstance(frame, int):
-                    msg_type = str(event.get("msg_type", "?"))
-                    self.flow_wire_bytes.inc(msg_type, value=float(frame))
-                    self.flow_wire_frames.inc(msg_type)
             if etype == "msg.deliver":
                 latency = event.get("latency")
                 if isinstance(latency, (int, float)):
@@ -528,45 +400,10 @@ class TraceMetricsFeed:
             self.invariant_violations.inc(str(event.get("invariant", "?")))
         elif etype == "site.serve":
             tokens = event.get("tokens_left")
-            node = str(event.get("node", ""))
             if isinstance(tokens, int):
-                self.tokens_left.set(node, value=float(tokens))
-            entity = event.get("entity")
-            if isinstance(entity, str) and entity:
-                self.demand_entity.inc(entity)
-            if event.get("kind") == "acquire" and "waited" in event:
-                waited = bool(event.get("waited"))
-                status = event.get("status")
-                if status == "granted":
-                    path = "waited" if waited else "local"
-                    self.demand_requests.inc(node, path)
-                    split = self._locality.setdefault(node, [0, 0])
-                    split[1 if waited else 0] += 1
-                    self.demand_locality.set(
-                        node, value=split[0] / (split[0] + split[1])
-                    )
-                elif status == "rejected":
-                    self.demand_rejected.inc(node)
-                    if waited:
-                        self.demand_starved.inc(node)
-        elif etype == "flow.backpressure":
-            self.flow_backpressure.inc(str(event.get("queue", "?")))
-        elif etype == "epoch.close":
-            predicted = event.get("predicted")
-            if isinstance(predicted, (int, float)) and not isinstance(
-                predicted, bool
-            ):
-                node = str(event.get("node", ""))
-                observed = float(event.get("demand", 0.0) or 0.0)
-                error = float(predicted) - observed
-                self.demand_pred_error.set(node, value=round(error, 6))
-                if observed > 0:
-                    acc = self._mape.setdefault(node, [0.0, 0.0])
-                    acc[0] += abs(error) / observed
-                    acc[1] += 1.0
-                    self.demand_pred_mape.set(
-                        node, value=round(100.0 * acc[0] / acc[1], 6)
-                    )
+                self.tokens_left.set(
+                    str(event.get("node", "")), value=float(tokens)
+                )
 
 
 def feed_registry(events: Iterable[Mapping[str, Any]]) -> MetricsRegistry:

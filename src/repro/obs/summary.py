@@ -4,23 +4,26 @@ Aggregation mirrors the paper's analysis axes: time-per-protocol-phase
 (spans), message volume per type and per region pair (the WAN round-trip
 story behind Fig. 3b-3h and Table 2b), and request outcomes.
 
-:class:`TraceSummaryBuilder` folds the whole summary in **one pass**
-over the event stream with bounded state — span durations live in
-log-bucketed :class:`~repro.obs.perf.PerfHistogram`\\ s instead of raw
-sample lists, and per-entity accounting lives in a bounded
-:class:`~repro.obs.demand.SpaceSavingSketch` (top-K heavy hitters,
-never a per-entity dict) — so a 100k-entity scale trace summarizes in
-memory proportional to the number of *distinct* span names, region
-pairs, and the sketch capacity, not the number of events or entities.
+:class:`TraceSummaryBuilder` computes none of these itself: it pushes
+each event through the three folds every other surface already uses —
+the registry feed (:class:`~repro.obs.registry.TraceMetricsFeed`), the
+demand tap and the flow tap — and renders from what they hold, so a
+count in the summary is the count ``/metrics``, ``--demand`` and
+``--flow`` report.  All three keep bounded state (label-capped cells,
+log-bucketed histograms, a top-K sketch), so a 100k-entity scale trace
+summarizes in **one pass** and in memory proportional to the number of
+*distinct* span names, region pairs and message types.  What no fold
+holds stays here: the ``run.meta`` header and the fault / liveness
+timeline rows.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
 from typing import Any, Iterable
 
-from repro.obs.demand import SpaceSavingSketch
-from repro.obs.perf import PerfHistogram
+from repro.obs.demand import DemandTap, DemandTracker
+from repro.obs.flow import FlowTap, FlowTracker, format_wire_table
+from repro.obs.registry import MetricsRegistry
 
 # NOTE: repro.harness.report is imported lazily inside
 # format_trace_summary — the harness package imports the core modules,
@@ -28,103 +31,51 @@ from repro.obs.perf import PerfHistogram
 # module; a module-level import would close that cycle.
 
 
+def _by_label(cells: dict[tuple[str, ...], float], position: int = 0) -> dict[str, int]:
+    """Counter cells summed over every label but the one at ``position``."""
+    out: dict[str, int] = {}
+    for labels, value in cells.items():
+        out[labels[position]] = out.get(labels[position], 0) + int(value)
+    return out
+
+
 class TraceSummaryBuilder:
     """Single-pass, bounded-memory trace summarizer.
 
     Feed every event through :meth:`add` (from a list, a ring buffer, or
     a streaming :func:`~repro.obs.schema.iter_trace` generator), then
-    :meth:`format` renders the same tables the multi-pass row functions
-    produce — with span percentiles estimated from merged log-bucketed
-    histograms (exact count/mean/max, quantiles within one bucket ratio).
+    :meth:`format` renders the tables; ``demand`` and ``flow`` are the
+    replayed trackers the ``--demand`` / ``--flow`` reports read.  A
+    trace is input from outside the program: the folds read every field
+    with ``.get`` and a ``"?"`` default, and a line that is not an event
+    at all counts as one of type ``"?"``.
     """
 
-    #: Sketch capacity for the hottest-entities table: bounded per-entity
-    #: accounting — the streaming path must never grow O(entities) state.
-    ENTITY_TOP_K = 16
-
     def __init__(self) -> None:
-        self.events = 0
         self.meta: dict[str, Any] | None = None
-        self.spans: dict[str, PerfHistogram] = {}
-        self.entities = SpaceSavingSketch(self.ENTITY_TOP_K)
-        self.sent: Counter[str] = Counter()
-        self.delivered: Counter[str] = Counter()
-        self.dropped: Counter[str] = Counter()
-        #: Wire accounting from the optional byte stamps flow-enabled
-        #: runs put on msg.send — bounded by distinct message types.
-        self.wire_frames: Counter[str] = Counter()
-        self.wire_payload_bytes: Counter[str] = Counter()
-        self.wire_frame_bytes: Counter[str] = Counter()
-        self.region_counts: Counter[tuple[str, str]] = Counter()
-        self.region_latency_sums: dict[tuple[str, str], float] = defaultdict(float)
-        self.region_latency_counts: Counter[tuple[str, str]] = Counter()
-        self.outcomes: Counter[str] = Counter()
+        #: Injected faults and liveness detections, in trace order.
         self.faults: list[list[object]] = []
-        self.invariant_checks = 0
-        self.invariant_violations: Counter[str] = Counter()
-        #: Pledge lifecycle: opens, settles by reason, recovery elections.
-        self.pledges_opened = 0
-        self.pledge_settlements: Counter[str] = Counter()
-        self.pledge_recoveries = 0
-        #: Watchdog detections / client write-offs, keyed by liveness kind.
-        self.liveness: Counter[str] = Counter()
+        self.feed = MetricsRegistry().tap()
+        self.demand = DemandTracker()
+        self.flow = FlowTracker()
+        self._folds = (self.feed, DemandTap(self.demand), FlowTap(self.flow))
 
     def add(self, event: dict[str, Any]) -> None:
-        self.events += 1
-        etype = event.get("type")
-        if etype == "span.end":
-            span = event["span"]
-            hist = self.spans.get(span)
-            if hist is None:
-                hist = self.spans[span] = PerfHistogram()
-            hist.record(float(event["dur"]))
-            if span == "request":
-                self.outcomes[event["outcome"]] += 1
-        elif etype == "site.serve":
-            entity = event.get("entity")
-            if isinstance(entity, str) and entity:
-                self.entities.update(entity)
-        elif etype == "msg.send":
-            msg_type = event["msg_type"]
-            self.sent[msg_type] += 1
-            payload = event.get("bytes")
-            if isinstance(payload, int) and not isinstance(payload, bool):
-                frame = event.get("frame_bytes")
-                if isinstance(frame, bool) or not isinstance(frame, int):
-                    frame = payload + 4
-                self.wire_frames[msg_type] += 1
-                self.wire_payload_bytes[msg_type] += payload
-                self.wire_frame_bytes[msg_type] += frame
-        elif etype == "msg.deliver":
-            self.delivered[event["msg_type"]] += 1
-            pair = (event.get("src_region", "?"), event.get("dst_region", "?"))
-            self.region_counts[pair] += 1
-            if "latency" in event:
-                self.region_latency_sums[pair] += float(event["latency"])
-                self.region_latency_counts[pair] += 1
-        elif etype == "msg.drop":
-            self.dropped[event["msg_type"]] += 1
-        elif etype == "run.meta":
+        etype = event.get("type") if isinstance(event, dict) else None
+        if not isinstance(etype, str):
+            etype, event = "?", {"type": "?"}
+        for fold in self._folds:
+            fold(event)
+        if etype == "run.meta":
             if self.meta is None:
                 self.meta = event
-        elif etype == "invariant.check":
-            self.invariant_checks += 1
-        elif etype == "invariant.violation":
-            self.invariant_violations[event.get("invariant", "?")] += 1
-        elif etype == "pledge.open":
-            self.pledges_opened += 1
-        elif etype == "pledge.settle":
-            self.pledge_settlements[event.get("reason", "?")] += 1
-        elif etype == "pledge.recover":
-            self.pledge_recoveries += 1
-        elif isinstance(etype, str) and etype.startswith("liveness."):
-            self.liveness[etype[9:]] += 1
+        elif etype.startswith("liveness."):
             # Detections read best in the fault timeline: they answer
             # "what went wrong when", same as the injected faults do.
             self.faults.append(
                 [f"{event.get('ts', 0.0):.1f}", etype[9:], event.get("node", "-")]
             )
-        elif isinstance(etype, str) and etype.startswith("fault."):
+        elif etype.startswith("fault."):
             target = event.get("targets") or event.get("groups") or "-"
             self.faults.append([f"{event.get('ts', 0.0):.1f}", etype[6:], target])
 
@@ -133,12 +84,16 @@ class TraceSummaryBuilder:
             self.add(event)
         return self
 
+    @property
+    def events(self) -> int:
+        """Events folded so far, of every type."""
+        return sum(_by_label(self.feed.events.cells).values())
+
     # -- rendering ---------------------------------------------------------
 
     def span_table_rows(self) -> list[list[object]]:
         rows: list[list[object]] = []
-        for span in sorted(self.spans):
-            hist = self.spans[span]
+        for (span,), hist in sorted(self.feed.span_duration.cells.items()):
             summary = hist.summary()
             rows.append(
                 [
@@ -155,6 +110,7 @@ class TraceSummaryBuilder:
     def format(self, source: str = "") -> str:
         from repro.harness.report import format_table
 
+        feed = self.feed
         sections: list[str] = []
         header = f"trace summary — {self.events} events"
         if source:
@@ -176,9 +132,16 @@ class TraceSummaryBuilder:
                     title="per-phase latency (completed spans)",
                 )
             )
+        by_event = feed.messages.cells
         messages = [
-            [t, self.sent[t], self.delivered[t], self.dropped[t]]
-            for t in sorted(set(self.sent) | set(self.delivered) | set(self.dropped))
+            [
+                msg_type,
+                *(
+                    int(by_event.get((event, msg_type), 0))
+                    for event in ("send", "deliver", "drop")
+                ),
+            ]
+            for msg_type in sorted(_by_label(by_event, 1))
         ]
         if messages:
             sections.append(
@@ -188,41 +151,13 @@ class TraceSummaryBuilder:
                     title="messages by payload type",
                 )
             )
-        if self.wire_frame_bytes:
-            total = sum(self.wire_frame_bytes.values()) or 1
-            wire_rows = [
-                [
-                    msg_type,
-                    self.wire_frames[msg_type],
-                    f"{self.wire_payload_bytes[msg_type]:,}",
-                    f"{self.wire_frame_bytes[msg_type]:,}",
-                    f"{self.wire_frame_bytes[msg_type] / self.wire_frames[msg_type]:.1f}",
-                    f"{100.0 * self.wire_frame_bytes[msg_type] / total:.1f}%",
-                ]
-                for msg_type in sorted(
-                    self.wire_frame_bytes,
-                    key=lambda t: (-self.wire_frame_bytes[t], t),
-                )
-            ]
-            sections.append(
-                format_table(
-                    ["msg type", "frames", "payload B", "frame B", "B/frame", "share"],
-                    wire_rows,
-                    title="wire bytes by message type (flow-enabled run)",
-                )
-            )
-        regions = []
-        for pair in sorted(self.region_counts):
-            mean_ms = (
-                self.region_latency_sums[pair]
-                / self.region_latency_counts[pair]
-                * 1000.0
-                if self.region_latency_counts[pair]
-                else 0.0
-            )
-            regions.append(
-                [f"{pair[0]} -> {pair[1]}", self.region_counts[pair], f"{mean_ms:.2f}"]
-            )
+        flow = self.flow.snapshot()
+        if flow["types"]:
+            sections.append(format_wire_table(flow))
+        regions = [
+            [f"{src} -> {dst}", hist.count, f"{hist.mean * 1000.0:.2f}"]
+            for (src, dst), hist in sorted(feed.message_latency.cells.items())
+        ]
         if regions:
             sections.append(
                 format_table(
@@ -231,57 +166,52 @@ class TraceSummaryBuilder:
                     title="deliveries by region pair",
                 )
             )
-        outcomes = [[o, self.outcomes[o]] for o in sorted(self.outcomes)]
+        outcomes = sorted(_by_label(feed.requests.cells).items())
         if outcomes:
             sections.append(
                 format_table(["outcome", "count"], outcomes, title="request outcomes")
             )
-        hot = self.entities.items()
+        hot = self.demand.hot
         # Only worth a table when entities are actually contended; a
         # single-entity trace (the core harness) says nothing new here.
         if len(hot) > 1:
             sections.append(
                 format_table(
                     ["entity", "served requests", "max over-count"],
-                    [[entity, count, error] for entity, count, error in hot],
-                    title=(
-                        f"hottest entities (space-saving "
-                        f"top-{self.entities.capacity})"
-                    ),
+                    hot.items(),
+                    title=f"hottest entities (space-saving top-{hot.capacity})",
                 )
             )
         if self.faults:
             title = (
                 "injected faults & liveness detections"
-                if self.liveness
+                if feed.liveness_events.cells
                 else "injected faults"
             )
             sections.append(
                 format_table(["t (s)", "fault", "targets"], self.faults, title=title)
             )
-        if (
-            self.invariant_checks
-            or self.invariant_violations
-            or self.pledges_opened
-        ):
-            rows: list[list[object]] = [["checks recorded", self.invariant_checks]]
-            for invariant in sorted(self.invariant_violations):
-                rows.append(
-                    [f"violations: {invariant}", self.invariant_violations[invariant]]
-                )
-            if not self.invariant_violations:
+        checks = int(feed.invariant_checks.cells.get((), 0))
+        violations = _by_label(feed.invariant_violations.cells)
+        opened = sum(_by_label(feed.pledge_opened.cells).values())
+        if checks or violations or opened:
+            rows: list[list[object]] = [["checks recorded", checks]]
+            for invariant in sorted(violations):
+                rows.append([f"violations: {invariant}", violations[invariant]])
+            if not violations:
                 rows.append(["violations", 0])
-            if self.pledges_opened:
-                rows.append(["pledges opened", self.pledges_opened])
-                for reason in sorted(self.pledge_settlements):
-                    rows.append(
-                        [f"pledges settled: {reason}", self.pledge_settlements[reason]]
-                    )
-                rows.append(["pledge recoveries", self.pledge_recoveries])
-                unresolved = self.pledges_opened - sum(
-                    self.pledge_settlements.values()
+            if opened:
+                settled = _by_label(feed.pledge_settled.cells, 1)
+                rows.append(["pledges opened", opened])
+                for reason in sorted(settled):
+                    rows.append([f"pledges settled: {reason}", settled[reason]])
+                rows.append(
+                    [
+                        "pledge recoveries",
+                        sum(_by_label(feed.pledge_recoveries.cells).values()),
+                    ]
                 )
-                rows.append(["pledges unresolved", unresolved])
+                rows.append(["pledges unresolved", opened - sum(settled.values())])
             sections.append(
                 format_table(["safety audit", "count"], rows, title="invariant audits")
             )

@@ -117,6 +117,28 @@ class TestTelemetryTrace:
         assert code == 1
         assert "schema error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line, table",
+        [
+            ('{"type":"span.end","ts":1.0}', "per-phase latency"),
+            ('{"type":"msg.send","ts":1.0}', "messages by payload type"),
+            ("[1]", "trace summary — 1 events"),
+        ],
+    )
+    def test_schema_invalid_trace_summarizes_without_a_traceback(
+        self, tmp_path, capsys, line, table
+    ):
+        # A trace file is outside input: well-formed JSON that breaks the
+        # schema renders with "?" rows; only --validate rejects it.
+        path = tmp_path / "t.jsonl"
+        path.write_text(line + "\n")
+        assert main(["trace", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert table in out and ("?" in out or line == "[1]")
+        assert main(["trace", str(path), "--validate"]) == 1
+        captured = capsys.readouterr()
+        assert "schema error" in captured.err and not captured.out
+
 
 class TestActiveMonitoring:
     def test_run_audit_clean_exits_zero(self, capsys):

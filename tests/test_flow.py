@@ -29,7 +29,7 @@ from repro.obs import (
     track_flow,
     validate_events,
 )
-from repro.obs.registry import MetricsRegistry, TraceMetricsFeed
+from repro.obs.registry import MetricsRegistry, TraceMetricsFeed, prometheus
 from repro.scale.entity_table import COLUMNS, EntityTable
 from repro.scale.harness import ScaleConfig, build_scale_deployment, run_scale
 from repro.scale.site import ScaleSiteConfig
@@ -95,8 +95,8 @@ class TestFlowTracker:
 
     def test_empty_tracker_renders(self):
         tracker = FlowTracker()
-        assert "0 frames" in format_flow_report(tracker)
-        assert tracker.prometheus() == ""
+        assert "0 frames" in format_flow_report(tracker.snapshot())
+        assert list(tracker.families()) == []
 
 
 #: Random interleavings: enqueue, dequeue, batch drain, passive observe.
@@ -180,11 +180,15 @@ class TestEndToEnd:
         # Offline replay reconstructs exactly the live tracker's state.
         replayed = track_flow(iter(events))
         assert replayed.snapshot() == live.snapshot()
-        assert format_flow_report(replayed) == format_flow_report(live)
+        assert format_flow_report(replayed.snapshot()) == format_flow_report(
+            live.snapshot()
+        )
 
     def test_same_seed_report_is_byte_identical(self):
         reports = [
-            format_flow_report(track_flow(iter(traced_run(quick_config())[1])))
+            format_flow_report(
+                track_flow(iter(traced_run(quick_config())[1])).snapshot()
+            )
             for _ in range(2)
         ]
         assert reports[0] == reports[1]
@@ -227,29 +231,27 @@ class TestEndToEnd:
         assert not any(t.startswith("flow.mem") for t in types)
 
     def test_prometheus_families_are_disjoint_from_the_feed(self):
-        # A live scrape appends FlowTracker.prometheus after the
-        # registry render; the two must never repeat a family name.
+        # Wire bytes and queue drops have one owner: the feed sees the
+        # byte stamps and the per-drop events and derives no family from
+        # them, so a scrape that renders both never repeats a name.
         registry = MetricsRegistry()
         feed = TraceMetricsFeed(registry)
         feed({"type": "msg.send", "msg_type": "Ping", "bytes": 10,
               "frame_bytes": 14, "ts": 0.0})
+        feed({"type": "flow.backpressure", "queue": "q", "depth": 1, "ts": 0.0})
         tracker = FlowTracker()
         tracker.record_send("Ping", 10, 14, "a", "b")
         tracker.queue("q").enqueue(1)
         tracker.record_batch(2, envelope_bytes=20, inner_bytes=25)
 
-        def families(text):
-            return {
-                line.split()[2]
-                for line in text.splitlines()
-                if line.startswith("# TYPE")
-            }
-
-        feed_families = families(registry.prometheus())
-        flow_families = families(tracker.prometheus())
-        assert flow_families
-        assert "repro_flow_wire_bytes_total" in feed_families
-        assert not feed_families & flow_families
+        feed_families = {family[0] for family in registry.families()}
+        flow_families = {family[0] for family in tracker.families()}
+        assert len(flow_families) == 10
+        assert all(name.startswith("repro_flow_") for name in flow_families)
+        assert not any(name.startswith("repro_flow_") for name in feed_families)
+        text = prometheus([*registry.families(), *tracker.families()])
+        assert 'repro_flow_type_bytes_total{msg_type="Ping"} 14' in text
+        assert "repro_flow_batch_inner_total 2" in text
 
 
 class TestTcpBackpressure:
@@ -365,18 +367,4 @@ class TestResourceAccounting:
         assert tracker.memory[0]["ts"] == 1.5
         # Machine-dependent samples are snapshot-only, never in reports.
         assert "memory" in tracker.snapshot()
-        assert "rss" not in format_flow_report(tracker)
-
-    def test_resource_probe_tracemalloc_opt_in(self):
-        probe = ResourceProbe(tracemalloc_enabled=True)
-        probe.start()
-        try:
-            ballast = [object() for _ in range(1000)]
-            sample = probe.sample("load")
-            assert sample["traced_bytes"] > 0
-            assert sample["traced_peak_bytes"] >= sample["traced_bytes"]
-            del ballast
-        finally:
-            probe.stop()
-        # Off by default: no traced fields, no tracemalloc started.
-        assert "traced_bytes" not in ResourceProbe().sample("idle")
+        assert "rss" not in format_flow_report(tracker.snapshot())

@@ -180,11 +180,159 @@ def test_there_is_one_assembly():
         "InvariantAuditor()": "obs/audit.py",
         "LivenessWatchdog(": "resilience/watchdog.py",
     }
+    # ... plus the one offline assembly: `repro trace FILE` replays a
+    # trace through the same three folds (the summary renders from
+    # them) and, under --audit, through an auditor, in a single pass.
+    offline = {
+        "FlowTracker()": ["obs/summary.py"],
+        "DemandTracker(": ["obs/summary.py"],
+        "MetricsRegistry()": ["obs/summary.py"],
+        "InvariantAuditor()": ["cli.py"],
+    }
     for call, module in home.items():
-        (site,) = occurrences(call, skip=(module,))
-        assert site.startswith("obs/instruments.py:"), (call, site)
+        files = [site.split(":")[0] for site in occurrences(call, skip=(module,))]
+        assert files == sorted(["obs/instruments.py", *offline.get(call, [])]), call
     for call in ("prof.active()", "reset_msg_ids()", '_verbs("rollup")'):
         (site,) = occurrences(call)
         assert site.startswith("obs/instruments.py:"), (call, site)
     (site,) = occurrences("set_perf_recorder(")
     assert site.startswith("runtime/tcp_transport.py:")
+
+
+# -- one owner per number, one writer per format ---------------------------
+
+#: What ``/metrics`` serves on a run with every family-bearing plane: the
+#: 36 families of ``10de9a4`` less ``repro_flow_wire_bytes_total``,
+#: ``repro_flow_wire_frames_total`` and ``repro_flow_backpressure_total``
+#: — the feed's aliases of ``repro_flow_type_bytes_total``,
+#: ``repro_flow_type_frames_total`` and ``repro_flow_queue_dropped_total``.
+FAMILIES = """
+repro_events_total repro_messages_total repro_message_latency_seconds
+repro_span_duration_seconds repro_requests_total repro_reallocations_total
+repro_faults_total repro_invariant_checks_total
+repro_invariant_violations_total repro_tokens_left repro_clock_seconds
+repro_pledge_opened_total repro_pledge_settled_total
+repro_pledge_recoveries_total repro_pledges_open repro_liveness_events_total
+repro_demand_requests_total repro_demand_rejected_total
+repro_demand_starved_total repro_demand_locality_ratio
+repro_demand_entity_requests_total repro_demand_prediction_error
+repro_demand_prediction_mape_pct repro_perf_kernel_heap_push_seconds
+repro_perf_kernel_tick_seconds repro_perf_span_dur_seconds
+repro_flow_link_bytes_total repro_flow_link_frames_total
+repro_flow_type_bytes_total repro_flow_type_frames_total
+repro_flow_queue_depth repro_flow_queue_high_watermark
+repro_flow_queue_dropped_total
+""".split()
+
+
+@pytest.fixture(scope="module")
+def observed_run():
+    experiment = Experiment(
+        ExperimentConfig(
+            duration=60.0, seed=3, metrics=True, flow=True, perf=True, watchdog=True
+        )
+    )
+    return experiment.instruments, experiment.run()
+
+
+def test_every_number_on_metrics_has_one_owner(observed_run):
+    instruments, result = observed_run
+    families: list[str] = []
+    samples: dict[str, float] = {}
+    for line in instruments.prometheus().splitlines():
+        if line.startswith("# TYPE "):
+            families.append(line.split()[2])
+        elif not line.startswith("#"):
+            name, _, value = line.rpartition(" ")
+            samples[name] = float(value)
+    assert families == FAMILIES  # in plane order, none twice
+
+    # The demand families are the tracker's own numbers (a snapshot
+    # rounds ratios to 6 places and MAPE to 3).
+    sites = result.demand_snapshot["sites"]
+    assert sites
+    demand = {k: v for k, v in samples.items() if k.startswith("repro_demand_")}
+    expected: dict[str, float] = {}
+    for node, site in sites.items():
+        for path in ("local", "waited"):
+            if site[path]:
+                expected[
+                    f'repro_demand_requests_total{{node="{node}",path="{path}"}}'
+                ] = site[path]
+        for family, key in (("rejected", "rejected"), ("starved", "starved")):
+            if site[key]:
+                expected[f'repro_demand_{family}_total{{node="{node}"}}'] = site[key]
+        expected[f'repro_demand_locality_ratio{{node="{node}"}}'] = site[
+            "locality_ratio"
+        ]
+        expected[f'repro_demand_prediction_mape_pct{{node="{node}"}}'] = site[
+            "mape_pct"
+        ]
+    for row in result.demand_snapshot["hot"]:
+        expected[
+            f'repro_demand_entity_requests_total{{entity="{row["entity"]}"}}'
+        ] = row["requests"]
+    errors = {k for k in demand if k.startswith("repro_demand_prediction_error")}
+    assert len(errors) == len(sites)
+    assert {
+        k: round(v, 3 if "mape" in k else 6)
+        for k, v in demand.items()
+        if k not in errors
+    } == expected
+
+    # The scrape's histogram totals are the flat snapshot's.
+    flat = result.metrics_snapshot
+    for family in ("repro_message_latency_seconds", "repro_span_duration_seconds"):
+        totals = {
+            k: v
+            for k, v in samples.items()
+            if k.startswith((family + "_count", family + "_sum"))
+        }
+        assert totals
+        for name, value in totals.items():
+            suffix = "_count" if name.startswith(family + "_count") else "_sum"
+            key = name.replace(family + suffix, family, 1) + suffix
+            assert flat[key] == pytest.approx(value, abs=1e-9), name
+    assert not [k for k in flat if k.startswith(("repro_demand_", "repro_flow_"))]
+
+
+def test_result_snapshots_keep_what_the_benchmark_reads(observed_run):
+    # benchmarks/e2e/workloads.py sums these and may not be edited.
+    _, result = observed_run
+    events = [
+        value
+        for key, value in result.metrics_snapshot.items()
+        if key.startswith('repro_events_total{type="')
+    ]
+    assert events and sum(events) > result.committed
+    assert result.flow_snapshot["frames"] > 0
+    assert result.liveness_snapshot["sweeps"] > 0
+
+
+def pattern_lines(pattern: str, *relative: str) -> int:
+    """Source lines matching ``pattern`` in the named files or
+    directories under ``src/repro`` (all of it when none is named)."""
+    paths = []
+    for root in [SRC / name for name in relative] or [SRC]:
+        paths += sorted(root.rglob("*.py")) if root.is_dir() else [root]
+    return sum(
+        bool(re.search(pattern, line))
+        for path in paths
+        for line in path.read_text().splitlines()
+    )
+
+
+def test_one_writer_per_format():
+    # One Prometheus writer, one histogram class, no number derived twice.
+    assert [
+        path.relative_to(SRC).as_posix()
+        for path in sorted(SRC.rglob("*.py"))
+        if 'f"# TYPE {' in path.read_text()
+    ] == ["obs/registry.py"]
+    assert pattern_lines(r"def prometheus\(", "obs") == 2  # writer, Instruments
+    assert pattern_lines(r"class Histogram|DEFAULT_BUCKETS", "obs/registry.py") == 0
+    assert pattern_lines(r"repro_demand_|repro_flow_", "obs/registry.py") == 0
+    assert pattern_lines(r"def _report_(flow|perf)", "cli.py") == 0
+    assert pattern_lines(r'event\["', "obs/summary.py") == 0
+    assert pattern_lines(r'title="wire bytes by message type') == 1
+    assert pattern_lines(r"tracemalloc") == 0

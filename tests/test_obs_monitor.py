@@ -28,7 +28,7 @@ from repro.obs import (
     read_trace,
 )
 from repro.obs.exposition import CONTENT_TYPE, MetricsServer
-from repro.obs.registry import OVERFLOW_LABEL, Counter, MetricsRegistry
+from repro.obs.registry import OVERFLOW_LABEL, Counter, MetricsRegistry, prometheus
 from repro.obs.summary import TraceSummaryBuilder
 from repro.sim.kernel import Kernel
 from repro.workload.trace import TraceConfig
@@ -283,14 +283,17 @@ class TestRegistry:
 
     def test_histogram_buckets_cumulative_in_render(self):
         registry = MetricsRegistry()
-        histogram = registry.histogram("h", buckets=(0.1, 1.0))
+        # One histogram type: the cells are PerfHistograms, the ``le``
+        # edges theirs (decade boundaries are among the rendered ones).
+        histogram = registry.histogram("h")
         histogram.observe(value=0.05)
         histogram.observe(value=0.5)
         histogram.observe(value=5.0)
-        text = registry.prometheus()
+        text = prometheus(registry.families())
         assert 'h_bucket{le="0.1"} 1' in text
-        assert 'h_bucket{le="1.0"} 2' in text
+        assert 'h_bucket{le="1"} 2' in text
         assert 'h_bucket{le="+Inf"} 3' in text
+        assert "h_sum 5.55" in text
         assert "h_count 3" in text
 
     def test_label_cardinality_caps_at_overflow_cell(self):
@@ -341,7 +344,7 @@ class TestRegistry:
 class TestExposition:
     def test_render_is_parseable_prometheus_text(self):
         _, events = traced_run(quick_config())
-        text = feed_registry(events).prometheus()
+        text = prometheus(feed_registry(events).families())
         assert text.endswith("\n")
         typed: dict[str, str] = {}
         for line in text.strip().split("\n"):
@@ -367,7 +370,7 @@ class TestExposition:
         async def scenario():
             registry = MetricsRegistry()
             registry.counter("repro_events_total", labelnames=("type",)).inc("x")
-            server = MetricsServer(registry.prometheus, port=0)
+            server = MetricsServer(lambda: prometheus(registry.families()), port=0)
             await server.start()
             url = f"http://127.0.0.1:{server.port}/metrics"
             body, content_type = await asyncio.to_thread(self._get, url)
@@ -457,5 +460,5 @@ class TestFaultEvents:
     def test_summary_has_invariant_rows(self):
         _, events = traced_run(quick_config())
         summary = TraceSummaryBuilder().consume(events)
-        assert summary.invariant_checks >= 1
-        assert not summary.invariant_violations
+        assert summary.feed.invariant_checks.cells[()] >= 1
+        assert not summary.feed.invariant_violations.cells

@@ -23,6 +23,7 @@ from repro.obs.perf import (
     bucket_ratio,
     bucket_upper,
 )
+from repro.obs.registry import prometheus
 
 #: Latency-like values spanning the instrumented range (0.1 µs..1000 s).
 values = st.floats(1e-7, 1e3, allow_nan=False, allow_infinity=False)
@@ -162,7 +163,7 @@ class TestPerfRecorder:
         recorder = PerfRecorder()
         for value in (0.001, 0.01, 0.1):
             recorder.observe("span.dur", "request", value)
-        text = recorder.prometheus()
+        text = prometheus(recorder.families())
         assert "# TYPE repro_perf_span_dur_seconds histogram" in text
         assert 'le="+Inf"' in text
         assert 'key="request"' in text

@@ -50,8 +50,8 @@ GOLDEN = {
 
 
 @pytest.fixture(scope="module")
-def digests(tmp_path_factory) -> dict[str, str]:
-    """Run the three commands side by side; digest what each wrote."""
+def golden_dir(tmp_path_factory) -> Path:
+    """Run the three commands side by side; the directory they wrote to."""
     cwd = tmp_path_factory.mktemp("golden")
     src = str(Path(repro.__file__).parent.parent)
     runs = {
@@ -64,14 +64,60 @@ def digests(tmp_path_factory) -> dict[str, str]:
         )
         for name, (argv, _, hashseed, _) in GOLDEN.items()
     }
-    found = {}
     for name, process in runs.items():
         _, stderr = process.communicate(timeout=300)
         assert process.returncode == 0, (name, stderr.decode()[-2000:])
-        found[name] = hashlib.sha256((cwd / GOLDEN[name][1]).read_bytes()).hexdigest()
-    return found
+    return cwd
 
 
 @pytest.mark.parametrize("name", GOLDEN)
-def test_trace_bytes_are_the_pinned_ones(digests, name):
-    assert digests[name] == GOLDEN[name][3]
+def test_trace_bytes_are_the_pinned_ones(golden_dir, name):
+    written = (golden_dir / GOLDEN[name][1]).read_bytes()
+    assert hashlib.sha256(written).hexdigest() == GOLDEN[name][3]
+
+
+#: name -> sha256 of what ``repro trace FILE --demand --flow`` printed at
+#: ``10de9a4`` (the summary, then the demand report, then the flow
+#: report — so also what the flag-less and single-flag invocations
+#: print), less the one line allowed to differ: the title of the
+#: wire-bytes table, which the summary now borrows from the flow plane.
+REPORTS = {
+    "run": "3f90d0dbc199a42235cefb7ff4209e76a86f3f479320d59a3718bdf237430894",
+    "nemesis": "6c5e56151d8d8187bd21987a7a54aeb42788f61c1774f77c9bf3ba981c026c7c",
+    "sweep-scale": "4d15d9d9604c2dfa47e91dc9b2f6c42a295c2394bafdacfcd9215640b8e40db4",
+}
+
+
+@pytest.mark.parametrize("name", REPORTS)
+def test_trace_reports_print_what_they_printed(golden_dir, name, monkeypatch, capsys):
+    from repro.cli import main
+
+    monkeypatch.chdir(golden_dir)  # the reports name their source file
+    assert main(["trace", GOLDEN[name][1], "--demand", "--flow"]) == 0
+    text = "".join(
+        line
+        for line in capsys.readouterr().out.splitlines(keepends=True)
+        if not line.startswith("wire bytes by message type (")
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORTS[name]
+
+
+def test_every_report_comes_from_one_pass(golden_dir, monkeypatch, capsys):
+    from repro import obs
+    from repro.cli import main
+
+    opened = []
+    real = obs.iter_trace
+    monkeypatch.setattr(
+        obs, "iter_trace", lambda path: opened.append(path) or real(path)
+    )
+    path = str(golden_dir / GOLDEN["run"][1])
+    flags = ["--validate", "--audit", "--demand", "--flow", "--critical-path"]
+    assert main(["trace", path, *flags]) == 0
+    assert opened == [path]
+    out = capsys.readouterr().out
+    for section in (
+        "validated 15039 events", "trace summary", "demand report",
+        "flow report", "critical path", "audit: clean",
+    ):
+        assert section in out, section
