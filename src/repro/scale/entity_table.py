@@ -23,6 +23,7 @@ column for the vectorized audit and the aggregates.
 from __future__ import annotations
 
 from array import array
+from typing import Sequence
 
 import numpy as np
 
@@ -57,20 +58,31 @@ class EntityTable:
 
     def add(self, entity_id: str, tokens_left: int = 0) -> int:
         """Register an entity; returns its row index."""
-        if entity_id in self._index:
-            raise ValueError(f"entity {entity_id!r} already in the table")
-        if tokens_left < 0:
+        return self.extend((entity_id,), (tokens_left,))[0]
+
+    def extend(self, ids: Sequence[str], tokens_left: Sequence[int]) -> range:
+        """Register a batch of entities; returns their rows.  Every check
+        runs before the first mutation: a refused batch changes nothing."""
+        count = len(ids)
+        left = array("q", tokens_left)
+        if len(left) != count:
+            raise ValueError(f"{count} ids but {len(left)} token counts")
+        index = self._index
+        if not index.keys().isdisjoint(ids):
+            taken = sorted(index.keys() & ids)
+            raise ValueError(f"entity ids {taken} already in the table")
+        if len(set(ids)) != count:
+            raise ValueError("an entity id repeats within the batch")
+        if count and min(left) < 0:
             raise TokenError("token counts must be non-negative")
-        index = len(self.ids)
-        self.ids.append(entity_id)
-        self._index[entity_id] = index
-        self.tokens_left.append(tokens_left)
-        self.tokens_wanted.append(0)
-        self.acquired.append(0)
-        self.released.append(0)
-        self.committed.append(0)
-        self.rejected.append(0)
-        return index
+        rows = range(len(self.ids), len(self.ids) + count)
+        self.ids.extend(ids)
+        index.update(zip(ids, rows))
+        self.tokens_left.extend(left)
+        zeros = array("q", bytes(8 * count))
+        for column in COLUMNS[1:]:
+            getattr(self, column).extend(zeros)
+        return rows
 
     def __len__(self) -> int:
         return len(self.ids)

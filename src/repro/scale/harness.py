@@ -31,7 +31,7 @@ from repro.net.regions import PAPER_REGIONS
 from repro.obs.flow import ResourceProbe, entity_table_bytes
 from repro.obs.instruments import Instruments
 from repro.scale.batching import BatchingTransport
-from repro.scale.shards import ShardedEntityDirectory
+from repro.scale.shards import RouteTable, ShardedEntityDirectory
 from repro.scale.site import ScaleSiteConfig, ScaleSiteHost
 from repro.sim.kernel import Kernel
 from repro.sim.process import Actor
@@ -97,16 +97,45 @@ class ScaleConfig:
     site: ScaleSiteConfig = field(default_factory=ScaleSiteConfig)
 
     def __post_init__(self) -> None:
-        if self.entities <= 0:
-            raise ValueError("need at least one entity")
         if not 1 <= self.regions <= len(PAPER_REGIONS):
             raise ValueError(
                 f"regions must be in [1, {len(PAPER_REGIONS)}], got {self.regions}"
             )
         if self.placement not in ("spread", "first"):
             raise ValueError(f"unknown placement {self.placement!r}")
-        if self.maximum <= 0:
-            raise ValueError("maximum must be positive")
+        for name, ok in (
+            ("entities", self.entities >= 1),
+            ("maximum", self.maximum >= 1),
+            ("tick", self.tick > 0),
+            ("amount_max", self.amount_max >= 1),
+            ("rate", self.rate >= 0),
+            ("hot_weight", 0 <= self.hot_weight <= 1),
+            ("acquire_fraction", 0 <= self.acquire_fraction <= 1),
+            ("hot_entities", self.hot_entities >= 0),
+            ("per_entity_budget", (self.per_entity_budget or 0) >= 0),
+        ):
+            if not ok:
+                raise ValueError(f"{name} out of range: {getattr(self, name)!r}")
+
+
+def randbelow(rng, n: int) -> Callable[[], int]:
+    """A draw uniform over ``range(n)``, ``n >= 1``.
+
+    The rejection loop under ``Random``'s ``randrange(n)`` without its
+    Python-level argument handling: it consumes the generator word for
+    word as ``randrange(n)`` does (``randint(1, n)`` is ``1 +`` this
+    draw), which keeps every seeded scale golden where it was.
+    """
+    getrandbits = rng.getrandbits
+    bits = n.bit_length()
+
+    def draw() -> int:
+        value = getrandbits(bits)
+        while value >= n:
+            value = getrandbits(bits)
+        return value
+
+    return draw
 
 
 class ScaleLoadDriver(Actor):
@@ -126,22 +155,21 @@ class ScaleLoadDriver(Actor):
         kernel: Kernel,
         name: str,
         region_index: int,
-        hosts: Sequence[ScaleSiteHost],
-        directory: ShardedEntityDirectory,
+        routes: RouteTable,
         config: ScaleConfig,
     ) -> None:
         super().__init__(kernel, name)
         self.region_index = region_index
-        self.hosts = list(hosts)
-        self.directory = directory
+        #: Shared ``row -> host group``; a row is the same row on every host.
+        self.routes = routes
         self.config = config
         self.until = config.duration
         self.hot_count = min(config.hot_entities, config.entities)
         self._carry = 0.0
-        #: entity id -> tokens this driver's clients currently hold.
-        self.holdings: dict[str, int] = {}
-        #: entity id -> total tokens demanded (for per_entity_budget).
-        self.demanded: dict[str, int] = {}
+        #: row -> tokens this driver's clients currently hold.
+        self.holdings = [0] * config.entities
+        #: row -> total tokens demanded (for per_entity_budget).
+        self.demanded = [0] * config.entities
         self.submitted = 0
         self.immediate = 0
         self.queued = 0
@@ -153,68 +181,74 @@ class ScaleLoadDriver(Actor):
     def _tick(self) -> None:
         if self.now >= self.until:
             return
-        rng = self.rng()
-        budget = self.config.rate * self.config.tick + self._carry
+        config = self.config
+        budget = config.rate * config.tick + self._carry
         count = int(budget)
         self._carry = budget - count
+        rng = self.rng()
+        random = rng.random
+        draw_any = randbelow(rng, config.entities)
+        hot_count = self.hot_count
+        draw_hot = randbelow(rng, hot_count) if hot_count else None
+        draw_amount = randbelow(rng, config.amount_max)
+        hot_weight = config.hot_weight
+        acquire_fraction = config.acquire_fraction
+        cap = config.per_entity_budget
+        # A directory change is observed here, at the next tick.
+        records = self.routes.records()
+        region_index = self.region_index
+        holdings = self.holdings
+        demanded = self.demanded
+        submitted = immediate = 0
         for _ in range(count):
-            self._one_request(rng)
-        self.after(self.config.tick, self._tick)
-
-    def _one_request(self, rng) -> None:
-        config = self.config
-        # Draw everything up front so the rng stream advances identically
-        # regardless of per-request outcomes — the determinism the parity
-        # test leans on.
-        hot = self.hot_count > 0 and rng.random() < config.hot_weight
-        if hot:
-            entity_id = f"e{rng.randrange(self.hot_count)}"
-        else:
-            entity_id = f"e{rng.randrange(config.entities)}"
-        acquire_draw = rng.random() < config.acquire_fraction
-        amount = rng.randint(1, config.amount_max)
-
-        record = self.directory.lookup(entity_id)
-        if record is None:
-            self.failed += 1
-            return
-        host = self._route(record)
-        if host is None:
-            self.failed += 1
-            return
-
-        held = self.holdings.get(entity_id, 0)
-        acquire = acquire_draw or held == 0
-        if acquire:
-            if config.per_entity_budget is not None:
-                remaining = config.per_entity_budget - self.demanded.get(entity_id, 0)
-                amount = min(amount, remaining)
-                if amount <= 0:
-                    self.skipped += 1
-                    return
-                self.demanded[entity_id] = (
-                    self.demanded.get(entity_id, 0) + amount
-                )
-        else:
-            amount = min(amount, held)
-
-        self.submitted += 1
-        status = host.submit(entity_id, acquire, amount)
-        if status == "committed":
-            self.immediate += 1
-            if acquire:
-                self.holdings[entity_id] = held + amount
+            # Draw everything up front so the rng stream advances
+            # identically regardless of per-request outcomes — the
+            # determinism the parity test leans on.
+            if hot_count and random() < hot_weight:
+                row = draw_hot()
             else:
-                self.holdings[entity_id] = held - amount
-        elif status == "queued":
-            # The grant (if any) lands after this driver stopped watching;
-            # the ledger columns still count it.  Holdings stay put, which
-            # only makes releases more conservative.
-            self.queued += 1
-        elif status == "rejected":
-            self.rejected_now += 1
-        else:
-            self.failed += 1
+                row = draw_any()
+            acquire = random() < acquire_fraction
+            amount = 1 + draw_amount()
+
+            record = records[row]
+            if record is None:
+                self.failed += 1
+                continue
+            host = record[region_index % len(record)]
+            if host.crashed:
+                host = self._route(record)
+                if host is None:
+                    self.failed += 1
+                    continue
+
+            held = holdings[row]
+            if acquire or held == 0:
+                acquire = True
+                if cap is not None:
+                    amount = min(amount, cap - demanded[row])
+                    if amount <= 0:
+                        self.skipped += 1
+                        continue
+                    demanded[row] += amount
+            else:
+                amount = min(amount, held)
+
+            submitted += 1
+            status = host.submit_row(row, acquire, amount)
+            if status == "committed":
+                immediate += 1
+                holdings[row] = held + amount if acquire else held - amount
+            elif status == "queued":
+                # The grant (if any) lands after this driver stopped
+                # watching; the ledger columns still count it.  Holdings
+                # stay put, which only makes releases more conservative.
+                self.queued += 1
+            else:
+                self.rejected_now += 1
+        self.submitted += submitted
+        self.immediate += immediate
+        self.after(config.tick, self._tick)
 
     def _route(self, record: Sequence[ScaleSiteHost]) -> ScaleSiteHost | None:
         """Prefer the local region's host; fail over round-robin."""
@@ -289,28 +323,23 @@ def build_scale_deployment(
 
     directory = ShardedEntityDirectory()
     shares = split_initial_allocation(config.maximum, len(hosts))
+    ids = [f"e{index}" for index in range(config.entities)]
+    rows = range(config.entities)
+    for position, host in enumerate(hosts):
+        if config.placement == "first":
+            tokens = [config.maximum if position == 0 else 0] * config.entities
+        else:
+            # Rotate the remainder so no single region systematically
+            # holds the extra token.
+            tokens = [shares[(position + row) % len(hosts)] for row in rows]
+        host.table.extend(ids, tokens)
     record = tuple(hosts)
-    for index in range(config.entities):
-        entity_id = f"e{index}"
-        for position, host in enumerate(hosts):
-            if config.placement == "first":
-                share = config.maximum if position == 0 else 0
-            else:
-                # Rotate the remainder so no single region systematically
-                # holds the extra token.
-                share = shares[(position + index) % len(hosts)]
-            host.add_entity(entity_id, share)
+    for entity_id in ids:
         directory.register(entity_id, record)
 
+    routes = RouteTable(directory, ids)
     drivers = [
-        ScaleLoadDriver(
-            kernel,
-            f"load-{region.value}",
-            position,
-            hosts,
-            directory,
-            config,
-        )
+        ScaleLoadDriver(kernel, f"load-{region.value}", position, routes, config)
         for position, region in enumerate(regions)
     ]
     return ScaleDeployment(
@@ -402,6 +431,7 @@ class ScaleResult:
     rounds_triggered: int
     rounds_applied: int
     protocol_instances: int
+    #: Resolutions (one per entity per directory change), not requests.
     directory_lookups: int
     wire_sent: int
     wire_delivered: int

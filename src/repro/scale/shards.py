@@ -62,6 +62,9 @@ class ShardedEntityDirectory:
         self.shard_map = ShardMap(n_shards)
         self._shards = [DirectoryShard(index) for index in range(n_shards)]
         self.lookups = 0
+        #: Bumped by every effective ``register`` / ``unregister``: what a
+        #: :class:`RouteTable` compares to know its routes are current.
+        self.version = 0
 
     # -- registration ------------------------------------------------------
 
@@ -70,10 +73,12 @@ class ShardedEntityDirectory:
         if entity_id in shard.records:
             raise ValueError(f"entity {entity_id!r} already registered")
         shard.records[entity_id] = record
+        self.version += 1
 
     def unregister(self, entity_id: str) -> None:
         shard = self._shards[self.shard_map.shard_of(entity_id)]
-        shard.records.pop(entity_id, None)
+        if shard.records.pop(entity_id, None) is not None:
+            self.version += 1
 
     # -- lookup ------------------------------------------------------------
 
@@ -114,3 +119,27 @@ class ShardedEntityDirectory:
     def items(self) -> Iterator[tuple[str, Any]]:
         for shard in self._shards:
             yield from shard.records.items()
+
+
+class RouteTable:
+    """Dense ``row -> record`` routes, resolved per entity, not per request.
+
+    ``ids[row]`` goes through ``directory.lookup`` when the table is built
+    and again once the directory's ``version`` has moved: every reader
+    shares one resolution and pays one integer compare to stay current.
+    """
+
+    __slots__ = ("directory", "ids", "version", "_records")
+
+    def __init__(self, directory: ShardedEntityDirectory, ids: list[str]) -> None:
+        self.directory = directory
+        self.ids = ids
+        self.version = -1
+        self.records()
+
+    def records(self) -> list[Any | None]:
+        """The current routes; ``None`` where the id is not registered."""
+        if self.version != self.directory.version:
+            self.version = self.directory.version
+            self._records = list(map(self.directory.lookup, self.ids))
+        return self._records

@@ -7,10 +7,14 @@ subsystem exists to remove.  :class:`ScaleSiteHost` flips the layout:
 
 * Token state for *all* hosted entities lives in one
   :class:`~repro.scale.entity_table.EntityTable` (contiguous columns).
-* Client requests are **local calls** (:meth:`submit`), not messages —
-  the workload driver colocates with the host, so the per-request cost
-  is a dict probe plus a few array ops, which is what lets one process
-  push millions of simulated requests through a sweep point.
+* Client requests are **local calls** (:meth:`submit_row`), not messages —
+  the workload driver colocates with the host and names the entity by its
+  table row, so the per-request cost is a few array ops, which is what
+  lets one process push millions of simulated requests through a sweep
+  point.  The row is the host's one internal key; an entity id appears
+  only where something outside the host reads it: ``EntityScoped`` on the
+  wire, demand-tracker labels, :meth:`active_rounds`, and the by-id
+  entries :meth:`submit` / :meth:`protocol_for`.
 * Per-entity Avantan protocol instances are created **lazily**, only
   when an entity first participates in a redistribution, behind a
   :class:`_EntityProtocolHost` adapter implementing the
@@ -110,10 +114,10 @@ class _EntityProtocolHost(RedistributionLedger):
     # -- ledger hooks ---------------------------------------------------------
 
     def wanted_tokens(self) -> int:
-        return self.site.queued_deficit(self.entity_id, self.row)
+        return self.site.queued_deficit(self.row)
 
     def drain_pending(self, degraded: bool) -> None:
-        self.site._drain(self.entity_id, self.row, degraded)
+        self.site._drain(self.row, degraded)
 
     def pledge_recovering(self, ballot, driver: str) -> None:
         site = self.site
@@ -162,12 +166,12 @@ class ScaleSiteHost(Actor):
         self.config = config or ScaleSiteConfig()
         self.table = EntityTable()
         self.peers: list[str] = []
-        #: entity_id -> adapter; populated lazily, never evicted.
-        self._protocols: dict[str, _EntityProtocolHost] = {}
-        #: entity_id -> queued acquires [amount, rounds_waited].
-        self._pending: dict[str, deque[list[int]]] = {}
-        #: entity ids with a deferred (cooldown-parked) retrigger.
-        self._deferred: set[str] = set()
+        #: row -> adapter; populated lazily, never evicted.
+        self._protocols: dict[int, _EntityProtocolHost] = {}
+        #: row -> queued acquires [amount, rounds_waited].
+        self._pending: dict[int, deque[list[int]]] = {}
+        #: rows with a deferred (cooldown-parked) retrigger.
+        self._deferred: set[int] = set()
         self._envelopes = EnvelopeDedup(self.config.msg_dedup_window)
         #: Optional :class:`~repro.obs.demand.DemandTracker`, set by
         #: :meth:`instrument`.  The scale request path is a local
@@ -203,16 +207,14 @@ class ScaleSiteHost(Actor):
             None if flow is None else flow.queue(f"scale.mailbox.{self.name}")
         )
 
-    def add_entity(self, entity_id: str, initial_tokens: int) -> int:
-        return self.table.add(entity_id, initial_tokens)
-
     def protocol_for(self, entity_id: str) -> _EntityProtocolHost:
-        adapter = self._protocols.get(entity_id)
+        return self._protocol_at(self.table.index_of(entity_id))
+
+    def _protocol_at(self, row: int) -> _EntityProtocolHost:
+        adapter = self._protocols.get(row)
         if adapter is None:
-            adapter = _EntityProtocolHost(
-                self, entity_id, self.table.index_of(entity_id)
-            )
-            self._protocols[entity_id] = adapter
+            adapter = _EntityProtocolHost(self, self.table.ids[row], row)
+            self._protocols[row] = adapter
         return adapter
 
     # -- message entry --------------------------------------------------------
@@ -224,77 +226,83 @@ class ScaleSiteHost(Actor):
             return  # duplicated envelope (fault layer / retransmission)
         payload = message.payload
         if isinstance(payload, EntityScoped):
-            if payload.entity_id not in self.table:
+            row = self.table.get(payload.entity_id)
+            if row is None:
                 self.unknown_entity += 1
                 return
-            adapter = self.protocol_for(payload.entity_id)
-            adapter.protocol.handle(payload.payload, message.src)
+            self._protocol_at(row).protocol.handle(payload.payload, message.src)
 
     # -- the request path ------------------------------------------------------
 
     def submit(self, entity_id: str, acquire: bool, amount: int) -> str:
-        """Serve one client request locally.
-
-        Returns ``"committed"``, ``"rejected"``, ``"queued"`` (an
-        acquire parked behind a redistribution), or ``"unknown"``.
-        """
+        """:meth:`submit_row` by entity id; ``"unknown"`` for an id this
+        host does not hold."""
         row = self.table.get(entity_id)
         if row is None:
             self.unknown_entity += 1
             return "unknown"
+        return self.submit_row(row, acquire, amount)
+
+    def submit_row(self, row: int, acquire: bool, amount: int) -> str:
+        """Serve one client request locally.
+
+        Returns ``"committed"``, ``"rejected"``, or ``"queued"`` (an
+        acquire parked behind a redistribution).
+        """
         table = self.table
+        left = table.tokens_left
         demand = self.demand
         if not acquire:
-            table.tokens_left[row] += amount
+            left[row] += amount
             table.released[row] += amount
             table.committed[row] += 1
             if demand is not None:
                 demand.serve(
-                    self.name, entity_id, "granted", kind="release",
-                    tokens_left=table.tokens_left[row], ts=self.now,
+                    self.name, table.ids[row], "granted", kind="release",
+                    tokens_left=left[row], ts=self.now,
                 )
             return "committed"
-        adapter = self._protocols.get(entity_id)
+        adapter = self._protocols.get(row)
         active = adapter is not None and adapter.protocol.active
         if active and not adapter.protocol.degraded:
             # §4.3: requests queue while the entity's round is in flight.
-            return self._enqueue(entity_id, row, amount)
+            return self._enqueue(row, amount)
         reserved = adapter.reserved_tokens() if adapter is not None else 0
-        if 0 < amount <= table.tokens_left[row] - reserved:
-            table.tokens_left[row] -= amount
+        if 0 < amount <= left[row] - reserved:
+            left[row] -= amount
             table.acquired[row] += amount
             table.committed[row] += 1
             if demand is not None:
                 demand.serve(
-                    self.name, entity_id, "granted",
-                    tokens_left=table.tokens_left[row], ts=self.now,
+                    self.name, table.ids[row], "granted",
+                    tokens_left=left[row], ts=self.now,
                 )
             return "committed"
         if not self.config.redistribute or (active and adapter.protocol.degraded):
             table.rejected[row] += 1
             if demand is not None:
                 demand.serve(
-                    self.name, entity_id, "rejected",
-                    tokens_left=table.tokens_left[row], ts=self.now,
+                    self.name, table.ids[row], "rejected",
+                    tokens_left=left[row], ts=self.now,
                 )
             return "rejected"
-        status = self._enqueue(entity_id, row, amount)
+        status = self._enqueue(row, amount)
         if status == "queued":
-            self._maybe_trigger(entity_id, row)
+            self._maybe_trigger(row)
         return status
 
-    def _enqueue(self, entity_id: str, row: int, amount: int) -> str:
-        queue = self._pending.get(entity_id)
+    def _enqueue(self, row: int, amount: int) -> str:
+        queue = self._pending.get(row)
         if queue is None:
             queue = deque()
-            self._pending[entity_id] = queue
+            self._pending[row] = queue
         if len(queue) >= self.config.max_queue:
             self.table.rejected[row] += 1
             if self._flow_mailbox is not None:
                 self._flow_mailbox.drop()
             if self.demand is not None:
                 self.demand.serve(
-                    self.name, entity_id, "rejected",
+                    self.name, self.table.ids[row], "rejected",
                     tokens_left=self.table.tokens_left[row], ts=self.now,
                 )
             return "rejected"
@@ -304,11 +312,11 @@ class ScaleSiteHost(Actor):
             self._flow_mailbox.enqueue(self._queued_total)
         return "queued"
 
-    def queued_deficit(self, entity_id: str, row: int) -> int:
+    def queued_deficit(self, row: int) -> int:
         """Tokens the queue needs beyond the local balance (Eq. 5,
         generalized to the whole queue as the non-literal SamyaSite
         mode does)."""
-        queue = self._pending.get(entity_id)
+        queue = self._pending.get(row)
         if not queue:
             return 0
         demand = sum(item[0] for item in queue)
@@ -316,15 +324,15 @@ class ScaleSiteHost(Actor):
 
     # -- triggers and drains ----------------------------------------------------
 
-    def _maybe_trigger(self, entity_id: str, row: int) -> None:
-        adapter = self.protocol_for(entity_id)
+    def _maybe_trigger(self, row: int) -> None:
+        adapter = self._protocol_at(row)
         if adapter.protocol.active:
             return
         wait = adapter.last_trigger_at + self.config.reactive_cooldown - self.now
         if wait > 0:
-            if entity_id not in self._deferred:
-                self._deferred.add(entity_id)
-                self.after(wait, self._deferred_trigger, entity_id, row)
+            if row not in self._deferred:
+                self._deferred.add(row)
+                self.after(wait, self._deferred_trigger, row)
             return
         adapter.last_trigger_at = self.now
         if adapter.protocol.trigger():
@@ -332,12 +340,12 @@ class ScaleSiteHost(Actor):
             if self.demand is not None:
                 self.demand.trigger(self.name, "reactive")
 
-    def _deferred_trigger(self, entity_id: str, row: int) -> None:
-        self._deferred.discard(entity_id)
-        if self.queued_deficit(entity_id, row) > 0 or self._pending.get(entity_id):
-            self._maybe_trigger(entity_id, row)
+    def _deferred_trigger(self, row: int) -> None:
+        self._deferred.discard(row)
+        if self.queued_deficit(row) > 0 or self._pending.get(row):
+            self._maybe_trigger(row)
 
-    def _drain(self, entity_id: str, row: int, degraded: bool) -> None:
+    def _drain(self, row: int, degraded: bool) -> None:
         """Answer the entity's queue after a round ends (or blocks).
 
         Unservable acquires re-queue for the next round up to
@@ -347,13 +355,13 @@ class ScaleSiteHost(Actor):
         serves what the unreserved balance allows and rejects nothing:
         the blocked round may still complete after a heal.
         """
-        queue = self._pending.get(entity_id)
+        queue = self._pending.get(row)
         if not queue:
             return
         popped = len(queue)
         table = self.table
         demand = self.demand
-        adapter = self._protocols[entity_id]
+        adapter = self._protocols[row]
         keep: deque[list[int]] = deque()
         reserved = adapter.reserved_tokens() if degraded else 0
         while queue:
@@ -367,7 +375,7 @@ class ScaleSiteHost(Actor):
                     # Served only after queueing through a round: the
                     # non-local half of the token-locality split.
                     demand.serve(
-                        self.name, entity_id, "granted", waited=True,
+                        self.name, table.ids[row], "granted", waited=True,
                         tokens_left=table.tokens_left[row], ts=self.now,
                     )
             elif degraded:
@@ -379,7 +387,7 @@ class ScaleSiteHost(Actor):
                 table.rejected[row] += 1
                 if demand is not None:
                     demand.serve(
-                        self.name, entity_id, "rejected", waited=True,
+                        self.name, table.ids[row], "rejected", waited=True,
                         tokens_left=table.tokens_left[row], ts=self.now,
                     )
         removed = popped - len(keep)
@@ -388,11 +396,11 @@ class ScaleSiteHost(Actor):
             if self._flow_mailbox is not None:
                 self._flow_mailbox.drain(removed, self._queued_total)
         if keep:
-            self._pending[entity_id] = keep
+            self._pending[row] = keep
             if not degraded:
-                self._maybe_trigger(entity_id, row)
+                self._maybe_trigger(row)
         else:
-            self._pending.pop(entity_id, None)
+            self._pending.pop(row, None)
 
     # -- crash / recovery --------------------------------------------------------
 
@@ -402,8 +410,7 @@ class ScaleSiteHost(Actor):
             adapter.protocol.on_crash()
         # Volatile state evaporates; the table (modeled stable storage)
         # and protocol states survive.
-        for entity_id, queue in self._pending.items():
-            row = self.table.index_of(entity_id)
+        for row, queue in self._pending.items():
             self.table.rejected[row] += len(queue)
         if self._queued_total:
             if self._flow_mailbox is not None:
@@ -423,9 +430,10 @@ class ScaleSiteHost(Actor):
 
     def active_rounds(self) -> list[str]:
         """Entity ids with a protocol round in flight on this host."""
+        ids = self.table.ids
         return [
-            entity_id
-            for entity_id, adapter in self._protocols.items()
+            ids[row]
+            for row, adapter in self._protocols.items()
             if adapter.protocol.active
         ]
 
