@@ -22,8 +22,10 @@ import enum
 import json
 import struct
 from dataclasses import fields, is_dataclass
+from json.encoder import encode_basestring_ascii
+from math import isfinite
 from time import perf_counter
-from typing import Any
+from typing import Any, Callable
 
 #: Frame header: payload byte length, unsigned 32-bit big-endian.
 FRAME_HEADER = struct.Struct(">I")
@@ -169,42 +171,78 @@ def _ensure_bootstrap() -> None:
         register(cls)
 
 
-# -- object <-> JSON-safe tree ---------------------------------------------
+# -- object -> JSON text: one cached writer per concrete type ---------------
+#
+# The bytes are those ``json.dumps`` (compact separators) printed for the
+# type-tagged tree the codec used to build, kept as the reference in
+# ``tests/test_codec.py``.  Set elements now sort by encoded text, not by
+# ``repr`` of a tree node; no registered wire type has a set field.
 
 
-def _to_wire(obj: Any) -> Any:
+def _float_text(value: float) -> str:
+    if isfinite(value):
+        return float.__repr__(value)
+    return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+
+
+#: Exact type -> JSON text writer; primitives seeded, others built on first use.
+_WRITERS: dict[type, Callable[[Any], str]] = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_text,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
+
+
+def _text(obj: Any) -> str:
+    writer = _WRITERS.get(type(obj))
+    if writer is None:
+        # Cached only once built: a refused type may be registered later.
+        writer = _WRITERS[type(obj)] = _build_writer(type(obj))
+    return writer(obj)
+
+
+def _build_writer(cls: type) -> Callable[[Any], str]:
     # Enums first: str/int-mixin enums (RequestStatus, Region, ...) are
-    # also primitive instances and must not fall through untagged.
-    if isinstance(obj, enum.Enum):
+    # also primitive subclasses and must not fall through untagged.
+    if issubclass(cls, enum.Enum):
         _ensure_bootstrap()
-        name = type(obj).__name__
-        if _ENUMS.get(name) is not type(obj):
-            raise CodecError(f"enum {name} is not registered with the codec")
-        return {"__enum__": name, "v": obj.value}
-    if obj is None or isinstance(obj, (bool, int, float, str)):
-        return obj
-    if is_dataclass(obj) and not isinstance(obj, type):
+        if _ENUMS.get(cls.__name__) is not cls:
+            raise CodecError(f"enum {cls.__name__} is not registered with the codec")
+        head = '{"__enum__":' + encode_basestring_ascii(cls.__name__) + ',"v":'
+        return lambda member: head + _text(member.value) + "}"
+    for primitive in (str, int, float):
+        if issubclass(cls, primitive):
+            return _WRITERS[primitive]
+    if is_dataclass(cls):
         _ensure_bootstrap()
-        name = type(obj).__name__
-        if _DATACLASSES.get(name) is not type(obj):
+        if _DATACLASSES.get(cls.__name__) is not cls:
             raise CodecError(
-                f"{name} is not registered with the codec — add it to "
+                f"{cls.__name__} is not registered with the codec — add it to "
                 f"repro.net.codec's registry before sending it on a socket"
             )
-        return {
-            "__dc__": name,
-            "f": {f.name: _to_wire(getattr(obj, f.name)) for f in fields(obj)},
-        }
-    if isinstance(obj, tuple):
-        return {"__tuple__": [_to_wire(item) for item in obj]}
-    if isinstance(obj, list):
-        return [_to_wire(item) for item in obj]
-    if isinstance(obj, (set, frozenset)):
+        return _dataclass_writer(cls)
+    if issubclass(cls, tuple):
+        return lambda items: '{"__tuple__":[' + ",".join(map(_text, items)) + "]}"
+    if issubclass(cls, list):
+        return lambda items: "[" + ",".join(map(_text, items)) + "]"
+    if issubclass(cls, (set, frozenset)):
         # Deterministic wire order so identical values encode identically.
-        return {"__set__": sorted((_to_wire(item) for item in obj), key=repr)}
-    if isinstance(obj, dict):
-        return {"__map__": [[_to_wire(k), _to_wire(v)] for k, v in obj.items()]}
-    raise CodecError(f"cannot encode {type(obj).__name__} for the wire")
+        return lambda items: '{"__set__":[' + ",".join(sorted(map(_text, items))) + "]}"
+    if issubclass(cls, dict):
+        return lambda mapping: '{"__map__":[' + ",".join(
+            [f"[{_text(k)},{_text(v)}]" for k, v in mapping.items()]) + "]}"
+    raise CodecError(f"cannot encode {cls.__name__} for the wire")
+
+
+def _dataclass_writer(cls: type) -> Callable[[Any], str]:
+    """``{"__dc__":"Name","f":{...}}`` with the tag and every key spelled once."""
+    head = '{"__dc__":' + encode_basestring_ascii(cls.__name__) + ',"f":{'
+    pairs = [(("," if i else "") + encode_basestring_ascii(f.name) + ":", f.name)
+             for i, f in enumerate(fields(cls))]
+    return lambda obj: head + "".join(
+        [key + _text(getattr(obj, name)) for key, name in pairs]) + "}}"
 
 
 def _from_wire(node: Any) -> Any:
@@ -242,9 +280,9 @@ def _from_wire(node: Any) -> Any:
 def encode(obj: Any) -> bytes:
     """Serialize any registered wire object to JSON bytes."""
     if _PERF is None:
-        return json.dumps(_to_wire(obj), separators=(",", ":")).encode("utf-8")
+        return _text(obj).encode("ascii")
     start = perf_counter()
-    body = json.dumps(_to_wire(obj), separators=(",", ":")).encode("utf-8")
+    body = _text(obj).encode("ascii")
     _PERF.observe("codec.encode", _wire_label(obj), perf_counter() - start)
     return body
 
@@ -256,7 +294,11 @@ def decode(data: bytes) -> Any:
         node = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CodecError(f"malformed wire bytes: {exc}") from exc
-    obj = _from_wire(node)
+    try:
+        obj = _from_wire(node)
+    except (TypeError, ValueError, KeyError, AttributeError) as exc:
+        # Well-formed JSON of the wrong shape (CodecError is a ValueError).
+        raise CodecError(f"malformed wire data: {exc}") from exc
     if _PERF is not None:
         _PERF.observe("codec.decode", _wire_label(obj), perf_counter() - start)
     return obj

@@ -12,11 +12,17 @@ out-queues, saturated scale mailboxes) dropping *accountedly*.
 from __future__ import annotations
 
 import asyncio
+import hashlib
+import itertools
+import json
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import requests as requests_module
+from repro.faults import FaultyTransport
 from repro.harness.experiment import Experiment, ExperimentConfig
+from repro.net.network import Network, NetworkConfig
 from repro.net.regions import Region
 from repro.obs import (
     EventBus,
@@ -340,6 +346,69 @@ class TestScaleMailboxSaturation:
             assert accounting["columns_bytes"] == sum(
                 accounting["columns"].values()
             )
+
+
+def _digest(value) -> str:
+    return hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()
+
+
+class TestAccountedBytes:
+    """The bytes the flow plane accounts on the two sim paths that frame:
+    every send on the core transport, and the scale batching layer's
+    envelope-versus-bare efficiency probe.  Recorded at ``fb8065d``,
+    before the codec wrote JSON text directly; a codec change that moves
+    one byte on these paths moves these numbers."""
+
+    def test_core_run_under_drops_and_duplicates(self, monkeypatch):
+        # Request ids are process-global and their digit count is on the
+        # wire: start them where a fresh interpreter would.
+        monkeypatch.setattr(requests_module, "_request_ids", itertools.count(1))
+        kernel = Kernel(seed=3)
+        network = FaultyTransport(Network(kernel, NetworkConfig()), kernel, seed=3)
+        experiment = Experiment(
+            ExperimentConfig(system="samya-majority", seed=3, duration=60, flow=True),
+            kernel=kernel,
+            network=network,
+        )
+        network.degrade(
+            [server.name for server in experiment.servers], drop=0.05, duplicate=0.02
+        )
+        experiment.start()
+        kernel.run(until=75)
+        flow = experiment.collect().flow_snapshot
+        assert dict(network.injected) == {"duplicate": 74, "nemesis-drop": 205}
+        assert (flow["frames"], flow["payload_bytes"], flow["frame_bytes"]) == (
+            3557, 1555071, 1569299,
+        )
+        assert _digest(flow) == (
+            "01bee4fbc414c20bd8f30906a733bd4946ac565525cea7285dded527eba620b4"
+        )
+
+    def test_scale_run_with_batching(self):
+        result = run_scale(
+            ScaleConfig(
+                entities=1000, duration=2, rate=1000, batching=True, flow=True, seed=3
+            )
+        )
+        assert result.batching == {
+            "batched_payloads": 2592, "batches_delivered": 972, "batches_sent": 972,
+            "logical_sent": 5432, "passthrough_sent": 2840,
+        }
+        wire = {
+            key: result.flow[key]
+            for key in ("frames", "payload_bytes", "frame_bytes", "types", "links", "batch")
+        }
+        assert wire["batch"] == {
+            "coalescing_ratio": 2.667, "envelope_bytes": 1707234, "envelopes": 972,
+            "inner": 2592, "inner_bytes": 1829678, "overhead_ratio": 0.9331,
+            "passthrough": 2840,
+        }
+        assert (wire["frames"], wire["payload_bytes"], wire["frame_bytes"]) == (
+            3812, 4118622, 4133870,
+        )
+        assert _digest(wire) == (
+            "5fd1a63eed97c6a26134c1df67f6014ea1e0729a6dc12d7f70b36d7fa1de2a6d"
+        )
 
 
 class TestResourceAccounting:
