@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from repro.baselines.raft.node import RaftConfig, RaftNode
+from repro.baselines.raft.node import RaftNode
 from repro.baselines.statemachine import LogDeployment
 from repro.core.entity import Entity
 from repro.net.transport import Clock, Transport
@@ -27,8 +27,5 @@ class CockroachLikeCluster(LogDeployment):
         entity: Entity,
         client_regions: Sequence[Region],
         replica_regions: Sequence[Region] = PAPER_REGIONS,
-        config: RaftConfig | None = None,
     ) -> None:
-        super().__init__(
-            kernel, network, entity, client_regions, replica_regions, config
-        )
+        super().__init__(kernel, network, entity, client_regions, replica_regions)

@@ -56,15 +56,20 @@ class BorrowGrant:
     borrow_id: int
 
 
+#: CPU cost of handling one message at a site (seconds).
+SERVICE_TIME = 0.0002
+
+#: How long to wait for one peer's grant before asking the next.
+BORROW_TIMEOUT = 1.0
+
+#: Gap between successive borrow campaigns at one site.
+BORROW_COOLDOWN = 0.2
+
+
 @dataclass
 class DemarcationConfig:
-    service_time: float = 0.0002
-    #: How long to wait for one peer's grant before asking the next.
-    borrow_timeout: float = 1.0
     #: Fraction of the initial escrow a lender always keeps for itself.
     min_keep_fraction: float = 0.1
-    #: Gap between successive borrow campaigns at one site.
-    borrow_cooldown: float = 0.2
 
 
 class EscrowSite(Server):
@@ -81,7 +86,7 @@ class EscrowSite(Server):
         config: DemarcationConfig | None = None,
     ) -> None:
         self.config = config or DemarcationConfig()
-        super().__init__(kernel, name, region, network, self.config.service_time)
+        super().__init__(kernel, name, region, network, SERVICE_TIME)
         self.entity = entity
         self.state = EntityState(entity.id, initial_tokens)
         self.min_keep = int(initial_tokens * self.config.min_keep_fraction)
@@ -231,7 +236,7 @@ class EscrowSite(Server):
         self.network.send(
             self.name, peer, BorrowRequest(self.entity.id, deficit, self._borrow_id)
         )
-        self._borrow_timer.restart(self.config.borrow_timeout)
+        self._borrow_timer.restart(BORROW_TIMEOUT)
 
     def _on_borrow_request(self, msg: BorrowRequest, src: str) -> None:
         spare = max(0, self.state.tokens_left - self.min_keep - self._deficit())
@@ -266,7 +271,7 @@ class EscrowSite(Server):
     def _finish_borrow(self, final: bool = False) -> None:
         self._borrow_timer.cancel()
         self._borrowing = False
-        self._next_borrow_allowed = self.now + self.config.borrow_cooldown
+        self._next_borrow_allowed = self.now + BORROW_COOLDOWN
         self._drain(final=final)
         if self._pending:
             self._start_borrow()
@@ -296,7 +301,7 @@ class EscrowSite(Server):
         self.state.tokens_left = tokens_left
         self.counters["tokens_lent"] = lent
         self.counters["tokens_borrowed"] = borrowed
-        self._next_borrow_allowed = self.now + self.config.borrow_cooldown
+        self._next_borrow_allowed = self.now + BORROW_COOLDOWN
 
 
 class EscrowConservationChecker(ConservationChecker):

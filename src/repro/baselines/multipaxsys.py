@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from repro.baselines.paxos.replica import PaxosConfig, PaxosReplica
+from repro.baselines.paxos.replica import PaxosReplica
 from repro.baselines.statemachine import LogDeployment
 from repro.core.entity import Entity
 from repro.net.transport import Clock, Transport
@@ -30,8 +30,5 @@ class MultiPaxSysCluster(LogDeployment):
         entity: Entity,
         client_regions: Sequence[Region],
         replica_regions: Sequence[Region] = MULTIPAXSYS_REGIONS,
-        config: PaxosConfig | None = None,
     ) -> None:
-        super().__init__(
-            kernel, network, entity, client_regions, replica_regions, config
-        )
+        super().__init__(kernel, network, entity, client_regions, replica_regions)

@@ -1,5 +1,5 @@
 """Multi-Paxos replicated log (substrate for MultiPaxSys)."""
 
-from repro.baselines.paxos.replica import PaxosConfig, PaxosReplica
+from repro.baselines.paxos.replica import PaxosReplica
 
-__all__ = ["PaxosConfig", "PaxosReplica"]
+__all__ = ["PaxosReplica"]

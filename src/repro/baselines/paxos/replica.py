@@ -14,8 +14,6 @@ merges the majority's log tails before resuming.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.baselines.paxos.messages import (
     Accept,
     Accepted,
@@ -33,17 +31,11 @@ from repro.net.transport import Clock, Transport
 from repro.net.regions import Region
 from repro.storage.wal import LogEntry
 
+#: Leader heartbeat period.
+HEARTBEAT_INTERVAL = 0.2
 
-@dataclass
-class PaxosConfig:
-    """Timing knobs for the replica group."""
-
-    service_time: float = 0.0002
-    heartbeat_interval: float = 0.2
-    #: Base follower election timeout (randomized x1..2 per replica).
-    election_timeout: float = 1.5
-    #: Leader retransmit interval for the in-flight entry.
-    retransmit_interval: float = 0.5
+#: Leader retransmit interval for the in-flight entry.
+RETRANSMIT_INTERVAL = 0.5
 
 
 class PaxosReplica(LogServer):
@@ -56,10 +48,9 @@ class PaxosReplica(LogServer):
         region: Region,
         network: Transport,
         maxima: dict[str, int],
-        config: PaxosConfig | None = None,
         is_initial_leader: bool = False,
     ) -> None:
-        super().__init__(kernel, name, region, network, maxima, config or PaxosConfig())
+        super().__init__(kernel, name, region, network, maxima)
         self.is_leader = is_initial_leader
         self.ballot: Ballot = (1, name) if is_initial_leader else (0, "")
         self.promised: Ballot = self.ballot
@@ -75,7 +66,7 @@ class PaxosReplica(LogServer):
         self.peers = [peer for peer in names if peer != self.name]
         if self.is_leader:
             self.known_leader = self.name
-            self._heartbeat_timer.restart(self.config.heartbeat_interval)
+            self._heartbeat_timer.restart(HEARTBEAT_INTERVAL)
         else:
             self._arm_election_timer()
 
@@ -110,7 +101,7 @@ class PaxosReplica(LogServer):
         entry = self.log.append(self.ballot[0], command)
         self._inflight = (entry, {self.name}, fwd)
         self._broadcast_accept(entry)
-        self._retransmit_timer.restart(self.config.retransmit_interval)
+        self._retransmit_timer.restart(RETRANSMIT_INTERVAL)
         self._maybe_commit_inflight()
 
     def _broadcast_accept(self, entry: LogEntry, only: list[str] | None = None) -> None:
@@ -230,14 +221,14 @@ class PaxosReplica(LogServer):
         message = Heartbeat(self.ballot, self.commit_index)
         for peer in self.peers:
             self.network.send(self.name, peer, message)
-        self._heartbeat_timer.restart(self.config.heartbeat_interval)
+        self._heartbeat_timer.restart(HEARTBEAT_INTERVAL)
 
     def _on_retransmit(self) -> None:
         if not self.is_leader or self._inflight is None:
             return
         entry, acks, _ = self._inflight
         self._broadcast_accept(entry, only=[p for p in self.peers if p not in acks])
-        self._retransmit_timer.restart(self.config.retransmit_interval)
+        self._retransmit_timer.restart(RETRANSMIT_INTERVAL)
 
     def _on_election_timeout(self) -> None:
         if self.is_leader:
@@ -289,7 +280,7 @@ class PaxosReplica(LogServer):
         self.known_leader = self.name
         self._promises = {}
         self._election_timer.cancel()
-        self._heartbeat_timer.restart(self.config.heartbeat_interval)
+        self._heartbeat_timer.restart(HEARTBEAT_INTERVAL)
         self.commit_index = min(max_commit, self.log.last_index)
         self._apply_committed()
         # Re-replicate any uncommitted tail (clients of the old leader get
@@ -299,7 +290,7 @@ class PaxosReplica(LogServer):
             entry = tail[0]
             self._inflight = (entry, {self.name}, None)
             self._broadcast_accept(entry)
-            self._retransmit_timer.restart(self.config.retransmit_interval)
+            self._retransmit_timer.restart(RETRANSMIT_INTERVAL)
 
     # -- commit chaining for recovered tails -----------------------------------
 
@@ -310,7 +301,7 @@ class PaxosReplica(LogServer):
                 entry = tail[0]
                 self._inflight = (entry, {self.name}, None)
                 self._broadcast_accept(entry)
-                self._retransmit_timer.restart(self.config.retransmit_interval)
+                self._retransmit_timer.restart(RETRANSMIT_INTERVAL)
             else:
                 self._propose_next()
 

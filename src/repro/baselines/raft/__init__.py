@@ -1,5 +1,5 @@
 """Raft replicated log (substrate for the CockroachDB-like baseline)."""
 
-from repro.baselines.raft.node import RaftConfig, RaftNode
+from repro.baselines.raft.node import RaftNode
 
-__all__ = ["RaftConfig", "RaftNode"]
+__all__ = ["RaftNode"]

@@ -13,8 +13,6 @@ of previous terms (§5.4.2 of the Raft paper).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.baselines.raft.messages import (
     AppendEntries,
     AppendEntriesReply,
@@ -27,15 +25,11 @@ from repro.net.message import Message
 from repro.net.transport import Clock, Transport
 from repro.net.regions import Region
 
+#: Leader heartbeat (empty AppendEntries) period.
+HEARTBEAT_INTERVAL = 0.25
 
-@dataclass
-class RaftConfig:
-    service_time: float = 0.0002
-    heartbeat_interval: float = 0.25
-    #: Election timeout base; actual timeout is uniform in [base, 2*base].
-    election_timeout: float = 1.5
-    #: First-election head start for the preferred initial leader.
-    initial_leader_boost: float = 0.05
+#: First-election head start for the preferred initial leader.
+INITIAL_LEADER_BOOST = 0.05
 
 
 class RaftNode(LogServer):
@@ -52,10 +46,9 @@ class RaftNode(LogServer):
         region: Region,
         network: Transport,
         maxima: dict[str, int],
-        config: RaftConfig | None = None,
         preferred_leader: bool = False,
     ) -> None:
-        super().__init__(kernel, name, region, network, maxima, config or RaftConfig())
+        super().__init__(kernel, name, region, network, maxima)
         self.preferred_leader = preferred_leader
         self.term = 0
         self.voted_for: str | None = None
@@ -73,7 +66,7 @@ class RaftNode(LogServer):
         self.peers = [peer for peer in names if peer != self.name]
         if self.preferred_leader:
             # First-election head start, so the group opens under this node.
-            self._election_timer.restart(self.config.initial_leader_boost)
+            self._election_timer.restart(INITIAL_LEADER_BOOST)
         else:
             self._arm_election_timer()
 
@@ -244,7 +237,7 @@ class RaftNode(LogServer):
         self._next_index = {peer: self.log.last_index + 1 for peer in self.peers}
         self._match_index = {peer: 0 for peer in self.peers}
         self._election_timer.cancel()
-        self._heartbeat_timer.restart(self.config.heartbeat_interval)
+        self._heartbeat_timer.restart(HEARTBEAT_INTERVAL)
         self.log.append(self.term, None)
         self._proposing = True
         self._replicate_to_all()
@@ -268,7 +261,7 @@ class RaftNode(LogServer):
         if not self.is_leader:
             return
         self._replicate_to_all()
-        self._heartbeat_timer.restart(self.config.heartbeat_interval)
+        self._heartbeat_timer.restart(HEARTBEAT_INTERVAL)
 
     # -- crash handling ----------------------------------------------------
 

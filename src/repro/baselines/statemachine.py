@@ -24,6 +24,12 @@ from repro.net.regions import Region
 from repro.net.transport import Clock, Transport
 from repro.storage.wal import WriteAheadLog
 
+#: CPU cost of handling one message at a replica (seconds).
+SERVICE_TIME = 0.0002
+
+#: Base follower election timeout (randomized x1..2 per replica).
+ELECTION_TIMEOUT = 1.5
+
 
 @dataclass(frozen=True)
 class TokenCommand:
@@ -96,10 +102,8 @@ class LogServer(Server):
         region: Region,
         network: Transport,
         maxima: dict[str, int],
-        config,
     ) -> None:
-        super().__init__(kernel, name, region, network, config.service_time)
-        self.config = config
+        super().__init__(kernel, name, region, network, SERVICE_TIME)
         self.log = WriteAheadLog()
         self.state_machine = TokenStateMachine(maxima)
         self.commit_index = 0
@@ -116,8 +120,7 @@ class LogServer(Server):
 
     def _arm_election_timer(self) -> None:
         """Randomized x1..2 per replica, so candidates rarely collide."""
-        base = self.config.election_timeout
-        self._election_timer.restart(base * (1.0 + self.rng().random()))
+        self._election_timer.restart(ELECTION_TIMEOUT * (1.0 + self.rng().random()))
 
     # -- client path ---------------------------------------------------------
 
@@ -218,16 +221,13 @@ class LogDeployment(Deployment):
         entity: Entity,
         client_regions: Sequence[Region],
         replica_regions: Sequence[Region],
-        config,
     ) -> None:
         maxima = {entity.id: entity.maximum}
         replicas: list[LogServer] = []
         for region in replica_regions:
             name = f"{self.prefix}-{region.value}"
             replicas.append(
-                self.replica_class(
-                    kernel, name, region, network, maxima, config, not replicas
-                )
+                self.replica_class(kernel, name, region, network, maxima, not replicas)
             )
         names = [replica.name for replica in replicas]
         for replica in replicas:

@@ -482,7 +482,6 @@ def cmd_nemesis(args: argparse.Namespace) -> int:
 
 def cmd_sweep_scale(args: argparse.Namespace) -> int:
     from repro.scale import ScaleConfig, sweep_scale
-    from repro.scale.site import ScaleSiteConfig
 
     try:
         counts = [int(part) for part in args.entities.split(",") if part.strip()]
@@ -501,7 +500,6 @@ def cmd_sweep_scale(args: argparse.Namespace) -> int:
         batching=not args.no_batch,
         audit=not args.no_audit,
         trace_path=args.trace,
-        site=ScaleSiteConfig(),
     )
     results = sweep_scale(counts, base)
     rows = []

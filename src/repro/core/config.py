@@ -45,9 +45,6 @@ class SamyaConfig:
     #: Retry interval while blocked waiting for a majority of Accept-oks.
     blocked_retry_interval: float = 2.5
 
-    #: Timeout for collecting remote token info on read transactions.
-    read_timeout: float = 1.0
-
     #: Enable proactive (prediction-driven) redistributions (§4.2).
     proactive: bool = True
 
@@ -87,23 +84,8 @@ class SamyaConfig:
     #: is not stranded behind a redistribution that cannot help.
     queue_during_cooldown: bool = False
 
-    #: How many epochs of predicted demand a site asks for when it
-    #: triggers (TokensWanted = ceil(prediction * horizon) - TokensLeft).
-    #: Eq. 4 uses exactly one epoch; asking for a few keeps the site
-    #: supplied through the cooldown window above.
-    want_horizon_epochs: float = 4.0
-
-    #: Sliding-window size of the per-site envelope dedup
-    #: (:class:`repro.net.message.EnvelopeDedup`).  Must exceed the
-    #: number of envelopes plausibly in flight to one site; evictions
-    #: past the window are counted and surfaced as ``dedup.evict``
-    #: trace events.
-    msg_dedup_window: int = 1 << 16
-
     def __post_init__(self) -> None:
         if self.epoch_seconds <= 0:
             raise ValueError("epoch_seconds must be positive")
         if self.service_time < 0 or self.protocol_service_time < 0:
             raise ValueError("service times must be non-negative")
-        if self.msg_dedup_window <= 0:
-            raise ValueError("msg_dedup_window must be positive")

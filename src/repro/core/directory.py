@@ -30,7 +30,7 @@ from repro.core.site import SamyaSite
 from repro.metrics.invariants import ConservationChecker
 from repro.net.transport import Clock, Transport
 from repro.net.regions import Region
-from repro.scale.shards import ShardedEntityDirectory
+from repro.scale.shards import EntityDirectory
 
 
 @dataclass
@@ -45,35 +45,9 @@ class EntitySpec:
     predictor_factory: object = None
 
 
-class EntityDirectory:
-    """Lookup service: entity id -> the routing policy for its sites.
-
-    Backed by the sharded directory from :mod:`repro.scale.shards`: the
-    id space is hash-partitioned so lookup stays O(1) and lifecycle
-    scans stay O(shard) at any entity count.  The original flat-map API
-    is preserved verbatim — this class only narrows the record type to
-    routing policies.
-    """
-
-    def __init__(self, n_shards: int = 64) -> None:
-        self._shards = ShardedEntityDirectory(n_shards)
-
-    @property
-    def lookups(self) -> int:
-        return self._shards.lookups
-
-    def register(self, entity_id: str, routing: ClosestRegionRouting) -> None:
-        self._shards.register(entity_id, routing)
-
-    def lookup(self, entity_id: str) -> ClosestRegionRouting | None:
-        return self._shards.lookup(entity_id)
-
-    def entities(self) -> list[str]:
-        return self._shards.entities()
-
-
 class _DirectoryRouting:
-    """Routing policy resolving the per-entity site group first."""
+    """Routing policy resolving the per-entity site group first: the
+    directory maps each entity id to a :class:`ClosestRegionRouting`."""
 
     def __init__(self, directory: EntityDirectory) -> None:
         self._directory = directory

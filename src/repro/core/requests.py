@@ -34,6 +34,14 @@ def next_request_id() -> int:
     return next(_request_ids)
 
 
+def reset_request_ids() -> None:
+    """Restart the id counter — called at deployment-build boundaries,
+    like :func:`repro.net.message.reset_msg_ids`: request ids ride the
+    wire, so their digit count is in every accounted byte."""
+    global _request_ids
+    _request_ids = itertools.count(1)
+
+
 @dataclass
 class ClientRequest:
     """A transaction submitted by a client via an app manager."""

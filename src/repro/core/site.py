@@ -48,6 +48,15 @@ _read_ids = itertools.count(1)
 #: A constant: it only has to outlast the app manager's retry horizon.
 REQUEST_DEDUP_WINDOW = 8192
 
+#: How many epochs of predicted demand a site asks for when it triggers
+#: (TokensWanted = ceil(prediction * horizon) - TokensLeft).  Eq. 4 uses
+#: exactly one epoch; asking for a few keeps the site supplied through
+#: the redistribution cooldown.
+WANT_HORIZON_EPOCHS = 4.0
+
+#: Timeout for collecting remote token info on read transactions.
+READ_TIMEOUT = 1.0
+
 
 class Server(Actor):
     """The server shell every compared system runs inside.
@@ -82,7 +91,6 @@ class Server(Actor):
         network: Transport,
         request_cost: float,
         protocol_cost: float | None = None,
-        dedup_window: int = 1 << 16,
     ) -> None:
         super().__init__(kernel, name)
         self.region = region
@@ -91,7 +99,7 @@ class Server(Actor):
         self.peers: list[str] = []
         self._request_cost = request_cost
         self._protocol_cost = request_cost if protocol_cost is None else protocol_cost
-        self._envelopes = EnvelopeDedup(dedup_window, on_evict=self._on_dedup_evict)
+        self._envelopes = EnvelopeDedup(on_evict=self._on_dedup_evict)
         self._busy_until = 0.0
         network.attach(self, region)
 
@@ -176,7 +184,6 @@ class SamyaSite(Server, RedistributionLedger):
             network,
             request_cost=self.config.service_time,
             protocol_cost=self.config.protocol_service_time,
-            dedup_window=self.config.msg_dedup_window,
         )
         RedistributionLedger.__init__(self, EntityState(entity.id, initial_tokens))
         self.entity = entity
@@ -475,9 +482,7 @@ class SamyaSite(Server, RedistributionLedger):
         """Algorithm 1 lines 9-12, generalized to also cover queued
         reactive demand and the want horizon."""
         wanted = 0
-        horizon_demand = math.ceil(
-            self.predict_next_epoch() * self.config.want_horizon_epochs
-        )
+        horizon_demand = math.ceil(self.predict_next_epoch() * WANT_HORIZON_EPOCHS)
         if horizon_demand > self.state.tokens_left:
             wanted = horizon_demand - self.state.tokens_left
         return max(wanted, self._pending_acquire_deficit())
@@ -572,7 +577,7 @@ class SamyaSite(Server, RedistributionLedger):
             "fwd": fwd,
             "replies": {self.name: self.state.tokens_left},
             "deadline": self.kernel.schedule(
-                self.config.read_timeout, self._guarded, self._finish_read, (read_id,)
+                READ_TIMEOUT, self._guarded, self._finish_read, (read_id,)
             ),
             "span": (
                 obs.span_begin("read", node=self.name, trace_id=f"read-{read_id}")

@@ -25,6 +25,15 @@ from repro.net.regions import Region
 
 _KINDS = ("crash", "partition", "partition-oneway", "degrade")
 
+#: Fault-free head: clients ramp up before the first fault.
+WARMUP = 10.0
+
+#: Degradation ceilings (each degrade window samples below these).
+MAX_DROP = 0.25
+MAX_DUPLICATE = 0.25
+MAX_DELAY = 0.3
+MAX_JITTER = 0.2
+
 
 @dataclass(frozen=True)
 class NemesisConfig:
@@ -33,21 +42,14 @@ class NemesisConfig:
     duration: float = 120.0
     #: Fault-free tail: no fault is active after ``duration - quiet_period``.
     quiet_period: float = 40.0
-    #: Fault-free head: clients ramp up before the first fault.
-    warmup: float = 10.0
     #: Number of fault windows carved out of the active period.
     windows: int = 4
-    #: Degradation ceilings (each window samples below these).
-    max_drop: float = 0.25
-    max_duplicate: float = 0.25
-    max_delay: float = 0.3
-    max_jitter: float = 0.2
 
     def __post_init__(self) -> None:
-        if self.duration - self.quiet_period - self.warmup < 10.0 * self.windows:
+        if self.duration - self.quiet_period - WARMUP < 10.0 * self.windows:
             raise ValueError(
                 "nemesis needs >= 10 s of active time per window; shorten "
-                f"quiet_period/warmup or the window count: {self!r}"
+                f"quiet_period or the window count: {self!r}"
             )
 
 
@@ -74,7 +76,7 @@ class Nemesis:
         """
         config = self.config
         rng = self._rng = random.Random(f"nemesis:{self.seed}")
-        active_start = config.warmup
+        active_start = WARMUP
         active_end = config.duration - config.quiet_period
         span = (active_end - active_start) / config.windows
         faults: list[RegionFault] = []
@@ -116,7 +118,6 @@ class Nemesis:
                 RegionFault(begin, "partition-oneway", groups=groups),
                 RegionFault(end, "heal"),
             ]
-        config = self.config
         count = rng.randint(1, max(1, len(regions) // 2))
         victims = tuple(rng.sample(regions, count))
         return [
@@ -124,10 +125,10 @@ class Nemesis:
                 begin,
                 "degrade",
                 victims,
-                drop=rng.uniform(0.05, config.max_drop),
-                duplicate=rng.uniform(0.05, config.max_duplicate),
-                delay=rng.uniform(0.0, config.max_delay),
-                jitter=rng.uniform(0.0, config.max_jitter),
+                drop=rng.uniform(0.05, MAX_DROP),
+                duplicate=rng.uniform(0.05, MAX_DUPLICATE),
+                delay=rng.uniform(0.0, MAX_DELAY),
+                jitter=rng.uniform(0.0, MAX_JITTER),
             ),
             RegionFault(end, "restore", victims),
         ]

@@ -11,7 +11,7 @@ implicitly (token conservation, Eq. 1).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -58,6 +58,9 @@ REALLOCATORS = {
     "equal-split": EqualSplitReallocator,
 }
 
+#: Historical trace intervals fed to each site's predictor before the run.
+PRETRAIN_INTERVALS = 1152
+
 
 @dataclass
 class ExperimentConfig:
@@ -84,8 +87,6 @@ class ExperimentConfig:
     demand_scale: float = 1.0
     read_ratio: float = 0.0
     predictor: str = "seasonal"
-    #: Historical intervals fed to each site's predictor before the run.
-    pretrain_intervals: int = 1152
     loss_probability: float = 0.0
     faults: tuple[RegionFault, ...] = ()
     #: Per-client in-flight window (None = unbounded open loop).
@@ -103,7 +104,6 @@ class ExperimentConfig:
     watchdog: bool = False
     enforce_constraint: bool = True
     redistribute: bool = True
-    proactive: bool = True
     #: Run reactive redistributions exactly as the paper describes them
     #: (Eq. 5's TokensWanted = m, queue through cooldowns).  The default
     #: False uses the engineering improvements described in
@@ -115,7 +115,6 @@ class ExperimentConfig:
     #: (§5.2's uneven-start option).
     initial_allocation: str = "even"
     bucket_seconds: float = 1.0
-    check_invariants: bool = True
     invariant_interval: float = 20.0
     #: Sites' prediction epoch; defaults to the compressed interval.
     epoch_seconds: float | None = None
@@ -253,7 +252,7 @@ def _build_samya(variant: AvantanVariant, experiment: "Experiment") -> SamyaClus
             epoch_seconds=config.epoch_seconds or config.compressed_interval,
             enforce_constraint=config.enforce_constraint,
             redistribute=config.redistribute,
-            proactive=config.proactive and config.predictor != "none",
+            proactive=config.predictor != "none",
             reactive_wanted_literal=config.paper_literal_reactive,
             queue_during_cooldown=config.paper_literal_reactive,
             reactive_cooldown=1.0 if config.paper_literal_reactive else 5.0,
@@ -353,9 +352,9 @@ class Experiment:
         self.cluster: Deployment = SYSTEMS[config.system](self)
         self.servers: list = self.cluster.servers
         self.clients: list[WorkloadClient] = self.cluster.clients
-        self.checker: ConservationChecker | None = None
-        if config.check_invariants:
-            self.checker = self.cluster.make_checker(config.maximum)
+        self.checker: ConservationChecker | None = self.cluster.make_checker(
+            config.maximum
+        )
         if self.checker is not None:
             # With a bus, safety violations become invariant.violation
             # trace events (audited, never lost) instead of mid-run raises.
@@ -385,7 +384,7 @@ class Experiment:
             per_day = max(1, per_day // bin_size)
         n = len(series)
         start_bin = config.start_interval // bin_size
-        pretrain_bins = max(8, config.pretrain_intervals // bin_size)
+        pretrain_bins = max(8, PRETRAIN_INTERVALS // bin_size)
         history_idx = (
             start_bin - pretrain_bins + np.arange(pretrain_bins)
         ) % n
@@ -550,12 +549,3 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
         return run_live(config)
     return Experiment(config).run()
-
-
-def variant_configs(base: ExperimentConfig) -> dict[str, ExperimentConfig]:
-    """The two Samya variants with otherwise identical parameters —
-    most figures plot both."""
-    return {
-        "samya-majority": replace(base, system="samya-majority"),
-        "samya-star": replace(base, system="samya-star"),
-    }

@@ -17,8 +17,8 @@ Each run is audited (``repro.obs.audit``) and judged on two axes:
 
 The grace period matters: ``WorkloadClient`` only writes off stale
 in-flight requests under window pressure, so the harness runs the kernel
-``GRACE`` seconds past the workload and then sweeps each client's
-in-flight table explicitly before collecting.
+the request timeout plus ``GRACE_MARGIN`` seconds past the workload and
+then sweeps each client's in-flight table explicitly before collecting.
 """
 
 from __future__ import annotations
@@ -42,9 +42,6 @@ NEMESIS_SYSTEMS = ("samya-majority", "multipaxsys", "demarcation")
 #: client request timeout — so every request still in flight at the end
 #: is old enough to be written off, never stranded.
 GRACE_MARGIN = 5.0
-
-#: Backwards-compatible alias: the grace under the default 10 s timeout.
-GRACE = 10.0 + GRACE_MARGIN
 
 
 @dataclass

@@ -28,8 +28,10 @@ Comparison rules:
   rates: never comparable across machines directly, so each side is
   first divided by its artifact's top-level ``calibration`` stamp (the
   machine's no-op kernel dispatch rate, ``harness.calibration``) and
-  the tolerance applies to the *ratios*.  An artifact without a
-  calibration stamp downgrades the comparison to a note — old
+  the tolerance applies to the *ratios*.  They are rates (higher is
+  better), so only a slowdown beyond tolerance is fatal; a speed-up
+  beyond it is a note that the baseline is stale.  An artifact without
+  a calibration stamp downgrades the comparison to a note — old
   baselines and ad-hoc runs must not fail the gate on provenance they
   never had.
 * Every ``ok: false`` entry of the artifact's ``shape`` section is a
@@ -193,8 +195,10 @@ def _compare_calibrated(
 
     Each side is normalized by its artifact's ``calibration`` stamp
     (events/sec of the fixed no-op kernel loop on the machine that
-    produced it), cancelling the machine constant.  Either stamp
-    missing means the metric cannot be gated — a note, not a failure.
+    produced it), cancelling the machine constant.  The metric is a rate:
+    falling below tolerance is fatal, rising above it is a note.  Either
+    stamp missing means the metric cannot be gated — a note, not a
+    failure.
     """
     if base_cal <= 0.0 or cur_cal <= 0.0:
         missing = "baseline" if base_cal <= 0.0 else "current artifact"
@@ -207,12 +211,13 @@ def _compare_calibrated(
     cur_ratio = cur_value / cur_cal
     if tolerance.allows(base_ratio, cur_ratio):
         return []
+    slower = cur_ratio < base_ratio
     return [
-        Finding(bench, "regression", path,
+        Finding(bench, "regression" if slower else "note", path,
                 f"calibrated ratio {base_ratio:.4g} -> {cur_ratio:.4g} "
                 f"({_drift(base_ratio, cur_ratio):+.1f}%, tolerance "
                 f"{tolerance.describe()}; raw {base_value:g} @ {base_cal:.3g} "
-                f"ev/s -> {cur_value:g} @ {cur_cal:.3g} ev/s)", fatal=True)
+                f"ev/s -> {cur_value:g} @ {cur_cal:.3g} ev/s)", fatal=slower)
     ]
 
 

@@ -45,10 +45,6 @@ class RoundLog:
         self._records: deque[RoundRecord] = deque(maxlen=capacity)
         self._open: RoundRecord | None = None
 
-    @property
-    def open_record(self) -> RoundRecord | None:
-        return self._open
-
     def begin(self, site: str, role: str, now: float) -> None:
         if self._open is not None:
             # Role changes within one round (cohort promotes to leader)

@@ -46,15 +46,3 @@ class ThroughputSeries:
             if start <= bucket * self.bucket_seconds < end
         )
         return total / (end - start)
-
-    def downsample(self, window_seconds: float, start: float, end: float) -> list[tuple[float, float]]:
-        """Coarser series for plotting long runs."""
-        if window_seconds < self.bucket_seconds:
-            raise ValueError("window must be at least one bucket wide")
-        points: list[tuple[float, float]] = []
-        t = start
-        while t < end:
-            hi = min(t + window_seconds, end)
-            points.append((t, self.average(t, hi)))
-            t += window_seconds
-        return points

@@ -24,6 +24,9 @@ from repro.net.regions import one_way_latency
 from repro.net.transport import Clock, TransportCore
 from repro.sim.kernel import Kernel
 
+#: Extra fixed per-message overhead (serialization, kernel) in seconds.
+PROCESSING_OVERHEAD = 0.0001
+
 
 @dataclass
 class NetworkConfig:
@@ -36,8 +39,6 @@ class NetworkConfig:
 
     jitter_sigma: float = 0.08
     loss_probability: float = 0.0
-    #: Extra fixed per-message overhead (serialization, kernel) in seconds.
-    processing_overhead: float = 0.0001
 
 
 class Network(TransportCore):
@@ -56,9 +57,7 @@ class Network(TransportCore):
         if sigma > 0:
             # Lognormal multiplier with median 1: long-tailed, never negative.
             base *= math.exp(self._rng.gauss(0.0, sigma))
-        self.kernel.schedule(
-            base + self.config.processing_overhead, self._deliver, message
-        )
+        self.kernel.schedule(base + PROCESSING_OVERHEAD, self._deliver, message)
 
     def latency(self, a: str, b: str) -> float:
         """Base one-way latency between two attached endpoints (seconds)."""

@@ -105,10 +105,3 @@ def rtt(a: Region, b: Region) -> float:
 def one_way_latency(a: Region, b: Region) -> float:
     """Base one-way network latency between two regions in seconds."""
     return rtt(a, b) / 2.0
-
-
-def closest_region(origin: Region, candidates: list[Region]) -> Region:
-    """The candidate region with the lowest RTT to ``origin``."""
-    if not candidates:
-        raise ValueError("candidates must be non-empty")
-    return min(candidates, key=lambda c: rtt(origin, c))

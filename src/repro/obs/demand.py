@@ -171,9 +171,11 @@ class DemandConfig:
     window_seconds: float = 10.0
     #: Recent windows kept per site (the ``repro top`` sparkline).
     windows_kept: int = 12
-    #: Per-site scorecard rows kept (oldest epochs drop first; the
-    #: running MAPE covers every epoch regardless).
-    scorecard_rows: int = 512
+
+
+#: Per-site scorecard rows kept (oldest epochs drop first; the running
+#: MAPE covers every epoch regardless).
+SCORECARD_ROWS = 512
 
 
 class _SiteDemand:
@@ -205,7 +207,7 @@ class _SiteDemand:
         self.ape_sum = 0.0
         self.ape_count = 0
         self.scorecard: deque[tuple[int, float, float]] = deque(
-            maxlen=config.scorecard_rows
+            maxlen=SCORECARD_ROWS
         )
 
     @property
@@ -458,7 +460,7 @@ class DemandTracker:
         Called by the bus *owner* at collect time (taps must never emit):
         one ``demand.site`` per site, one ``demand.entity`` per sketch row,
         and the retained ``demand.scorecard`` rows — all bounded, so the
-        trace tail stays O(sites + K + scorecard_rows).
+        trace tail stays O(sites + K + SCORECARD_ROWS).
         """
         for name in sorted(self.sites):
             site = self.sites[name]

@@ -1,4 +1,4 @@
-"""Wall-clock performance plane: mergeable histograms + the recorder.
+"""Wall-clock performance plane: log-bucketed histograms + the recorder.
 
 Every committed baseline before this module measured *simulated* time;
 the sim kernel's event loop, the codec, and the live transports burn
@@ -10,12 +10,12 @@ numbers a bench artifact embeds.
 
 Design constraints, in order:
 
-* **Mergeable, exactly.**  Bucket boundaries are *fixed constants* —
+* **Fixed buckets.**  Bucket boundaries are *constants* —
   ``10 ** (MIN_EXP + i / BUCKETS_PER_DECADE)`` — never derived from the
-  data, so two histograms recorded on different sites (or different
-  runs, or different machines) merge by adding bucket counts, with no
-  re-binning error.  This is the HDR-histogram property that makes
-  per-site latency data aggregate into one distribution.
+  data, so any boundary subset yields exact cumulative counts (what the
+  Prometheus writer renders).  Two histograms with these boundaries
+  would merge by adding bucket counts, the HDR-histogram property; no
+  code merges or serializes one today.
 * **Bounded.**  A histogram is at most :data:`BUCKET_COUNT` integers no
   matter how many samples it absorbs; recording never allocates after
   the bucket exists.  That is what lets it replace raw-sample lists on
@@ -37,8 +37,7 @@ from typing import Any, Iterable, Iterator
 
 from repro.metrics.latency import LatencySummary
 
-#: Log-spaced buckets per decade.  Fixed forever (see module docs);
-#: bump :data:`PERF_SCHEMA` if it ever changes.
+#: Log-spaced buckets per decade.  Fixed (see module docs).
 BUCKETS_PER_DECADE = 32
 
 #: Exponent of the smallest tracked duration: 10^-7 s = 100 ns.
@@ -50,9 +49,6 @@ MAX_EXP = 3
 #: Total bucket count; values outside the range clamp into the edge
 #: buckets, so counts and sums stay exact even for outliers.
 BUCKET_COUNT = (MAX_EXP - MIN_EXP) * BUCKETS_PER_DECADE
-
-#: Serialization format tag for :meth:`PerfHistogram.to_dict`.
-PERF_SCHEMA = "perf-hist/1"
 
 _MIN_VALUE = 10.0**MIN_EXP
 _LOG_SCALE = float(BUCKETS_PER_DECADE)
@@ -86,11 +82,11 @@ def bucket_mid(index: int) -> float:
 
 
 class PerfHistogram:
-    """Log-bucketed duration histogram with exact merge.
+    """Log-bucketed duration histogram.
 
     Buckets are sparse (a dict of index -> count): most instruments
     touch a narrow band of the 10-decade range, and sparse storage
-    makes merge and serialization proportional to occupied buckets.
+    makes reading proportional to occupied buckets.
     ``count``/``total``/``vmin``/``vmax`` are tracked exactly, so means
     and extremes carry no bucketing error — only interior quantiles are
     approximate, within one bucket ratio.
@@ -182,51 +178,6 @@ class PerfHistogram:
                 position += 1
             yield bucket_upper(index), running
 
-    # -- merge / serialization ---------------------------------------------
-
-    def merge(self, other: "PerfHistogram") -> None:
-        """Add ``other``'s data into this histogram (exact: same bounds)."""
-        for index, count in other.buckets.items():
-            self.buckets[index] = self.buckets.get(index, 0) + count
-        self.count += other.count
-        self.total += other.total
-        if other.count:
-            self.vmin = min(self.vmin, other.vmin)
-            self.vmax = max(self.vmax, other.vmax)
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-safe dump (bucket indices stringified for JSON keys)."""
-        return {
-            "schema": PERF_SCHEMA,
-            "bpd": BUCKETS_PER_DECADE,
-            "min_exp": MIN_EXP,
-            "count": self.count,
-            "sum": self.total,
-            "min": self.vmin if self.count else None,
-            "max": self.vmax if self.count else None,
-            "buckets": {str(i): c for i, c in sorted(self.buckets.items())},
-        }
-
-    @staticmethod
-    def from_dict(payload: dict[str, Any]) -> "PerfHistogram":
-        if (
-            payload.get("bpd") != BUCKETS_PER_DECADE
-            or payload.get("min_exp") != MIN_EXP
-        ):
-            raise ValueError(
-                "incompatible perf histogram layout: "
-                f"{payload.get('bpd')}/{payload.get('min_exp')} vs "
-                f"{BUCKETS_PER_DECADE}/{MIN_EXP}"
-            )
-        hist = PerfHistogram()
-        hist.count = int(payload["count"])
-        hist.total = float(payload["sum"])
-        hist.buckets = {int(i): int(c) for i, c in payload["buckets"].items()}
-        if hist.count:
-            hist.vmin = float(payload["min"])
-            hist.vmax = float(payload["max"])
-        return hist
-
 
 #: ``le`` boundaries rendered to Prometheus: every 4th bucket edge
 #: (8 per decade).  Cumulative counts at a boundary subset are exact;
@@ -265,11 +216,6 @@ class PerfRecorder:
     def __len__(self) -> int:
         return len(self._hists)
 
-    def merge(self, other: "PerfRecorder") -> None:
-        """Fold another recorder in (cross-site / cross-run aggregation)."""
-        for (instrument, key), hist in other._hists.items():
-            self.histogram(instrument, key).merge(hist)
-
     def tap(self) -> "PerfSpanTap":
         """A bus subscriber that folds completed spans in."""
         return PerfSpanTap(self)
@@ -296,24 +242,6 @@ class PerfRecorder:
                 "max_ms": round(summary.maximum * 1000.0, 6),
             }
         return out
-
-    def to_dict(self) -> dict[str, Any]:
-        """Full-fidelity dump: merge two of these with :func:`merge_dicts`."""
-        return {
-            "schema": PERF_SCHEMA,
-            "hists": {
-                f"{instrument}\t{key}": hist.to_dict()
-                for (instrument, key), hist in self.items()
-            },
-        }
-
-    @staticmethod
-    def from_dict(payload: dict[str, Any]) -> "PerfRecorder":
-        recorder = PerfRecorder()
-        for handle, dump in payload.get("hists", {}).items():
-            instrument, _, key = handle.partition("\t")
-            recorder._hists[(instrument, key)] = PerfHistogram.from_dict(dump)
-        return recorder
 
     def families(self):
         """One histogram family per instrument

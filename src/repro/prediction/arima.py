@@ -24,10 +24,6 @@ from scipy import optimize, signal
 from repro.prediction.base import Predictor
 
 
-class ArimaNotFittedError(RuntimeError):
-    """Raised when forecasting is attempted before :meth:`fit`."""
-
-
 def _lag_matrix(values: np.ndarray, p: int) -> np.ndarray:
     """Rows t = (values[t-1], ..., values[t-p]) for t in [p, len)."""
     return np.column_stack([values[p - i : len(values) - i] for i in range(1, p + 1)])

@@ -47,6 +47,10 @@ PARITY_REGIONS: tuple[Region, ...] = (
     Region.ASIA_EAST2,
 )
 
+#: Wall seconds the live transport must stay silent, once every
+#: operation has an outcome, before a live run is collected.
+QUIESCE_S = 0.05
+
 
 def parity_config(variant: AvantanVariant = AvantanVariant.MAJORITY) -> SamyaConfig:
     """Deployment knobs that make grant outcomes timing-independent.
@@ -195,8 +199,14 @@ def run_live_workload(
     transport: str = "asyncio",
     latency_scale: float = 0.02,
 ) -> ParityOutcome:
-    """Drive the same workload live on asyncio (or TCP sockets)."""
+    """Drive the same workload live on asyncio (or TCP sockets).
+
+    The run ends once every operation has an outcome and the transport
+    has sent nothing for ``QUIESCE_S`` (so a round still settling its
+    decision finishes), or after ``duration`` wall seconds at most.
+    """
     workload = workload if workload is not None else parity_workload()
+    operations = sum(len(ops) for ops in workload.values())
 
     async def _run() -> ParityOutcome:
         clock = LiveClock(seed=seed)
@@ -215,7 +225,12 @@ def run_live_workload(
         _attach_clients(cluster, workload, metrics)
         await net.start()
         cluster.start()
-        await asyncio.sleep(duration)
+        sent = -1
+        while clock.now < duration and (
+            metrics.attempted < operations or sent != net.messages_sent
+        ):
+            sent = net.messages_sent
+            await asyncio.sleep(QUIESCE_S)
         await net.aclose()
         clock.raise_errors()
         net.raise_errors()

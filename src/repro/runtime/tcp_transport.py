@@ -124,10 +124,6 @@ class TcpTransport(LiveTransport):
             sockname = server.sockets[0].getsockname()
             self._addresses[name] = (sockname[0], sockname[1])
 
-    def address_of(self, name: str) -> tuple[str, int]:
-        """The (host, port) an endpoint's server listens on."""
-        return self._addresses[name]
-
     # -- sending ----------------------------------------------------------
 
     def _carry(self, message: Message, frame: bytes | None) -> None:

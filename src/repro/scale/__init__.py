@@ -7,10 +7,9 @@ one flat map entry per entity — tops out orders of magnitude below the
 "millions of entities" north star.  This package is the scalable
 generalization, three structural changes deep:
 
-* :mod:`repro.scale.shards` — the entity id space is hash-partitioned
-  into shards, each owning routing and lifecycle for its entities, so
-  lookup cost and lifecycle operations stay O(1)/O(shard) instead of
-  O(entities).
+* :mod:`repro.scale.shards` — entity ids resolve to their host group
+  once per entity per directory change (a dense ``row -> record``
+  route table), never once per request.
 * :mod:`repro.scale.entity_table` — per-site token state lives in
   contiguous columns (``array('q')``, numpy-friendly) instead of one
   Python object per entity, with the :class:`repro.core.entity.EntityState`
@@ -37,22 +36,20 @@ from repro.scale.harness import (
     run_scale,
     sweep_scale,
 )
-from repro.scale.shards import ShardedEntityDirectory, ShardMap
-from repro.scale.site import ScaleSiteConfig, ScaleSiteHost
+from repro.scale.shards import EntityDirectory
+from repro.scale.site import ScaleSiteHost
 
 __all__ = [
     "BatchEnvelope",
     "BatchItem",
     "BatchingTransport",
+    "EntityDirectory",
     "EntityScoped",
     "EntityTable",
     "EntityView",
     "ScaleConfig",
     "ScaleResult",
-    "ScaleSiteConfig",
     "ScaleSiteHost",
-    "ShardMap",
-    "ShardedEntityDirectory",
     "build_scale_deployment",
     "run_scale",
     "sweep_scale",

@@ -4,23 +4,23 @@ The scale harness answers one question: how far does one deployment
 stretch in entity count before throughput or correctness gives?  It
 wires :class:`~repro.scale.site.ScaleSiteHost` regions behind an
 optional :class:`~repro.scale.batching.BatchingTransport`, registers
-every entity in a :class:`~repro.scale.shards.ShardedEntityDirectory`,
+every entity in a :class:`~repro.scale.shards.EntityDirectory`,
 drives an open-loop client workload from each region, and — because a
 scale run is exactly where a low-probability conservation bug becomes a
 certainty — audits per-entity conservation over the entity tables with
 one vectorized pass instead of 10^5 per-entity checkers.
 
 Determinism: every random choice draws from kernel streams keyed by
-actor name, network jitter defaults off, and shard placement hashes with
-crc32 — so a (config, seed) pair replays bit-identically, which is what
-the batched-versus-unbatched parity test pins.
+actor name and network jitter defaults off — so a (config, seed) pair
+replays bit-identically, which is what the batched-versus-unbatched
+parity test pins.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -31,10 +31,14 @@ from repro.net.regions import PAPER_REGIONS
 from repro.obs.flow import ResourceProbe, entity_table_bytes
 from repro.obs.instruments import Instruments
 from repro.scale.batching import BatchingTransport
-from repro.scale.shards import RouteTable, ShardedEntityDirectory
-from repro.scale.site import ScaleSiteConfig, ScaleSiteHost
+from repro.scale.shards import EntityDirectory, RouteTable
+from repro.scale.site import ScaleSiteHost
 from repro.sim.kernel import Kernel
 from repro.sim.process import Actor
+
+#: Event budget for post-load quiescence (protocol rounds finishing,
+#: queues draining).
+MAX_DRAIN_EVENTS = 20_000_000
 
 
 @dataclass
@@ -72,9 +76,6 @@ class ScaleConfig:
     #: "spread": initial tokens split across regions (rotated remainder);
     #: "first": all tokens seeded at region 0, forcing redistribution.
     placement: str = "spread"
-    #: Event budget for post-load quiescence (protocol rounds finishing,
-    #: queues draining).
-    max_drain_events: int = 20_000_000
     audit: bool = True
     jitter_sigma: float = 0.0
     loss_probability: float = 0.0
@@ -94,7 +95,6 @@ class ScaleConfig:
     #: byte accounting encodes envelopes the sim would otherwise never
     #: serialize.
     flow: bool = False
-    site: ScaleSiteConfig = field(default_factory=ScaleSiteConfig)
 
     def __post_init__(self) -> None:
         if not 1 <= self.regions <= len(PAPER_REGIONS):
@@ -270,7 +270,7 @@ class ScaleDeployment:
     batching: BatchingTransport | None
     hosts: list[ScaleSiteHost]
     drivers: list[ScaleLoadDriver]
-    directory: ShardedEntityDirectory
+    directory: EntityDirectory
     config: ScaleConfig
     #: The run's planes: ``.bus`` (``config.trace_path``), the shared
     #: ``.demand`` / ``.flow`` trackers when the config asked for them.
@@ -303,9 +303,7 @@ def build_scale_deployment(
 
     regions = PAPER_REGIONS[: config.regions]
     hosts = [
-        ScaleSiteHost(
-            kernel, f"scale-{region.value}", region, transport, config.site
-        )
+        ScaleSiteHost(kernel, f"scale-{region.value}", region, transport)
         for region in regions
     ]
     names = [host.name for host in hosts]
@@ -321,7 +319,7 @@ def build_scale_deployment(
     # batching and fault layers delegate to the network they wrap.
     instruments.attach(kernel, transport, *hosts)
 
-    directory = ShardedEntityDirectory()
+    directory = EntityDirectory()
     shares = split_initial_allocation(config.maximum, len(hosts))
     ids = [f"e{index}" for index in range(config.entities)]
     rows = range(config.entities)
@@ -516,7 +514,7 @@ def run_scale(
     kernel = deployment.kernel
     start = time.perf_counter()
     kernel.run(until=config.duration)
-    kernel.run(max_events=config.max_drain_events)
+    kernel.run(max_events=MAX_DRAIN_EVENTS)
     wall = time.perf_counter() - start
     drained = kernel.pending == 0
     instruments = deployment.instruments
@@ -538,7 +536,7 @@ def run_scale(
         violations, audited = audit_conservation(deployment, strict=drained)
     if not drained:
         violations.append(
-            f"run did not quiesce within {config.max_drain_events} drain events"
+            f"run did not quiesce within {MAX_DRAIN_EVENTS} drain events"
         )
 
     hosts = deployment.hosts

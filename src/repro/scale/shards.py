@@ -1,55 +1,22 @@
-"""Sharded entity directory: hash-partitioned id -> record maps.
+"""The entity directory and the route table that reads it.
 
-The flat per-entity dict in :mod:`repro.core.directory` is fine for tens
-of entities; at 10^5-10^6 the directory itself becomes the hot object —
-every request resolves an entity id, and lifecycle operations (auditing
-a slice, listing a shard, rebalancing) want to touch bounded subsets,
-not the whole map.  The classic fix is the one Samya's §3.1 directory
-remark gestures at: partition the id space and let each shard own
-routing and lifecycle for its entities.
-
-Hashing uses ``zlib.crc32``, not the builtin ``hash``: string hashing is
-salted per process (PYTHONHASHSEED), and shard assignment must be stable
-across processes so two runs of the same seed place every entity
-identically — the determinism contract the whole sim rests on.
+Samya's §3.1 directory remark: "a run-time library can provide lookup
+and directory services to identify the sites that maintain a specific
+resource data."  :class:`EntityDirectory` is that service — one dict
+from entity id to an opaque record — for the core multi-entity
+deployment and the scale harness alike.  At 10^5-10^6 entities the
+directory would be the hot object if every request resolved through it;
+:class:`RouteTable` resolves each id once per directory change instead,
+so the request path pays one list index.
 """
 
 from __future__ import annotations
 
-import zlib
-from typing import Any, Iterator
+from typing import Any
 
 
-class ShardMap:
-    """A stable hash partitioning of entity ids into ``n_shards`` buckets."""
-
-    __slots__ = ("n_shards",)
-
-    def __init__(self, n_shards: int = 64) -> None:
-        if n_shards <= 0:
-            raise ValueError(f"need at least one shard, got {n_shards}")
-        self.n_shards = n_shards
-
-    def shard_of(self, entity_id: str) -> int:
-        """The shard owning ``entity_id`` — stable across processes."""
-        return zlib.crc32(entity_id.encode("utf-8")) % self.n_shards
-
-
-class DirectoryShard:
-    """One shard: the records for the entity ids hashed to it."""
-
-    __slots__ = ("index", "records")
-
-    def __init__(self, index: int) -> None:
-        self.index = index
-        self.records: dict[str, Any] = {}
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-
-class ShardedEntityDirectory:
-    """Entity id -> record with O(1) lookup through a shard map.
+class EntityDirectory:
+    """Entity id -> record, with a lookup counter and a version.
 
     The record type is opaque: the core directory stores routing
     policies, the scale harness stores host groups.  ``register`` is
@@ -58,9 +25,8 @@ class ShardedEntityDirectory:
     misrouted requests fail fast at the caller.
     """
 
-    def __init__(self, n_shards: int = 64) -> None:
-        self.shard_map = ShardMap(n_shards)
-        self._shards = [DirectoryShard(index) for index in range(n_shards)]
+    def __init__(self) -> None:
+        self._records: dict[str, Any] = {}
         self.lookups = 0
         #: Bumped by every effective ``register`` / ``unregister``: what a
         #: :class:`RouteTable` compares to know its routes are current.
@@ -69,56 +35,30 @@ class ShardedEntityDirectory:
     # -- registration ------------------------------------------------------
 
     def register(self, entity_id: str, record: Any) -> None:
-        shard = self._shards[self.shard_map.shard_of(entity_id)]
-        if entity_id in shard.records:
+        if entity_id in self._records:
             raise ValueError(f"entity {entity_id!r} already registered")
-        shard.records[entity_id] = record
+        self._records[entity_id] = record
         self.version += 1
 
     def unregister(self, entity_id: str) -> None:
-        shard = self._shards[self.shard_map.shard_of(entity_id)]
-        if shard.records.pop(entity_id, None) is not None:
+        if self._records.pop(entity_id, None) is not None:
             self.version += 1
 
     # -- lookup ------------------------------------------------------------
 
     def lookup(self, entity_id: str) -> Any | None:
         self.lookups += 1
-        return self._shards[self.shard_map.shard_of(entity_id)].records.get(
-            entity_id
-        )
+        return self._records.get(entity_id)
 
     def __contains__(self, entity_id: str) -> bool:
-        return (
-            entity_id
-            in self._shards[self.shard_map.shard_of(entity_id)].records
-        )
+        return entity_id in self._records
 
     def __len__(self) -> int:
-        return sum(len(shard) for shard in self._shards)
-
-    # -- lifecycle / introspection ----------------------------------------
-
-    def shard(self, index: int) -> DirectoryShard:
-        return self._shards[index]
-
-    def shards(self) -> Iterator[DirectoryShard]:
-        return iter(self._shards)
-
-    def shard_sizes(self) -> list[int]:
-        return [len(shard) for shard in self._shards]
+        return len(self._records)
 
     def entities(self) -> list[str]:
         """All registered ids, sorted (diagnostics; O(n), not a hot path)."""
-        out: list[str] = []
-        for shard in self._shards:
-            out.extend(shard.records)
-        out.sort()
-        return out
-
-    def items(self) -> Iterator[tuple[str, Any]]:
-        for shard in self._shards:
-            yield from shard.records.items()
+        return sorted(self._records)
 
 
 class RouteTable:
@@ -131,7 +71,7 @@ class RouteTable:
 
     __slots__ = ("directory", "ids", "version", "_records")
 
-    def __init__(self, directory: ShardedEntityDirectory, ids: list[str]) -> None:
+    def __init__(self, directory: EntityDirectory, ids: list[str]) -> None:
         self.directory = directory
         self.ids = ids
         self.version = -1

@@ -43,7 +43,6 @@ read transactions.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Any
 
 from repro.core.avantan.majority import AvantanMajority
@@ -55,25 +54,19 @@ from repro.scale.batching import EntityScoped
 from repro.scale.entity_table import EntityTable
 from repro.sim.process import Actor
 
+#: Avantan timeouts of every per-entity protocol instance (see
+#: ``AvantanProtocol.configure_timeouts``), shorter than ``SamyaSite``'s.
+ELECTION_TIMEOUT = 0.8
+COHORT_TIMEOUT = 2.0
+BLOCKED_RETRY_INTERVAL = 2.0
 
-@dataclass
-class ScaleSiteConfig:
-    """Behaviour knobs for scale hosts (a slim SamyaConfig)."""
+#: Minimum gap between reactive triggers for one entity.
+REACTIVE_COOLDOWN = 0.5
 
-    election_timeout: float = 0.8
-    cohort_timeout: float = 2.0
-    blocked_retry_interval: float = 2.0
-    #: Minimum gap between reactive triggers for one entity.
-    reactive_cooldown: float = 0.5
-    #: How many redistribution rounds a queued acquire may wait through
-    #: before it is rejected (bounds retries when the cluster is
-    #: genuinely out of tokens).
-    max_round_waits: int = 6
-    #: Queue capacity per entity; overflow rejects immediately.
-    max_queue: int = 1024
-    redistribute: bool = True
-    #: Envelope-dedup window (see ``repro.net.message.EnvelopeDedup``).
-    msg_dedup_window: int = 1 << 16
+#: How many redistribution rounds a queued acquire may wait through
+#: before it is rejected (bounds retries when the cluster is genuinely
+#: out of tokens).
+MAX_ROUND_WAITS = 6
 
 
 class _EntityProtocolHost(RedistributionLedger):
@@ -92,9 +85,7 @@ class _EntityProtocolHost(RedistributionLedger):
         self.row = row
         self.protocol = AvantanMajority(self, site.peers)
         self.protocol.configure_timeouts(
-            site.config.election_timeout,
-            site.config.cohort_timeout,
-            site.config.blocked_retry_interval,
+            ELECTION_TIMEOUT, COHORT_TIMEOUT, BLOCKED_RETRY_INTERVAL
         )
 
     # -- identity / time ----------------------------------------------------
@@ -152,18 +143,19 @@ class _EntityProtocolHost(RedistributionLedger):
 class ScaleSiteHost(Actor):
     """All of one region's entities behind a single endpoint."""
 
+    #: Queue capacity per entity; overflow rejects immediately.
+    max_queue = 1024
+
     def __init__(
         self,
         kernel: Clock,
         name: str,
         region: Region,
         network: Transport,
-        config: ScaleSiteConfig | None = None,
     ) -> None:
         super().__init__(kernel, name)
         self.region = region
         self.network = network
-        self.config = config or ScaleSiteConfig()
         self.table = EntityTable()
         self.peers: list[str] = []
         #: row -> adapter; populated lazily, never evicted.
@@ -172,7 +164,7 @@ class ScaleSiteHost(Actor):
         self._pending: dict[int, deque[list[int]]] = {}
         #: rows with a deferred (cooldown-parked) retrigger.
         self._deferred: set[int] = set()
-        self._envelopes = EnvelopeDedup(self.config.msg_dedup_window)
+        self._envelopes = EnvelopeDedup()
         #: Optional :class:`~repro.obs.demand.DemandTracker`, set by
         #: :meth:`instrument`.  The scale request path is a local
         #: call, not a message — per-request events would swamp any
@@ -278,7 +270,7 @@ class ScaleSiteHost(Actor):
                     tokens_left=left[row], ts=self.now,
                 )
             return "committed"
-        if not self.config.redistribute or (active and adapter.protocol.degraded):
+        if active and adapter.protocol.degraded:
             table.rejected[row] += 1
             if demand is not None:
                 demand.serve(
@@ -296,7 +288,7 @@ class ScaleSiteHost(Actor):
         if queue is None:
             queue = deque()
             self._pending[row] = queue
-        if len(queue) >= self.config.max_queue:
+        if len(queue) >= self.max_queue:
             self.table.rejected[row] += 1
             if self._flow_mailbox is not None:
                 self._flow_mailbox.drop()
@@ -328,7 +320,7 @@ class ScaleSiteHost(Actor):
         adapter = self._protocol_at(row)
         if adapter.protocol.active:
             return
-        wait = adapter.last_trigger_at + self.config.reactive_cooldown - self.now
+        wait = adapter.last_trigger_at + REACTIVE_COOLDOWN - self.now
         if wait > 0:
             if row not in self._deferred:
                 self._deferred.add(row)
@@ -349,7 +341,7 @@ class ScaleSiteHost(Actor):
         """Answer the entity's queue after a round ends (or blocks).
 
         Unservable acquires re-queue for the next round up to
-        ``max_round_waits`` rounds — with bounded patience every queued
+        ``MAX_ROUND_WAITS`` rounds — with bounded patience every queued
         request eventually commits when the cluster has the tokens, and
         is rejected when it provably does not.  A *degraded* drain
         serves what the unreserved balance allows and rejects nothing:
@@ -380,7 +372,7 @@ class ScaleSiteHost(Actor):
                     )
             elif degraded:
                 keep.append(item)
-            elif waits + 1 < self.config.max_round_waits:
+            elif waits + 1 < MAX_ROUND_WAITS:
                 item[1] = waits + 1
                 keep.append(item)
             else:

@@ -27,10 +27,6 @@ class Timer:
         self._callback = callback
         self._event: Event | None = None
 
-    @property
-    def armed(self) -> bool:
-        return self._event is not None and not self._event.cancelled
-
     def restart(self, delay: float) -> None:
         self.cancel()
         self._event = self._kernel.schedule(delay, self._fire)

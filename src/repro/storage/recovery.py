@@ -66,7 +66,3 @@ class RecoveryWal:
         removed = len(self._records) - len(keep)
         self._records = [self._records[index] for index in keep]
         return removed
-
-    def wipe(self) -> None:
-        """Destroy the log — models losing the disk, NOT a crash."""
-        self._records.clear()

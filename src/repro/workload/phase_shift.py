@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.net.regions import UTC_OFFSET_HOURS, Region
-from repro.workload.trace import SyntheticAzureTrace
+from repro.workload.trace import INTERVAL_SECONDS, SyntheticAzureTrace
 
 
 def phase_shift_intervals(
@@ -34,9 +34,7 @@ def shifted_trace(
     A positive time-zone offset means the region's local peak arrives
     earlier in trace time, hence the negative roll.
     """
-    shift = phase_shift_intervals(
-        region, base_region, trace.config.interval_seconds
-    )
+    shift = phase_shift_intervals(region, base_region, INTERVAL_SECONDS)
     return (
         np.roll(trace.creations, -shift),
         np.roll(trace.deletions, -shift),

@@ -18,7 +18,7 @@ from repro.core.client import Operation
 from repro.core.requests import RequestKind
 from repro.net.regions import Region
 from repro.workload.phase_shift import shifted_trace
-from repro.workload.trace import SyntheticAzureTrace
+from repro.workload.trace import VM_LIFETIME_INTERVALS, SyntheticAzureTrace
 
 
 def operations_from_trace(
@@ -90,7 +90,7 @@ def regional_operations(
             compressed_interval,
             duration,
             rng,
-            lifetime_intervals=trace.config.vm_lifetime_intervals,
+            lifetime_intervals=VM_LIFETIME_INTERVALS,
             start_interval=start_interval,
         )
     return per_region

@@ -23,35 +23,42 @@ from dataclasses import dataclass
 
 import numpy as np
 
+#: Original sampling interval, matching the Azure dataset (seconds).
+INTERVAL_SECONDS = 300.0
+
+#: Diurnal swing: demand ~ exp(amplitude * shape(t)), peak/mean ~ e^a.
+DAILY_AMPLITUDE = 1.5
+
+#: Per-interval probability of a demand burst.
+BURST_PROBABILITY = 0.004
+
+#: Burst size as a multiple of base demand.
+BURST_SCALE = 1.5
+
+#: Sigma of multiplicative lognormal noise on the rate.
+NOISE_SIGMA = 0.10
+
+#: Mean VM lifetime, in intervals (35 min at the original sampling).
+VM_LIFETIME_INTERVALS = 7.0
+
+#: Hour of (local) day at which demand peaks.
+PEAK_HOUR = 14.0
+
 
 @dataclass
 class TraceConfig:
     """Shape parameters for the synthetic trace."""
 
     days: float = 30.0
-    #: Original sampling interval, matching the Azure dataset (seconds).
-    interval_seconds: float = 300.0
     #: Mean VM creations per interval for one region at the daily midline.
     base_demand: float = 100.0
-    #: Diurnal swing: demand ~ exp(amplitude * shape(t)), peak/mean ~ e^a.
-    daily_amplitude: float = 1.5
     #: Weekend demand multiplier (days 5, 6 of each week).
     weekend_factor: float = 0.75
-    #: Per-interval probability of a demand burst.
-    burst_probability: float = 0.004
-    #: Burst size as a multiple of base demand.
-    burst_scale: float = 1.5
-    #: Sigma of multiplicative lognormal noise on the rate.
-    noise_sigma: float = 0.10
-    #: Mean VM lifetime, in intervals (35 min at the original sampling).
-    vm_lifetime_intervals: float = 7.0
-    #: Hour of (local) day at which demand peaks.
-    peak_hour: float = 14.0
     seed: int = 7
 
     @property
     def intervals_per_day(self) -> int:
-        return int(round(86400.0 / self.interval_seconds))
+        return int(round(86400.0 / INTERVAL_SECONDS))
 
     @property
     def num_intervals(self) -> int:
@@ -76,11 +83,11 @@ class SyntheticAzureTrace:
         n = cfg.num_intervals
         per_day = cfg.intervals_per_day
         index = np.arange(n)
-        day_phase = 2.0 * math.pi * ((index % per_day) / per_day - cfg.peak_hour / 24.0)
+        day_phase = 2.0 * math.pi * ((index % per_day) / per_day - PEAK_HOUR / 24.0)
         # Exponentiated sinusoid: sharp peaks, shallow troughs.  The
         # secondary harmonic adds the mid-morning shoulder real traces show.
         shape = np.cos(day_phase) + 0.35 * np.cos(2.0 * day_phase)
-        diurnal = np.exp(cfg.daily_amplitude * shape)
+        diurnal = np.exp(DAILY_AMPLITUDE * shape)
         diurnal /= diurnal.mean()
         day_of_week = (index // per_day) % 7
         weekly = np.where(day_of_week >= 5, cfg.weekend_factor, 1.0)
@@ -90,15 +97,15 @@ class SyntheticAzureTrace:
         cfg = self.config
         rng = np.random.RandomState(cfg.seed)
         rate = self._rate_profile()
-        noise = np.exp(rng.normal(0.0, cfg.noise_sigma, size=len(rate)))
+        noise = np.exp(rng.normal(0.0, NOISE_SIGMA, size=len(rate)))
         bursts = (
-            rng.random_sample(len(rate)) < cfg.burst_probability
-        ) * rng.uniform(0.5, 1.0, size=len(rate)) * cfg.burst_scale * cfg.base_demand
+            rng.random_sample(len(rate)) < BURST_PROBABILITY
+        ) * rng.uniform(0.5, 1.0, size=len(rate)) * BURST_SCALE * cfg.base_demand
         creations = rng.poisson(rate * noise + bursts).astype(np.int64)
 
         deletions = np.zeros_like(creations)
         outstanding = np.zeros_like(creations)
-        death_probability = 1.0 / cfg.vm_lifetime_intervals
+        death_probability = 1.0 / VM_LIFETIME_INTERVALS
         alive = 0
         for i in range(len(creations)):
             alive += int(creations[i])

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.faults import FaultyTransport, LinkFault, Nemesis, NemesisConfig
+from repro.faults.nemesis import WARMUP
 from repro.faults.schedule import CrashController, FaultSchedule
 from repro.net.message import Message
 from repro.net.network import Network, NetworkConfig
@@ -274,7 +275,7 @@ class TestNemesis:
             schedule = Nemesis(seed, tuple(PAPER_REGIONS), config).schedule()
             assert schedule, f"seed {seed} produced an empty schedule"
             assert max(fault.time for fault in schedule) <= 80.0
-            assert min(fault.time for fault in schedule) >= config.warmup
+            assert min(fault.time for fault in schedule) >= WARMUP
             # Windows open and close in pairs.
             assert len(schedule) == 2 * config.windows
 

@@ -13,13 +13,11 @@ from __future__ import annotations
 
 import asyncio
 import hashlib
-import itertools
 import json
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import requests as requests_module
 from repro.faults import FaultyTransport
 from repro.harness.experiment import Experiment, ExperimentConfig
 from repro.net.network import Network, NetworkConfig
@@ -38,7 +36,6 @@ from repro.obs import (
 from repro.obs.registry import MetricsRegistry, TraceMetricsFeed, prometheus
 from repro.scale.entity_table import COLUMNS, EntityTable
 from repro.scale.harness import ScaleConfig, build_scale_deployment, run_scale
-from repro.scale.site import ScaleSiteConfig
 from repro.sim.kernel import Kernel
 from repro.workload.trace import TraceConfig
 
@@ -322,9 +319,10 @@ class TestScaleMailboxSaturation:
             hot_entities=12,
             placement="first",
             flow=True,
-            site=ScaleSiteConfig(max_queue=1),
         )
         deployment = build_scale_deployment(config)
+        for host in deployment.hosts:
+            host.max_queue = 1
         result = run_scale(config, deployment=deployment)
         assert result.flow is not None
         mailboxes = [
@@ -359,10 +357,7 @@ class TestAccountedBytes:
     before the codec wrote JSON text directly; a codec change that moves
     one byte on these paths moves these numbers."""
 
-    def test_core_run_under_drops_and_duplicates(self, monkeypatch):
-        # Request ids are process-global and their digit count is on the
-        # wire: start them where a fresh interpreter would.
-        monkeypatch.setattr(requests_module, "_request_ids", itertools.count(1))
+    def test_core_run_under_drops_and_duplicates(self):
         kernel = Kernel(seed=3)
         network = FaultyTransport(Network(kernel, NetworkConfig()), kernel, seed=3)
         experiment = Experiment(

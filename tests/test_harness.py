@@ -7,7 +7,6 @@ from repro.harness.experiment import (
     ExperimentConfig,
     build_experiment,
     run_experiment,
-    variant_configs,
 )
 from repro.harness.report import (
     format_series,
@@ -45,10 +44,6 @@ class TestConfigValidation:
     def test_unknown_reallocator_rejected(self):
         with pytest.raises(ValueError):
             ExperimentConfig(reallocator="coin-flip")
-
-    def test_variant_configs(self):
-        variants = variant_configs(quick_config())
-        assert set(variants) == {"samya-majority", "samya-star"}
 
 
 class TestBuilds:

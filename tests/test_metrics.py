@@ -88,29 +88,6 @@ class TestThroughputSeries:
         with pytest.raises(ValueError):
             ThroughputSeries().average(5.0, 5.0)
 
-    def test_downsample(self):
-        series = ThroughputSeries()
-        for t in range(10):
-            series.record(t + 0.5)
-        points = series.downsample(5.0, 0.0, 10.0)
-        assert points == [(0.0, 1.0), (5.0, 1.0)]
-
-    def test_downsample_ragged_end_window(self):
-        # 10 s of one-event-per-second data in 4 s windows: the final
-        # window covers only [8, 10) and must average over 2 s, not 4.
-        series = ThroughputSeries()
-        for t in range(10):
-            series.record(t + 0.5)
-        points = series.downsample(4.0, 0.0, 10.0)
-        assert points == [(0.0, 1.0), (4.0, 1.0), (8.0, 1.0)]
-
-    def test_downsample_covers_full_range(self):
-        series = ThroughputSeries()
-        series.record(9.9)
-        points = series.downsample(3.0, 0.0, 10.0)
-        assert points[-1][0] == 9.0
-        assert points[-1][1] == pytest.approx(1.0)  # 1 event / 1 s window
-
     def test_subsecond_buckets(self):
         series = ThroughputSeries(bucket_seconds=0.5)
         series.record(0.2)

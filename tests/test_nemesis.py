@@ -10,7 +10,7 @@ import pytest
 
 from repro.cli import main
 from repro.faults import Nemesis, NemesisConfig
-from repro.harness.nemesis import GRACE, NEMESIS_SYSTEMS, run_nemesis
+from repro.harness.nemesis import GRACE_MARGIN, NEMESIS_SYSTEMS, run_nemesis
 from repro.net.regions import PAPER_REGIONS
 
 SEED = 0
@@ -35,10 +35,11 @@ class TestSchedule:
         assert "degrade" in actions
 
     def test_grace_exceeds_client_request_timeout(self):
-        # WorkloadClient.request_timeout defaults to 10 s; the grace
-        # window must outlast it or end-of-run in-flight requests could
-        # never be written off and liveness would be unprovable.
-        assert GRACE > 10.0
+        # The harness runs request_timeout + GRACE_MARGIN past the
+        # workload; the grace window must outlast the timeout or
+        # end-of-run in-flight requests could never be written off and
+        # liveness would be unprovable.
+        assert GRACE_MARGIN > 0.0
 
 
 class TestCleanRun:

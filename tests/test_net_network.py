@@ -7,7 +7,6 @@ from repro.net.network import Network, NetworkConfig
 from repro.net.regions import (
     PAPER_REGIONS,
     Region,
-    closest_region,
     one_way_latency,
     rtt,
 )
@@ -54,16 +53,6 @@ class TestRegions:
         for x in PAPER_REGIONS:
             for y in PAPER_REGIONS:
                 assert rtt(x, y) > 0
-
-    def test_closest_region(self):
-        assert (
-            closest_region(Region.US_WEST1, [Region.ASIA_EAST2, Region.US_CENTRAL1])
-            == Region.US_CENTRAL1
-        )
-
-    def test_closest_region_empty_raises(self):
-        with pytest.raises(ValueError):
-            closest_region(Region.US_WEST1, [])
 
 
 class TestDelivery:

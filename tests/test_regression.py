@@ -151,6 +151,34 @@ class TestCalibratedMetrics:
         assert finding.metric == "wall_events_per_sec"
         assert "calibrated ratio" in finding.detail
 
+    @pytest.mark.parametrize(
+        "speed, fatal", [(2.3, False), (0.4, True), (1.4, None), (0.6, None)]
+    )
+    def test_only_a_slowdown_past_tolerance_is_fatal(self, speed, fatal):
+        # The calibrated leaves are rates: a 2.3x speed-up says the
+        # baseline is stale, not that anything broke; 0.4x is a
+        # regression.  Inside ±50% nothing is reported.  Both artifacts
+        # carry their own machine stamp, the current one from a 2x
+        # faster machine.
+        findings = compare_payloads(
+            payload(
+                {"wall_events_per_sec": 200_000.0 * speed}, calibration=2_000_000.0
+            ),
+            payload({"wall_events_per_sec": 100_000.0}, calibration=1_000_000.0),
+            self.SPEC,
+        )
+        verdict = format_report(findings, 1, 1).splitlines()[-1]
+        if fatal is None:
+            assert findings == []
+            return
+        (finding,) = findings
+        assert finding.fatal is fatal
+        assert finding.kind == ("regression" if fatal else "note")
+        assert f"{(speed - 1) * 100:+.1f}%" in finding.detail
+        assert verdict.startswith(
+            "regression gate: FAIL" if fatal else "regression gate: PASS"
+        )
+
     def test_missing_calibration_downgrades_to_note(self):
         findings = compare_payloads(
             payload({"wall_events_per_sec": 33_000.0}, calibration=1_000_000.0),

@@ -25,7 +25,7 @@ from repro.scale.harness import (
     randbelow,
     run_scale,
 )
-from repro.scale.shards import RouteTable, ShardedEntityDirectory
+from repro.scale.shards import EntityDirectory, RouteTable
 
 
 # -- config validation ------------------------------------------------------
@@ -186,7 +186,7 @@ def test_no_directory_call_per_request():
 
 
 def test_route_table_follows_the_directory_version():
-    directory = ShardedEntityDirectory(n_shards=4)
+    directory = EntityDirectory()
     ids = ["a", "b", "c"]
     for entity_id in ids:
         directory.register(entity_id, entity_id.upper())

@@ -1,101 +1,62 @@
-"""Sharded entity directory: stable placement, O(1) routing, lifecycle."""
+"""The entity directory: write-once registration, counted lookup, versions."""
 
 import pytest
 
-from repro.core.directory import EntityDirectory
-from repro.scale.shards import DirectoryShard, ShardMap, ShardedEntityDirectory
-
-
-class TestShardMap:
-    def test_placement_is_stable_across_instances(self):
-        # crc32, not the salted builtin hash: two maps (or two processes)
-        # must agree on every placement.
-        a, b = ShardMap(64), ShardMap(64)
-        for index in range(500):
-            entity_id = f"e{index}"
-            assert a.shard_of(entity_id) == b.shard_of(entity_id)
-
-    def test_placement_pinned_cross_process(self):
-        # Pin one concrete value: if this ever changes, persisted shard
-        # assignments (and the sim's replay determinism) break.
-        assert ShardMap(64).shard_of("e0") == 49
-
-    def test_placement_in_range(self):
-        shard_map = ShardMap(7)
-        for index in range(200):
-            assert 0 <= shard_map.shard_of(f"e{index}") < 7
-
-    def test_rejects_nonpositive_shard_count(self):
-        with pytest.raises(ValueError):
-            ShardMap(0)
+from repro.core.directory import EntityDirectory as CoreEntityDirectory
+from repro.scale.shards import EntityDirectory
 
 
 class TestShardedDirectory:
+    """The one dict-backed directory behind every deployment."""
+
     def test_register_and_lookup(self):
-        directory = ShardedEntityDirectory(n_shards=8)
+        directory = EntityDirectory()
         directory.register("VM", ("a", "b"))
         assert directory.lookup("VM") == ("a", "b")
         assert "VM" in directory
         assert len(directory) == 1
 
     def test_duplicate_registration_rejected(self):
-        directory = ShardedEntityDirectory()
+        directory = EntityDirectory()
         directory.register("VM", 1)
         with pytest.raises(ValueError):
             directory.register("VM", 2)
 
     def test_lookup_miss_returns_none_and_counts(self):
-        directory = ShardedEntityDirectory()
+        directory = EntityDirectory()
         assert directory.lookup("ghost") is None
         directory.register("VM", 1)
         directory.lookup("VM")
         assert directory.lookups == 2
 
     def test_unregister_is_idempotent(self):
-        directory = ShardedEntityDirectory()
+        directory = EntityDirectory()
         directory.register("VM", 1)
         directory.unregister("VM")
+        assert directory.version == 2
         directory.unregister("VM")
+        assert directory.version == 2  # bumped only when effective
         assert "VM" not in directory
         assert len(directory) == 0
         # The id can be reused after unregistration.
         directory.register("VM", 2)
         assert directory.lookup("VM") == 2
 
-    def test_shard_sizes_partition_the_id_space(self):
-        directory = ShardedEntityDirectory(n_shards=16)
-        for index in range(1000):
-            directory.register(f"e{index}", index)
-        sizes = directory.shard_sizes()
-        assert len(sizes) == 16
-        assert sum(sizes) == 1000 == len(directory)
-        # crc32 spreads sequential ids well enough that no shard is
-        # empty and none hogs the keyspace.
-        assert min(sizes) > 0
-        assert max(sizes) < 4 * (1000 // 16)
-
     def test_entities_sorted_and_items_complete(self):
-        directory = ShardedEntityDirectory(n_shards=4)
+        directory = EntityDirectory()
         ids = [f"e{index}" for index in range(50)]
-        for entity_id in ids:
+        for entity_id in reversed(ids):
             directory.register(entity_id, entity_id.upper())
         assert directory.entities() == sorted(ids)
-        assert dict(directory.items()) == {i: i.upper() for i in ids}
-
-    def test_shard_accessors(self):
-        directory = ShardedEntityDirectory(n_shards=4)
-        directory.register("VM", 1)
-        owner = directory.shard_map.shard_of("VM")
-        assert isinstance(directory.shard(owner), DirectoryShard)
-        assert "VM" in directory.shard(owner).records
-        assert sum(len(shard) for shard in directory.shards()) == 1
+        assert {i: directory.lookup(i) for i in ids} == {i: i.upper() for i in ids}
 
 
 class TestCoreDirectoryDelegation:
-    """core.directory.EntityDirectory kept its flat-map API on shards."""
+    """The multi-entity deployment uses the same directory, no wrapper."""
 
     def test_register_lookup_entities(self):
-        directory = EntityDirectory()
+        assert CoreEntityDirectory is EntityDirectory
+        directory = CoreEntityDirectory()
         directory.register("VM", "routing-a")
         directory.register("disk-gb", "routing-b")
         assert directory.lookup("VM") == "routing-a"
@@ -103,7 +64,7 @@ class TestCoreDirectoryDelegation:
         assert directory.entities() == ["VM", "disk-gb"]
 
     def test_lookup_counter_delegates(self):
-        directory = EntityDirectory()
+        directory = CoreEntityDirectory()
         directory.register("VM", "r")
         directory.lookup("VM")
         directory.lookup("VM")

@@ -30,16 +30,6 @@ class TestTimer:
         timer.cancel()
         kernel.run()
         assert fired == []
-        assert not timer.armed
-
-    def test_armed_reflects_state(self):
-        kernel = Kernel()
-        timer = Timer(kernel, lambda: None)
-        assert not timer.armed
-        timer.restart(1.0)
-        assert timer.armed
-        kernel.run()
-        assert not timer.armed
 
     def test_reusable_after_firing(self):
         kernel = Kernel()

@@ -89,13 +89,6 @@ class TestRecoveryWal:
         wal.compact()
         assert wal.replay() == {"a": 3, "b": 2}
 
-    def test_wipe_empties_the_log(self):
-        wal = RecoveryWal("s")
-        wal.append("k", 1)
-        wal.wipe()
-        assert wal.replay() == {}
-        assert len(wal) == 0
-
     def test_counters(self):
         wal = RecoveryWal("s")
         wal.append("k", 1)
