@@ -351,6 +351,8 @@ def cmd_top(args: argparse.Namespace) -> int:
     def animate_on(kernel, instruments, until: float) -> None:
         """Repaint every ``--refresh`` simulated seconds of a sim run."""
         def frame() -> None:
+            if instruments.bus is not None:
+                instruments.bus.flush()  # the kernel holds it while it runs
             emit_frame(instruments, kernel.now)
             if kernel.now < until:
                 kernel.schedule(args.refresh, frame)

@@ -43,6 +43,13 @@ from repro.storage.recovery import RecoveryWal
 
 _read_ids = itertools.count(1)
 
+
+def reset_read_ids() -> None:
+    """Restart read ids per deployment, like ``reset_request_ids``."""
+    global _read_ids
+    _read_ids = itertools.count(1)
+
+
 #: Answered request ids a server remembers for request-level dedup
 #: (``SamyaSite``'s response cache, the log baselines' state machine).
 #: A constant: it only has to outlast the app manager's retry horizon.

@@ -161,8 +161,9 @@ class FaultyTransport(TransportDecorator):
         obs = self.obs
         if obs is not None:
             message.trace_id = trace_id_of(payload)
-            emit_message_event(obs, "msg.send", message, self._regions)
-            emit_message_event(obs, "msg.drop", message, self._regions, reason=reason)
+            names = self._region_names
+            emit_message_event(obs, "msg.send", message, names)
+            emit_message_event(obs, "msg.drop", message, names, reason=reason)
         tap = self.trace
         if tap is not None:
             tap(message)
@@ -186,6 +187,7 @@ class FaultyTransport(TransportDecorator):
         self._own_delivered_by_type[message.kind] += 1
         obs = self.obs
         if obs is not None:
-            emit_message_event(obs, "msg.send", message, self._regions)
-            emit_message_event(obs, "msg.deliver", message, self._regions, latency=0.0)
+            names = self._region_names
+            emit_message_event(obs, "msg.send", message, names)
+            emit_message_event(obs, "msg.deliver", message, names, latency=0.0)
         endpoint.on_message(message)

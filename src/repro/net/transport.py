@@ -138,6 +138,8 @@ class TransportCore:
         self._rng = rng
         self._endpoints: dict[str, Endpoint] = {}
         self._regions: dict[str, Region] = {}
+        #: Region names, for every ``msg.*`` event and flow record.
+        self._region_names: dict[str, str] = {}
         self.messages_sent = 0
         self.messages_dropped = 0
         self.messages_delivered = 0
@@ -179,11 +181,13 @@ class TransportCore:
             raise ValueError(f"endpoint {endpoint.name!r} already attached")
         self._endpoints[endpoint.name] = endpoint
         self._regions[endpoint.name] = region
+        self._region_names[endpoint.name] = region.value
         self._attached(endpoint.name)
 
     def detach(self, name: str) -> None:
         self._endpoints.pop(name, None)
         self._regions.pop(name, None)
+        self._region_names.pop(name, None)
         self._detached(name)
 
     def _attached(self, name: str) -> None:
@@ -220,18 +224,17 @@ class TransportCore:
             frame = codec.encode_frame(message)
             frame_bytes = len(frame)
             payload_bytes = frame_bytes - codec.FRAME_HEADER.size
-            src_region = self._regions.get(src)
-            dst_region = self._regions.get(dst)
+            names = self._region_names
             flow.record_send(
                 message.kind,
                 payload_bytes,
                 frame_bytes,
-                src_region.value if src_region is not None else "",
-                dst_region.value if dst_region is not None else "",
+                names.get(src, ""),
+                names.get(dst, ""),
             )
             extra = {"bytes": payload_bytes, "frame_bytes": frame_bytes}
         if obs is not None:
-            emit_message_event(obs, "msg.send", message, self._regions, **extra)
+            emit_message_event(obs, "msg.send", message, self._region_names, **extra)
         if self.trace is not None:
             self.trace(message)
         if dst not in self._endpoints:
@@ -276,7 +279,7 @@ class TransportCore:
                 obs,
                 "msg.deliver",
                 message,
-                self._regions,
+                self._region_names,
                 latency=message.delivered_at - message.sent_at,
             )
         self._hand_over(endpoint, message)
@@ -291,7 +294,9 @@ class TransportCore:
         self.messages_dropped += 1
         obs = self._obs
         if obs is not None:
-            emit_message_event(obs, "msg.drop", message, self._regions, reason=reason)
+            emit_message_event(
+                obs, "msg.drop", message, self._region_names, reason=reason
+            )
 
 
 class EndpointProxy:
@@ -321,7 +326,7 @@ class TransportDecorator:
     surface: registration goes through an :class:`EndpointProxy`, the
     seams and the partition controller are the inner transport's, and
     the counters are the inner transport's plus whatever envelopes the
-    layer accounted itself (``_own_*``, with ``_regions`` to stamp their
+    layer accounted itself (``_own_*``, with ``_region_names`` to stamp their
     ``msg.*`` events; a layer that never mints an envelope leaves them
     at zero).  A subclass supplies ``send`` and :meth:`_receive`.
     """
@@ -329,7 +334,7 @@ class TransportDecorator:
     def __init__(self, inner, clock: Clock) -> None:
         self.inner = inner
         self.clock = clock
-        self._regions: dict[str, Region] = {}
+        self._region_names: dict[str, str] = {}
         self._own_sent = 0
         self._own_dropped = 0
         self._own_delivered = 0
@@ -339,11 +344,11 @@ class TransportDecorator:
     # -- registration -----------------------------------------------------
 
     def attach(self, endpoint: Endpoint, region: Region) -> None:
-        self._regions[endpoint.name] = region
+        self._region_names[endpoint.name] = region.value
         self.inner.attach(EndpointProxy(endpoint, self), region)
 
     def detach(self, name: str) -> None:
-        self._regions.pop(name, None)
+        self._region_names.pop(name, None)
         self.inner.detach(name)
 
     def region_of(self, name: str) -> Region:

@@ -121,9 +121,6 @@ class InvariantAuditor:
 
     # -- the stream --------------------------------------------------------
 
-    def __call__(self, event: dict[str, Any]) -> None:
-        self.observe(event)
-
     def observe(self, event: dict[str, Any]) -> None:
         self.events_seen += 1
         ts = event.get("ts")
@@ -145,6 +142,8 @@ class InvariantAuditor:
         handler = self._HANDLERS.get(etype)
         if handler is not None:
             handler(self, event)
+
+    __call__ = observe
 
     def finish(self) -> list[Violation]:
         """End-of-trace verdict; open spans are reported, not flagged."""

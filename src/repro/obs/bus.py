@@ -1,8 +1,8 @@
 """The event bus, its sinks, and causal trace-id derivation.
 
 The bus is deliberately tiny: an event is a plain dict, ``emit`` stamps
-it with the substrate clock and hands it to one sink.  No buffering, no
-threads, no filtering — a trace is the full, ordered story of one run,
+it with the substrate clock and hands it to one sink.  No threads, no
+filtering of the sink — a trace is the full, ordered story of one run,
 and post-processing (``repro.obs.summary``) does the aggregation.
 
 Spans
@@ -28,14 +28,23 @@ by filtering the trace on it.
 
 Taps
 ----
-Besides its one sink, a bus carries any number of *taps*: callables
-invoked with every event after the sink writes it.  Taps are how the
+Besides its one sink, a bus carries any number of *taps*: read-only
+callables fed the events the sink writes.  Taps are how the
 active-monitoring layer (:mod:`repro.obs.audit`, the invariant auditor,
 and :mod:`repro.obs.registry`, the metrics registry) rides the live
-stream without a second emit surface — same events, same order, zero
-cost when none is subscribed.
-Taps must observe, never emit: calling back into the bus from a tap is
-a programming error (it would re-enter the tap list mid-iteration).
+stream without a second emit surface.  The delivery contract:
+
+* The sink writes each event at emit time, so a crashed run's JSONL
+  trace keeps a readable prefix.
+* A tap with a class attribute ``TYPES`` (a frozenset) gets only those
+  event types, one without gets every event; taps run in subscribe
+  (plane) order, on events in emit order.
+* Taps get each event before ``emit`` returns, unless the bus is *held*
+  — by :meth:`repro.sim.kernel.Kernel.run`, for its whole loop.  Held
+  events reach the taps in one batch at :data:`HOLD_LIMIT`, at
+  ``flush()`` or when ``run`` returns; an event a tap emits meanwhile
+  joins the next batch.  So a kernel callback that reads a tap-fed
+  plane (the watchdog sweep, the animated ``repro top``) flushes first.
 """
 
 from __future__ import annotations
@@ -46,6 +55,9 @@ import json
 from collections import deque
 from pathlib import Path
 from typing import Any, Callable, Protocol
+
+#: Held events that make the bus deliver to its taps (module docstring).
+HOLD_LIMIT = 1024
 
 
 class Sink(Protocol):
@@ -122,7 +134,9 @@ class EventBus:
     """Emit surface: stamps events with the substrate clock, one sink,
     and any number of read-only taps (see module docstring)."""
 
-    __slots__ = ("clock", "sink", "_span_ids", "_open_spans", "_taps")
+    __slots__ = (
+        "clock", "sink", "_span_ids", "_open_spans", "_taps", "_routes", "_held"
+    )
 
     def __init__(self, clock, sink: Sink) -> None:
         self.clock = clock
@@ -131,15 +145,57 @@ class EventBus:
         #: span_id -> (name, node, started_at, trace_id)
         self._open_spans: dict[int, tuple[str, str, float, str | None]] = {}
         self._taps: list[Callable[[dict[str, Any]], None]] = []
+        #: event type -> the taps that read it, built on first use.
+        self._routes: dict[str, tuple[Callable[[dict[str, Any]], None], ...]] = {}
+        #: Events awaiting the taps while the bus is held, else ``None``.
+        self._held: list[dict[str, Any]] | None = None
 
     def subscribe(self, tap: Callable[[dict[str, Any]], None]) -> None:
-        """Attach a live consumer; it sees every event, in emit order."""
+        """Attach a live consumer (of its ``TYPES``, or of every event)."""
         self._taps.append(tap)
+        self._routes = {}
 
     def _write(self, event: dict[str, Any]) -> None:
         self.sink.write(event)
-        for tap in self._taps:
-            tap(event)
+        held = self._held
+        if held is None:
+            self._deliver((event,))
+        else:
+            held.append(event)
+            if len(held) >= HOLD_LIMIT:
+                self.flush()
+
+    def _deliver(self, events) -> None:
+        routes = self._routes
+        for event in events:
+            etype = event["type"]
+            taps = routes.get(etype)
+            if taps is None:
+                taps = routes[etype] = tuple(
+                    t for t in self._taps if etype in getattr(t, "TYPES", (etype,))
+                )
+            for tap in taps:
+                tap(event)
+
+    def hold(self) -> bool:
+        """Queue tap delivery until :meth:`release`; False if already held."""
+        if self._held is not None:
+            return False
+        self._held = []
+        return True
+
+    def flush(self) -> None:
+        """Hand every held event to the taps now."""
+        held = self._held
+        if held:
+            self._held = []
+            self._deliver(held)
+
+    def release(self) -> None:
+        """Flush, then deliver at emit time again."""
+        while self._held:
+            self.flush()
+        self._held = None
 
     # -- events ------------------------------------------------------------
 
@@ -233,31 +289,29 @@ def emit_message_event(
     obs: EventBus,
     etype: str,
     message: Any,
-    regions: dict[str, Any],
+    region_names: dict[str, str],
     **extra: Any,
 ) -> None:
     """Emit one ``msg.*`` event for a transport envelope.
 
     The one shape of a ``msg.*`` event: used by the transport core
     (hence all three substrates) and by the fault layer for the
-    envelopes it accounts itself.
+    envelopes it accounts itself, with region names by endpoint name.
     """
-    src_region = regions.get(message.src)
-    dst_region = regions.get(message.dst)
+    src, dst = message.src, message.dst
+    event: dict[str, Any] = {
+        "ts": obs.clock.now, "type": etype, "node": "", "src": src, "dst": dst,
+        "msg_type": message.kind, "msg_id": message.msg_id, **extra,
+    }
+    src_region = region_names.get(src)
     if src_region is not None:
-        extra["src_region"] = src_region.value
+        event["src_region"] = src_region
+    dst_region = region_names.get(dst)
     if dst_region is not None:
-        extra["dst_region"] = dst_region.value
+        event["dst_region"] = dst_region
     if message.trace_id is not None:
-        extra["trace_id"] = message.trace_id
-    obs.emit(
-        etype,
-        src=message.src,
-        dst=message.dst,
-        msg_type=message.kind,
-        msg_id=message.msg_id,
-        **extra,
-    )
+        event["trace_id"] = message.trace_id
+    obs._write(event)
 
 
 def _ballot_str(ballot: Any) -> str:

@@ -510,6 +510,9 @@ class DemandTap:
     with the live ``repro top`` view.
     """
 
+    #: The event types :meth:`__call__` reads (the bus routes only these).
+    TYPES = frozenset({"site.serve", "epoch.close", "realloc.trigger"})
+
     def __init__(self, tracker: DemandTracker) -> None:
         self.tracker = tracker
 

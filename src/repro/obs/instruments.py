@@ -26,6 +26,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.core.requests import reset_request_ids
+from repro.core.site import reset_read_ids
 from repro.net.message import reset_msg_ids
 from repro.obs import prof
 from repro.obs.audit import InvariantAuditor
@@ -91,12 +92,13 @@ class Instruments:
     def attach(self, clock, *parts) -> None:
         """Instrument one deployment — its clock, its transport, any
         hosts — before it sends its first message."""
-        # Fresh envelope and request ids per deployment: traces record
-        # both and the flow plane accounts encoded bytes (id digit
+        # Fresh envelope, request and read ids per deployment: traces
+        # record them and the flow plane accounts encoded bytes (id digit
         # count), so a fixed-seed run must not depend on what ran
         # earlier in the process (see repro.net.message module docs).
         reset_msg_ids()
         reset_request_ids()
+        reset_read_ids()
         if self._sink is not None:
             self.bus = EventBus(clock, self._sink)
             for tap in self._verbs("tap"):

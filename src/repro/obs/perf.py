@@ -297,6 +297,9 @@ class PerfSpanTap:
     clock — exactly like the trace they mirror.
     """
 
+    #: The event types :meth:`__call__` reads (the bus routes only these).
+    TYPES = frozenset({"span.end"})
+
     def __init__(self, recorder: PerfRecorder) -> None:
         self.recorder = recorder
 

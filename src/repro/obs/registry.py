@@ -23,36 +23,9 @@ hit, *new* label combinations aggregate into a single
 ``"__other__"`` overflow cell while existing cells keep updating.
 Exposition stays O(cap) no matter how many entities a run touches.  :class:`TraceMetricsFeed` is the bridge from the event stream:
 subscribed as an :class:`~repro.obs.bus.EventBus` tap, it folds every
-event into the standard instrument set below, which means sim runs,
-live runs, and offline trace replays all produce identical metrics for
-identical traffic.
-
-Standard instruments (all prefixed ``repro_``) — only what nothing but
-the event stream knows.  Token locality and forecast error belong to
-:class:`~repro.obs.demand.DemandTracker`, wire bytes and queues to
-:class:`~repro.obs.flow.FlowTracker`; each renders its own families
-(DESIGN.md §3, "one owner per number"):
-
-==============================  =========  ==============================
-name                            kind       labels
-==============================  =========  ==============================
-``events_total``                counter    ``type``
-``messages_total``              counter    ``event`` (send/deliver/drop), ``msg_type``
-``message_latency_seconds``     histogram  ``src_region``, ``dst_region``
-``span_duration_seconds``       histogram  ``span``
-``requests_total``              counter    ``outcome``
-``reallocations_total``         counter    ``event`` (trigger/apply)
-``faults_total``                counter    ``action``
-``invariant_checks_total``      counter    —
-``invariant_violations_total``  counter    ``invariant``
-``tokens_left``                 gauge      ``node``
-``clock_seconds``               gauge      —
-``pledge_opened_total``         counter    ``node``
-``pledge_settled_total``        counter    ``node``, ``reason``
-``pledge_recoveries_total``     counter    ``node``
-``pledges_open``                gauge      ``node``
-``liveness_events_total``       counter    ``kind``
-==============================  =========  ==============================
+event into the standard instrument set (:data:`STANDARD`), which means
+sim runs, live runs, and offline trace replays all produce identical
+metrics for identical traffic.
 """
 
 from __future__ import annotations
@@ -111,8 +84,12 @@ class Counter(_Instrument):
     kind = "counter"
 
     def inc(self, *labels: str, value: float = 1.0) -> None:
+        cells = self.cells
+        if labels in cells:
+            cells[labels] += value
+            return
         key = self._key(labels)
-        self.cells[key] = self.cells.get(key, 0.0) + value
+        cells[key] = cells.get(key, 0.0) + value
 
 
 class Gauge(_Instrument):
@@ -278,132 +255,133 @@ def _flat_key(name: str, labelnames: tuple[str, ...], labels: LabelValues) -> st
     return f"{name}{{{inner}}}"
 
 
+#: The instruments :class:`TraceMetricsFeed` keeps, by its attribute:
+#: ``(kind, name, labels, help)``.  Only what nothing but the event
+#: stream knows: token locality and forecast error belong to
+#: :class:`~repro.obs.demand.DemandTracker`, wire bytes and queues to
+#: :class:`~repro.obs.flow.FlowTracker`; each renders its own families
+#: (DESIGN.md §3, "one owner per number").
+STANDARD: dict[str, tuple[str, str, tuple[str, ...], str]] = {
+    "events": ("counter", "repro_events_total", ("type",), "Trace events by type"),
+    "messages": ("counter", "repro_messages_total", ("event", "msg_type"),
+                 "Transport-plane envelopes by event and payload type"),
+    "message_latency": ("histogram", "repro_message_latency_seconds",
+                        ("src_region", "dst_region"),
+                        "Delivery latency per region pair"),
+    "span_duration": ("histogram", "repro_span_duration_seconds", ("span",),
+                      "Completed protocol-phase spans"),
+    "requests": ("counter", "repro_requests_total", ("outcome",),
+                 "Client request outcomes"),
+    "reallocations": ("counter", "repro_reallocations_total", ("event",),
+                      "Redistribution decision points"),
+    "faults": ("counter", "repro_faults_total", ("action",), "Injected faults"),
+    "invariant_checks": ("counter", "repro_invariant_checks_total", (),
+                         "Conservation audits run"),
+    "invariant_violations": ("counter", "repro_invariant_violations_total",
+                             ("invariant",), "Safety invariant violations reported"),
+    "tokens_left": ("gauge", "repro_tokens_left", ("node",),
+                    "Last observed per-site token balance"),
+    "clock": ("gauge", "repro_clock_seconds", (), "Substrate clock of the last event"),
+    "pledge_opened": ("counter", "repro_pledge_opened_total", ("node",),
+                      "Balances frozen by answering a foreign election"),
+    "pledge_settled": ("counter", "repro_pledge_settled_total", ("node", "reason"),
+                       "Pledges resolved, by how the outcome arrived"),
+    "pledge_recoveries": ("counter", "repro_pledge_recoveries_total", ("node",),
+                          "Recovery elections started to resolve a pledge"),
+    "pledges_open": ("gauge", "repro_pledges_open", ("node",),
+                     "Pledges currently unresolved"),
+    "liveness_events": ("counter", "repro_liveness_events_total", ("kind",),
+                        "Watchdog detections and client write-offs"),
+}
+
+
 class TraceMetricsFeed:
-    """EventBus tap that folds repro-trace/1 events into a registry."""
+    """EventBus tap that folds repro-trace/1 events into a registry; one
+    attribute per :data:`STANDARD` instrument."""
 
     def __init__(self, registry: MetricsRegistry) -> None:
         self.registry = registry
-        self.events = registry.counter(
-            "repro_events_total", "Trace events by type", ("type",)
-        )
-        self.messages = registry.counter(
-            "repro_messages_total",
-            "Transport-plane envelopes by event and payload type",
-            ("event", "msg_type"),
-        )
-        self.message_latency = registry.histogram(
-            "repro_message_latency_seconds",
-            "Delivery latency per region pair",
-            ("src_region", "dst_region"),
-        )
-        self.span_duration = registry.histogram(
-            "repro_span_duration_seconds",
-            "Completed protocol-phase spans",
-            ("span",),
-        )
-        self.requests = registry.counter(
-            "repro_requests_total", "Client request outcomes", ("outcome",)
-        )
-        self.reallocations = registry.counter(
-            "repro_reallocations_total", "Redistribution decision points", ("event",)
-        )
-        self.faults = registry.counter(
-            "repro_faults_total", "Injected faults", ("action",)
-        )
-        self.invariant_checks = registry.counter(
-            "repro_invariant_checks_total", "Conservation audits run"
-        )
-        self.invariant_violations = registry.counter(
-            "repro_invariant_violations_total",
-            "Safety invariant violations reported",
-            ("invariant",),
-        )
-        self.tokens_left = registry.gauge(
-            "repro_tokens_left", "Last observed per-site token balance", ("node",)
-        )
-        self.clock = registry.gauge(
-            "repro_clock_seconds", "Substrate clock of the last event"
-        )
-        self.pledge_opened = registry.counter(
-            "repro_pledge_opened_total",
-            "Balances frozen by answering a foreign election",
-            ("node",),
-        )
-        self.pledge_settled = registry.counter(
-            "repro_pledge_settled_total",
-            "Pledges resolved, by how the outcome arrived",
-            ("node", "reason"),
-        )
-        self.pledge_recoveries = registry.counter(
-            "repro_pledge_recoveries_total",
-            "Recovery elections started to resolve a pledge",
-            ("node",),
-        )
-        self.pledges_open = registry.gauge(
-            "repro_pledges_open",
-            "Pledges currently unresolved",
-            ("node",),
-        )
-        self.liveness_events = registry.counter(
-            "repro_liveness_events_total",
-            "Watchdog detections and client write-offs",
-            ("kind",),
-        )
+        for attribute, (kind, name, labels, help) in STANDARD.items():
+            setattr(self, attribute, getattr(registry, kind)(name, help, labels))
 
     def __call__(self, event: Mapping[str, Any]) -> None:
         etype = event.get("type", "")
-        self.events.inc(etype)
+        events, key = self.events.cells, (etype,)
+        if key in events:  # in place: every type after its first event
+            events[key] += 1.0
+        else:
+            self.events.inc(etype)
         ts = event.get("ts")
         if isinstance(ts, (int, float)) and not isinstance(ts, bool):
-            self.clock.set(value=float(ts))
-        if etype.startswith("msg."):
-            self.messages.inc(etype[4:], str(event.get("msg_type", "?")))
-            if etype == "msg.deliver":
-                latency = event.get("latency")
-                if isinstance(latency, (int, float)):
-                    self.message_latency.observe(
-                        str(event.get("src_region", "?")),
-                        str(event.get("dst_region", "?")),
-                        value=float(latency),
-                    )
-        elif etype == "span.end":
-            self.span_duration.observe(
-                str(event.get("span", "?")), value=float(event.get("dur", 0.0))
+            self.clock.cells[()] = float(ts)
+        handler = self._HANDLERS.get(etype)
+        if handler is None:
+            handler = self._FAMILIES.get(etype.partition(".")[0])
+        if handler is not None:
+            handler(self, event)
+
+    def _on_msg(self, event: Mapping[str, Any]) -> None:
+        etype = event["type"]
+        self.messages.inc(etype[4:], str(event.get("msg_type", "?")))
+        latency = event.get("latency")
+        if etype == "msg.deliver" and isinstance(latency, (int, float)):
+            self.message_latency.observe(
+                str(event.get("src_region", "?")),
+                str(event.get("dst_region", "?")),
+                value=float(latency),
             )
-            if event.get("span") == "request":
-                self.requests.inc(str(event.get("outcome", "?")))
-        elif etype in ("realloc.trigger", "realloc.apply"):
-            self.reallocations.inc(etype[8:])
-            if etype == "realloc.apply":
-                tokens_after = event.get("tokens_after")
-                if isinstance(tokens_after, int):
-                    self.tokens_left.set(
-                        str(event.get("node", "")), value=float(tokens_after)
-                    )
-        elif etype.startswith("fault."):
-            self.faults.inc(etype[6:])
-        elif etype.startswith("pledge."):
-            node = str(event.get("node", ""))
-            if etype == "pledge.open":
-                self.pledge_opened.inc(node)
-                self.pledges_open.set(node, value=1.0)
-            elif etype == "pledge.settle":
-                self.pledge_settled.inc(node, str(event.get("reason", "?")))
-                self.pledges_open.set(node, value=0.0)
-            elif etype == "pledge.recover":
-                self.pledge_recoveries.inc(node)
-        elif etype.startswith("liveness."):
-            self.liveness_events.inc(etype[9:])
-        elif etype == "invariant.check":
+
+    def _on_span_end(self, event: Mapping[str, Any]) -> None:
+        self.span_duration.observe(
+            str(event.get("span", "?")), value=float(event.get("dur", 0.0))
+        )
+        if event.get("span") == "request":
+            self.requests.inc(str(event.get("outcome", "?")))
+
+    def _on_realloc(self, event: Mapping[str, Any]) -> None:
+        etype = event["type"]
+        self.reallocations.inc(etype[8:])
+        tokens_after = event.get("tokens_after")
+        if etype == "realloc.apply" and isinstance(tokens_after, int):
+            self.tokens_left.set(str(event.get("node", "")), value=float(tokens_after))
+
+    def _on_pledge(self, event: Mapping[str, Any]) -> None:
+        etype = event["type"]
+        node = str(event.get("node", ""))
+        if etype == "pledge.open":
+            self.pledge_opened.inc(node)
+            self.pledges_open.set(node, value=1.0)
+        elif etype == "pledge.settle":
+            self.pledge_settled.inc(node, str(event.get("reason", "?")))
+            self.pledges_open.set(node, value=0.0)
+        else:
+            self.pledge_recoveries.inc(node)
+
+    def _on_invariant(self, event: Mapping[str, Any]) -> None:
+        if event["type"] == "invariant.check":
             self.invariant_checks.inc()
-        elif etype == "invariant.violation":
+        else:
             self.invariant_violations.inc(str(event.get("invariant", "?")))
-        elif etype == "site.serve":
-            tokens = event.get("tokens_left")
-            if isinstance(tokens, int):
-                self.tokens_left.set(
-                    str(event.get("node", "")), value=float(tokens)
-                )
+
+    def _on_site_serve(self, event: Mapping[str, Any]) -> None:
+        tokens = event.get("tokens_left")
+        if isinstance(tokens, int):
+            self.tokens_left.set(str(event.get("node", "")), value=float(tokens))
+
+    _HANDLERS = {
+        **dict.fromkeys(("msg.send", "msg.deliver", "msg.drop"), _on_msg),
+        "span.end": _on_span_end,
+        "site.serve": _on_site_serve,
+        **dict.fromkeys(("realloc.trigger", "realloc.apply"), _on_realloc),
+        **dict.fromkeys(("pledge.open", "pledge.settle", "pledge.recover"), _on_pledge),
+        **dict.fromkeys(("invariant.check", "invariant.violation"), _on_invariant),
+    }
+    #: Open-ended families, by the prefix before the first dot: a type
+    #: not in ``_HANDLERS`` counts under its suffix.
+    _FAMILIES = {
+        "fault": lambda self, event: self.faults.inc(event["type"][6:]),
+        "liveness": lambda self, event: self.liveness_events.inc(event["type"][9:]),
+    }
 
 
 def feed_registry(events: Iterable[Mapping[str, Any]]) -> MetricsRegistry:

@@ -22,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
+from repro.obs.bus import EventBus
+
 
 @dataclass(frozen=True)
 class WatchdogConfig:
@@ -66,6 +68,9 @@ class LivenessWatchdog:
     """Tap + periodic sweep; see the module docstring."""
 
     config: WatchdogConfig = field(default_factory=WatchdogConfig)
+
+    #: The event types the tap reads (the bus routes only these).
+    TYPES = frozenset({"span.begin", "span.end", "pledge.open", "pledge.settle"})
 
     def __post_init__(self) -> None:
         self._open_rounds: dict[int, _Span] = {}
@@ -151,6 +156,8 @@ class LivenessWatchdog:
 
     def sweep(self, now: float, bus) -> None:
         """One deadline pass over everything currently in flight."""
+        if isinstance(bus, EventBus):
+            bus.flush()  # ``Kernel.run`` holds it: catch the tables up
         self.sweeps += 1
         config = self.config
         for span_id, item in self._open_rounds.items():

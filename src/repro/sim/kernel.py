@@ -42,6 +42,8 @@ class Kernel:
         self._perf_tick = None
         self._perf_push = None
         self._flow_heap = None
+        #: The bus :meth:`run` holds while it dispatches (``repro.obs.bus``).
+        self._bus = None
         #: Event-identity profiler (:class:`repro.obs.prof.EventProfiler`).
         self.profiler = None
 
@@ -60,6 +62,7 @@ class Kernel:
         self._perf_tick = None if perf is None else perf.histogram("kernel.tick")
         self._perf_push = None if perf is None else perf.histogram("kernel.heap_push")
         self._flow_heap = None if flow is None else flow.queue("kernel.heap")
+        self._bus = instruments.bus
         self.profiler = instruments.profiler
 
     @property
@@ -110,8 +113,9 @@ class Kernel:
         consecutive ``run`` calls with contiguous time windows (a run cut
         short by ``max_events`` leaves the clock at its last event).
 
-        This is the only dispatch loop.  The perf histogram and profiler
-        are read once on entry: instrument before calling ``run``.
+        This is the only dispatch loop.  The perf histogram, profiler
+        and bus are read once on entry: instrument before calling
+        ``run``.  The bus is held for the whole loop (``repro.obs.bus``).
         """
         heap = self._queue.heap
         tick = self._perf_tick
@@ -120,26 +124,32 @@ class Kernel:
         horizon = inf if until is None else until
         # Counts down to zero; an unbounded run starts below it.
         budget = -1 if max_events is None else max(max_events, 0)
-        while budget and heap:
-            time, _seq, event = heap[0]
-            if event.cancelled:
+        bus = self._bus
+        held = bus is not None and bus.hold()
+        try:
+            while budget and heap:
+                time, _seq, event = heap[0]
+                if event.cancelled:
+                    heappop(heap)
+                    continue
+                if time > horizon:
+                    break
                 heappop(heap)
-                continue
-            if time > horizon:
-                break
-            heappop(heap)
-            budget -= 1
-            self.now = time
-            self._events_fired += 1
-            if not timed:
+                budget -= 1
+                self.now = time
+                self._events_fired += 1
+                if not timed:
+                    event.callback(*event.args)
+                    continue
+                start = perf_counter()
                 event.callback(*event.args)
-                continue
-            start = perf_counter()
-            event.callback(*event.args)
-            elapsed = perf_counter() - start
-            if tick is not None:
-                tick.record(elapsed)
-            if profiler is not None:
-                profiler.record(event, elapsed)
+                elapsed = perf_counter() - start
+                if tick is not None:
+                    tick.record(elapsed)
+                if profiler is not None:
+                    profiler.record(event, elapsed)
+        finally:
+            if held:
+                bus.release()
         if budget and until is not None and until > self.now:
             self.now = until
