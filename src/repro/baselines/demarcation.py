@@ -384,7 +384,7 @@ class DemarcationCluster(Deployment):
         ]
         for site in sites:
             site.connect(sites)
-        routing = ClosestRegionRouting(network, sites)
+        routing = ClosestRegionRouting(sites)
         super().__init__(kernel, network, entity, sites, routing, regions)
         self.sites = sites
 

@@ -37,27 +37,33 @@ class ClosestRegionRouting:
     region (the §5.7 scalability setups), requests round-robin over them.
     """
 
-    def __init__(self, network: Transport, sites: list) -> None:
-        self._network = network
+    def __init__(self, sites: list) -> None:
         self._sites = list(sites)
         self._rotation = 0
+        #: Client region -> the sites grouped by RTT from it, nearest
+        #: group first, each group in site order.  Filled on first use:
+        #: the RTT table and the site regions never change.
+        self._ranked: dict[Region, list[list]] = {}
+
+    def _rank(self, region: Region) -> list[list]:
+        groups: dict[float, list] = {}
+        for site in self._sites:
+            groups.setdefault(rtt(region, site.region), []).append(site)
+        return [groups[latency] for latency in sorted(groups)]
 
     def select(self, request: ClientRequest, region: Region) -> str | None:
-        best: list[str] = []
-        best_latency = float("inf")
-        for site in self._sites:
-            if site.crashed:
-                continue
-            latency = rtt(region, site.region)
-            if latency < best_latency:
-                best = [site.name]
-                best_latency = latency
-            elif latency == best_latency:
-                best.append(site.name)
-        if not best:
-            return None
-        self._rotation += 1
-        return best[self._rotation % len(best)]
+        groups = self._ranked.get(region)
+        if groups is None:
+            groups = self._ranked[region] = self._rank(region)
+        for group in groups:
+            if len(group) == 1 and not group[0].crashed:
+                live = group  # one site per region: no list to build
+            else:
+                live = [site for site in group if not site.crashed]
+            if live:
+                self._rotation += 1
+                return live[self._rotation % len(live)].name
+        return None
 
 
 class FixedTargetRouting:
@@ -115,10 +121,13 @@ class AppManager(Actor):
         self._inflight[request.request_id] = record
         self._attempt(record)
 
+    def _retry(self, record: dict) -> None:
+        """The retry timer: almost always the request was answered meanwhile."""
+        if record["request"].request_id in self._inflight and not self.crashed:
+            self._attempt(record)
+
     def _attempt(self, record: dict) -> None:
         request = record["request"]
-        if request.request_id not in self._inflight:
-            return  # answered while the retry timer was pending
         target = self.routing.select(request, self.region)
         if target is None:
             del self._inflight[request.request_id]
@@ -133,9 +142,7 @@ class AppManager(Actor):
             # deep service queue), not lost.  Re-sending to a *different*
             # site would risk executing the transaction twice, so wait.
             if self.retry_timeout > 0:
-                self.kernel.schedule(
-                    self.retry_timeout, self._guarded, self._attempt, (record,)
-                )
+                self.kernel.schedule(self.retry_timeout, self._retry, record)
             return
         if record["attempts"] >= self.max_attempts:
             del self._inflight[request.request_id]
@@ -152,9 +159,7 @@ class AppManager(Actor):
             self.retries += 1
         self.network.send(self.name, target, ForwardedRequest(request, reply_to=self.name))
         if self.retry_timeout > 0:
-            self.kernel.schedule(
-                self.retry_timeout, self._guarded, self._attempt, (record,)
-            )
+            self.kernel.schedule(self.retry_timeout, self._retry, record)
 
     def on_message(self, message: Message) -> None:
         if self.crashed:
@@ -164,7 +169,7 @@ class AppManager(Actor):
             return
         record = self._inflight.pop(payload.response.request_id, None)
         if record is not None:
-            record["client"].on_response(payload.response, self.now)
+            record["client"].on_response(payload.response, self.kernel.now)
 
     def crash(self) -> None:
         super().crash()

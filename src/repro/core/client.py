@@ -46,6 +46,7 @@ class WorkloadClient(Actor):
     ) -> None:
         super().__init__(kernel, name)
         self.region = region
+        self._region_name = region.value
         self.app_manager = app_manager
         self.entity_id = entity_id
         self.metrics = metrics
@@ -78,10 +79,12 @@ class WorkloadClient(Actor):
         if self._cursor >= len(self._operations):
             return
         operation = self._operations[self._cursor]
-        delay = max(0.0, operation.time - self.now)
-        self.kernel.schedule(delay, self._guarded, self._issue, (operation,))
+        delay = max(0.0, operation.time - self.kernel.now)
+        self.kernel.schedule(delay, self._issue, operation)
 
     def _issue(self, operation: Operation) -> None:
+        if self.crashed:
+            return
         self._cursor += 1
         self._schedule_next()
         if (
@@ -115,8 +118,8 @@ class WorkloadClient(Actor):
             entity_id=self.entity_id,
             amount=amount,
             client=self.name,
-            region=self.region.value,
-            issued_at=self.now,
+            region=self._region_name,
+            issued_at=self.kernel.now,
         )
         self._inflight[request.request_id] = request
         self.issued += 1

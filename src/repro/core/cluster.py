@@ -179,7 +179,7 @@ class SamyaCluster(Deployment):
         for site in sites:
             site.connect(site_names)
 
-        routing = ClosestRegionRouting(network, sites)
+        routing = ClosestRegionRouting(sites)
         super().__init__(kernel, network, entity, sites, routing, regions)
         self.sites = sites
 

@@ -119,7 +119,7 @@ class MultiEntityDeployment(Deployment):
         for site in sites:
             site.connect(names)
         self.sites_by_entity[entity.id] = sites
-        self.directory.register(entity.id, ClosestRegionRouting(network, sites))
+        self.directory.register(entity.id, ClosestRegionRouting(sites))
         checker = ConservationChecker(entity.maximum)
         checker.watch(sites)
         self.checkers[entity.id] = checker

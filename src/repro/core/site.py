@@ -133,10 +133,11 @@ class Server(Actor):
             if isinstance(message.payload, ForwardedRequest)
             else self._protocol_cost
         )
-        start = max(self.now, self._busy_until)
+        now = self.kernel.now
+        start = max(now, self._busy_until)
         self._busy_until = start + cost
         self.kernel.schedule(
-            self._busy_until - self.now, self._guarded, self._dispatch, (message,)
+            self._busy_until - now, self._guarded, self._dispatch, (message,)
         )
 
     def _reply(

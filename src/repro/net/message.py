@@ -40,7 +40,7 @@ def reset_msg_ids() -> None:
     _msg_ids = itertools.count(1)
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     """An envelope delivered by a :class:`repro.net.transport.Transport`."""
 

@@ -50,9 +50,20 @@ class Network(TransportCore):
         super().__init__(
             kernel, self.config.loss_probability, kernel.rng.stream("network")
         )
+        #: ``(src, dst)`` endpoint names -> base one-way latency.  Filled on
+        #: first use; attach / detach clear it, as they can move a name.
+        self._latencies: dict[tuple[str, str], float] = {}
+
+    def _attached(self, name: str) -> None:
+        self._latencies.clear()
+
+    _detached = _attached
 
     def _carry(self, message: Message, frame: bytes | None) -> None:
-        base = one_way_latency(self._regions[message.src], self._regions[message.dst])
+        try:
+            base = self._latencies[message.src, message.dst]
+        except KeyError:
+            base = self.latency(message.src, message.dst)
         sigma = self.config.jitter_sigma
         if sigma > 0:
             # Lognormal multiplier with median 1: long-tailed, never negative.
@@ -61,7 +72,11 @@ class Network(TransportCore):
 
     def latency(self, a: str, b: str) -> float:
         """Base one-way latency between two attached endpoints (seconds)."""
-        return one_way_latency(self._regions[a], self._regions[b])
+        base = self._latencies.get((a, b))
+        if base is None:
+            base = one_way_latency(self._regions[a], self._regions[b])
+            self._latencies[a, b] = base
+        return base
 
 
 def sim_substrate(seed: int, **network_config) -> tuple[Kernel, Network]:

@@ -15,16 +15,13 @@ class PartitionController:
     """Tracks the active partition, if any."""
 
     def __init__(self) -> None:
-        self._group_of: dict[str, int] | None = None
+        #: Endpoint name -> group index; ``None`` while healed.
+        self.group_of: dict[str, int] | None = None
         #: Telemetry bus; when set, ``partition``/``heal`` emit
         #: ``fault.partition``/``fault.heal`` trace events so an auditor
         #: can correlate drops and latency spikes with the split.  The
         #: harness wires this alongside the transport's own ``obs``.
         self.obs = None
-
-    @property
-    def active(self) -> bool:
-        return self._group_of is not None
 
     def partition(self, groups: Iterable[Iterable[str]]) -> None:
         """Split the network into the given groups of endpoint names."""
@@ -35,22 +32,22 @@ class PartitionController:
                 if name in group_of:
                     raise ValueError(f"endpoint {name!r} appears in two groups")
                 group_of[name] = index
-        self._group_of = group_of
+        self.group_of = group_of
         if self.obs is not None:
             described = "|".join(",".join(group) for group in groups)
             self.obs.emit("fault.partition", groups=described)
 
     def heal(self) -> None:
         """Remove the partition; full connectivity is restored."""
-        self._group_of = None
+        self.group_of = None
         if self.obs is not None:
             self.obs.emit("fault.heal")
 
     def can_communicate(self, a: str, b: str) -> bool:
-        if self._group_of is None:
+        if self.group_of is None:
             return True
-        group_a = self._group_of.get(a)
-        group_b = self._group_of.get(b)
+        group_a = self.group_of.get(a)
+        group_b = self.group_of.get(b)
         if group_a is None or group_b is None:
             return False
         return group_a == group_b

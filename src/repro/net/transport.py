@@ -207,8 +207,9 @@ class TransportCore:
     def send(self, src: str, dst: str, payload: Any) -> None:
         """Send ``payload`` from ``src`` to ``dst``; best-effort delivery."""
         self.messages_sent += 1
-        message = Message(src=src, dst=dst, payload=payload, sent_at=self.clock.now)
-        self.sent_by_type[message.kind] += 1
+        message = Message(src, dst, payload, self.clock.now)
+        kind = type(payload).__name__
+        self.sent_by_type[kind] += 1
         obs = self._obs
         if obs is not None:
             # Stamped before framing so the trace id crosses the wire.
@@ -226,7 +227,7 @@ class TransportCore:
             payload_bytes = frame_bytes - codec.FRAME_HEADER.size
             names = self._region_names
             flow.record_send(
-                message.kind,
+                kind,
                 payload_bytes,
                 frame_bytes,
                 names.get(src, ""),
@@ -240,7 +241,8 @@ class TransportCore:
         if dst not in self._endpoints:
             self._drop(message, "unknown-endpoint")
             return
-        if not self.partitions.can_communicate(src, dst):
+        partitions = self.partitions
+        if partitions.group_of is not None and not partitions.can_communicate(src, dst):
             self._drop(message, "partitioned")
             return
         if self.loss_probability > 0 and self._rng.random() < self.loss_probability:
@@ -267,12 +269,15 @@ class TransportCore:
             return
         # Partitions that arise while a message is in flight still cut it off:
         # the check at delivery time models links going dark mid-flight.
-        if not self.partitions.can_communicate(message.src, message.dst):
+        partitions = self.partitions
+        if partitions.group_of is not None and not partitions.can_communicate(
+            message.src, message.dst
+        ):
             self._drop(message, "partitioned")
             return
         message.delivered_at = self.clock.now
         self.messages_delivered += 1
-        self.delivered_by_type[message.kind] += 1
+        self.delivered_by_type[type(message.payload).__name__] += 1
         obs = self._obs
         if obs is not None:
             emit_message_event(

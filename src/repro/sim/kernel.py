@@ -42,6 +42,8 @@ class Kernel:
         self._perf_tick = None
         self._perf_push = None
         self._flow_heap = None
+        #: Either is set: schedules go through :meth:`_push`.
+        self._instrumented = False
         #: The bus :meth:`run` holds while it dispatches (``repro.obs.bus``).
         self._bus = None
         #: Event-identity profiler (:class:`repro.obs.prof.EventProfiler`).
@@ -62,6 +64,7 @@ class Kernel:
         self._perf_tick = None if perf is None else perf.histogram("kernel.tick")
         self._perf_push = None if perf is None else perf.histogram("kernel.heap_push")
         self._flow_heap = None if flow is None else flow.queue("kernel.heap")
+        self._instrumented = perf is not None or flow is not None
         self._bus = instruments.bus
         self.profiler = instruments.profiler
 
@@ -76,19 +79,24 @@ class Kernel:
 
     def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``callback(*args)`` to fire ``delay`` seconds from now."""
-        if delay < 0:
+        if not delay >= 0:  # also refuses NaN, for which ``nan < 0`` is false
             raise SimulationError(f"cannot schedule {delay} seconds in the past")
-        return self._push(self.now + delay, callback, args)
+        if self._instrumented:
+            return self._push(self.now + delay, callback, args)
+        return self._queue.push(self.now + delay, callback, args)
 
     def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``callback(*args)`` at an absolute simulated time."""
-        if time < self.now:
+        if not time >= self.now:
             raise SimulationError(
                 f"cannot schedule at t={time} which is before now={self.now}"
             )
-        return self._push(time, callback, args)
+        if self._instrumented:
+            return self._push(time, callback, args)
+        return self._queue.push(time, callback, args)
 
     def _push(self, time: float, callback: Callable[..., Any], args: tuple) -> Event:
+        """The perf / flow branch of a schedule."""
         if self._perf_push is None:
             event = self._queue.push(time, callback, args)
         else:

@@ -37,7 +37,7 @@ class TestClosestRegionRouting:
 
     def test_round_robins_within_region(self):
         mini = MiniCluster()
-        routing = ClosestRegionRouting(mini.network, mini.sites[:1] * 1)
+        routing = ClosestRegionRouting(mini.sites[:1] * 1)
         # Two co-located fake sites by reusing the same region.
         routing._sites = [mini.site(0), mini.site(0)]
         first = routing.select(request(), mini.site(0).region)
