@@ -113,6 +113,9 @@ class AvantanProtocol(abc.ABC):
         self.phase = Phase.NONE
         self.stats = RedistributionStats()
         self._timer = host.protocol_timer(self._on_timeout)
+        #: Timer-jitter draws (hosts return one stream per site, so this
+        #: is the stream every call to ``protocol_rng`` would give).
+        self._random = host.protocol_rng().random
         #: Per-round participation trace (entry role, duration, outcome).
         self.rounds = RoundLog()
         #: True while the round is *blocked* (not enough reachable sites
@@ -207,7 +210,7 @@ class AvantanProtocol(abc.ABC):
 
     def _restart_timer(self, delay: float) -> None:
         # +-20% jitter prevents synchronized duelling leaders.
-        jitter = 0.8 + 0.4 * self.host.protocol_rng().random()
+        jitter = 0.8 + 0.4 * self._random()
         self._timer.restart(delay * jitter)
 
     def _cohort_timeout_value(self) -> float:

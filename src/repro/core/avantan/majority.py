@@ -155,29 +155,31 @@ class AvantanMajority(AvantanProtocol):
         owes them tokens; repairs the leader's own state if it is the
         stale one."""
         state = self.state
+        leader = self.host.name
         revealed: dict = {}
         for response in self._responses.values():
             for value in response.recently_applied:
                 revealed[value.value_id] = value
         # (a) Apply anything we ourselves missed, then refresh our InitVal.
         missed_self = [
-            value
-            for value_id, value in sorted(revealed.items())
-            if self.host.name in value.participants and value_id not in state.applied
+            value_id
+            for value_id, value in revealed.items()
+            if leader in value.participants and value_id not in state.applied
         ]
-        for value in missed_self:
-            self.host.apply_redistribution(value)
+        for value_id in sorted(missed_self):
+            self.host.apply_redistribution(revealed[value_id])
         if missed_self:
             state.init_val = self.host.snapshot_init_val()
-            self._responses[self.host.name].init_val = state.init_val
+            self._responses[leader].init_val = state.init_val
         # (b) Exclude responders a revealed value has not reached yet, and
         # deliver that value to them (idempotent if this is a false alarm).
         stale: set[str] = set()
         for name, response in self._responses.items():
-            if name == self.host.name:
+            if name == leader:
                 continue
+            applied = set(response.applied_ids)
             for value_id, value in revealed.items():
-                if name in value.participants and value_id not in response.applied_ids:
+                if name in value.participants and value_id not in applied:
                     stale.add(name)
                     self._send(name, DecisionMsg(value_id, value))
                     break

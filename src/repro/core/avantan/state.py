@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.core.entity import SiteTokenState
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Ballot:
     """A totally ordered ballot ``<num, site_id>`` (§4.3).
 
@@ -26,6 +27,12 @@ class Ballot:
     def zero(site_id: str) -> "Ballot":
         return Ballot(0, site_id)
 
+    def __reduce__(self):
+        # The WAL pickles every persisted Avantan state (up to 256
+        # applied ballots); a slotted frozen dataclass would otherwise
+        # pickle through Python-level __getstate__ / __setstate__.
+        return Ballot, (self.num, self.site_id)
+
 
 @dataclass(frozen=True)
 class AcceptValue:
@@ -42,9 +49,9 @@ class AcceptValue:
     entity_id: str
     states: tuple[SiteTokenState, ...]
 
-    @property
+    @cached_property
     def participants(self) -> tuple[str, ...]:
-        """Site ids in R_t, in value order."""
+        """Site ids in R_t, in value order (computed once per value)."""
         return tuple(state.site_id for state in self.states)
 
     def state_of(self, site_id: str) -> SiteTokenState | None:

@@ -75,7 +75,7 @@ class EntityState:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SiteTokenState:
     """One element of Avantan's AcceptVal list: a site's InitVal.
 
@@ -91,3 +91,9 @@ class SiteTokenState:
     def __post_init__(self) -> None:
         if self.tokens_left < 0 or self.tokens_wanted < 0:
             raise TokenError("token counts must be non-negative")
+
+    def __reduce__(self):
+        # Pickled by the WAL; see ``Ballot.__reduce__``.
+        return SiteTokenState, (
+            self.site_id, self.entity_id, self.tokens_left, self.tokens_wanted
+        )

@@ -114,7 +114,7 @@ class RedistributionLedger:
         granted: dict[str, int] | None = None
         tokens_before = state.tokens_left
         if mine is not None:
-            granted = redistribute_tokens(list(value.states), self.reallocator)
+            granted = redistribute_tokens(value.states, self.reallocator)
             # Delta form: the grant replaces the pooled contribution but
             # keeps anything earned since pooling (releases accepted while
             # the site served in degraded mode).  In normal operation the

@@ -28,6 +28,7 @@ used by the ablation benchmarks live alongside the paper's greedy one.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from operator import itemgetter
 from typing import Protocol
 
 from repro.core.entity import SiteTokenState
@@ -49,25 +50,40 @@ class Reallocator(Protocol):
         ...  # pragma: no cover
 
 
-def _validate(states: Sequence[SiteTokenState]) -> None:
+def _validate(states: Sequence[SiteTokenState]) -> tuple[int, dict[str, int]]:
+    """Check the input in one pass; return the pooled spares (S_t) and
+    each site's TokensWanted, keyed in input order."""
     if not states:
         raise ReallocationError("reallocation requires at least one site")
-    site_ids = [state.site_id for state in states]
-    if len(set(site_ids)) != len(site_ids):
+    entity_id = states[0].entity_id
+    mixed = False
+    spare = 0
+    wants: dict[str, int] = {}
+    for state in states:
+        spare += state.tokens_left
+        wants[state.site_id] = state.tokens_wanted
+        if state.entity_id != entity_id:
+            mixed = True
+    if len(wants) != len(states):
+        site_ids = [state.site_id for state in states]
         raise ReallocationError(f"duplicate site ids in reallocation input: {site_ids}")
-    entities = {state.entity_id for state in states}
-    if len(entities) != 1:
+    if mixed:
+        entities = {state.entity_id for state in states}
         raise ReallocationError(f"mixed entities in reallocation input: {entities}")
+    return spare, wants
 
 
-def _split_equally(spare: int, site_ids: Sequence[str]) -> dict[str, int]:
-    """Integer-exact equal split; remainder goes to the smallest ids."""
-    count = len(site_ids)
-    share, remainder = divmod(spare, count)
-    shares = {site_id: share for site_id in site_ids}
-    for site_id in sorted(site_ids)[:remainder]:
-        shares[site_id] += 1
-    return shares
+def _share_out(granted: dict[str, int], spare: int) -> dict[str, int]:
+    """Add an integer-exact equal split of ``spare`` to ``granted`` in
+    place; the remainder goes one token each to the smallest ids."""
+    share, remainder = divmod(spare, len(granted))
+    if share:
+        for site_id in granted:
+            granted[site_id] += share
+    if remainder:
+        for site_id in sorted(granted)[:remainder]:
+            granted[site_id] += 1
+    return granted
 
 
 class GreedyMaxUsageReallocator:
@@ -79,37 +95,23 @@ class GreedyMaxUsageReallocator:
     """
 
     def allocate(self, states: Sequence[SiteTokenState]) -> dict[str, int]:
-        _validate(states)
-        spare = sum(state.tokens_left for state in states)  # S_t
-        total_wanted = sum(state.tokens_wanted for state in states)  # TotalTW
-
-        wants = {state.site_id: state.tokens_wanted for state in states}
-        if total_wanted > spare:
-            self._reject_some_requests(states, wants, spare)
-
+        spare, wants = _validate(states)  # S_t
+        outstanding = sum(wants.values())  # TotalTW
+        if outstanding > spare:
+            # RejectSomeRequests: zero out wants, smallest first, until
+            # demand fits the spares.  Ties on the wanted amount break on
+            # site id so every site derives the same rejection set.
+            for site_id, want in sorted(wants.items(), key=itemgetter(1, 0)):
+                if outstanding <= spare:
+                    break
+                outstanding -= want
+                wants[site_id] = 0
         # AllocateTokens: grant surviving wants, then split the remainder.
-        granted = dict(wants)
-        leftover = spare - sum(granted.values())
-        for site_id, extra in _split_equally(leftover, [s.site_id for s in states]).items():
-            granted[site_id] += extra
-        return granted
+        return _share_out(wants, spare - outstanding)
 
-    @staticmethod
-    def _reject_some_requests(
-        states: Sequence[SiteTokenState], wants: dict[str, int], spare: int
-    ) -> None:
-        """Zero out wants, smallest first, until demand fits the spares.
 
-        Ties on the wanted amount break on site id so every site derives
-        the same rejection set.
-        """
-        outstanding = sum(wants.values())
-        by_ascending_want = sorted(states, key=lambda s: (s.tokens_wanted, s.site_id))
-        for state in by_ascending_want:
-            if outstanding <= spare:
-                break
-            outstanding -= wants[state.site_id]
-            wants[state.site_id] = 0
+#: The strategy ``redistribute_tokens`` runs when given none (stateless).
+_GREEDY = GreedyMaxUsageReallocator()
 
 
 class ProportionalReallocator:
@@ -122,21 +124,15 @@ class ProportionalReallocator:
     """
 
     def allocate(self, states: Sequence[SiteTokenState]) -> dict[str, int]:
-        _validate(states)
-        spare = sum(state.tokens_left for state in states)
-        total_wanted = sum(state.tokens_wanted for state in states)
-
+        spare, wants = _validate(states)
+        total_wanted = sum(wants.values())
         if total_wanted <= spare or total_wanted == 0:
-            granted = {state.site_id: state.tokens_wanted for state in states}
+            granted = wants
         else:
             granted = {
-                state.site_id: state.tokens_wanted * spare // total_wanted
-                for state in states
+                site_id: want * spare // total_wanted for site_id, want in wants.items()
             }
-        leftover = spare - sum(granted.values())
-        for site_id, extra in _split_equally(leftover, [s.site_id for s in states]).items():
-            granted[site_id] += extra
-        return granted
+        return _share_out(granted, spare - sum(granted.values()))
 
 
 class EqualSplitReallocator:
@@ -147,9 +143,8 @@ class EqualSplitReallocator:
     """
 
     def allocate(self, states: Sequence[SiteTokenState]) -> dict[str, int]:
-        _validate(states)
-        spare = sum(state.tokens_left for state in states)
-        return _split_equally(spare, [state.site_id for state in states])
+        spare, wants = _validate(states)
+        return _share_out(dict.fromkeys(wants, 0), spare)
 
 
 def redistribute_tokens(
@@ -161,17 +156,21 @@ def redistribute_tokens(
     conservation check turns any buggy strategy into a loud failure
     instead of a silent constraint violation.
     """
-    strategy = reallocator if reallocator is not None else GreedyMaxUsageReallocator()
+    strategy = reallocator if reallocator is not None else _GREEDY
     granted = strategy.allocate(states)
-    pooled = sum(state.tokens_left for state in states)
+    pooled = 0
+    site_ids = set()
+    for state in states:
+        pooled += state.tokens_left
+        site_ids.add(state.site_id)
     distributed = sum(granted.values())
     if distributed != pooled:
         raise ReallocationError(
             f"reallocator {type(strategy).__name__} broke conservation: "
             f"pooled {pooled} tokens but distributed {distributed}"
         )
-    if set(granted) != {state.site_id for state in states}:
+    if granted.keys() != site_ids:
         raise ReallocationError("reallocator must grant to exactly the participants")
-    if any(amount < 0 for amount in granted.values()):
+    if granted and min(granted.values()) < 0:
         raise ReallocationError("reallocator granted a negative amount")
     return granted

@@ -37,7 +37,7 @@ from repro.net.message import Message, next_msg_id
 from repro.net.transport import TransportDecorator
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EntityScoped:
     """A protocol payload tagged with the entity it belongs to.
 
@@ -50,7 +50,7 @@ class EntityScoped:
     payload: Any
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BatchItem:
     """One coalesced payload plus the envelope id it would have used."""
 
@@ -58,7 +58,7 @@ class BatchItem:
     payload: Any
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BatchEnvelope:
     """All payloads for one (src, dst) pair from one kernel tick."""
 
@@ -66,12 +66,19 @@ class BatchEnvelope:
 
 
 class BatchingTransport(TransportDecorator):
-    """Transport decorator that coalesces same-tick, same-link sends."""
+    """Transport decorator that coalesces same-tick, same-link sends.
+
+    One zero-delay flush event serves every link: it is scheduled when
+    the buffer map goes from empty to non-empty and sends each link's
+    buffer in first-send order — the order per-link flush events would
+    fire in.  The flush swaps in a fresh map first, so a send made while
+    it runs schedules the next flush.
+    """
 
     def __init__(self, inner, clock) -> None:
         super().__init__(inner, clock)
-        self._buffers: dict[tuple[str, str], list[BatchItem]] = {}
-        self._scheduled: set[tuple[str, str]] = set()
+        #: (src, dst) -> buffered ``(msg_id, payload)`` pairs.
+        self._buffers: dict[tuple[str, str], list[tuple[int, Any]]] = {}
         #: Payloads handed to ``send`` (the logical message count).
         self.logical_sent = 0
         #: Envelopes actually flushed with >= 2 items.
@@ -86,71 +93,50 @@ class BatchingTransport(TransportDecorator):
 
     def send(self, src: str, dst: str, payload: Any) -> None:
         self.logical_sent += 1
-        key = (src, dst)
-        buffer = self._buffers.get(key)
-        if buffer is None:
-            buffer = []
-            self._buffers[key] = buffer
-        buffer.append(BatchItem(next_msg_id(), payload))
-        if key not in self._scheduled:
-            self._scheduled.add(key)
+        buffers = self._buffers
+        if not buffers:
             # Delay 0: the flush fires after every event already queued at
-            # the current timestamp, so all same-tick sends to this link
+            # the current timestamp, so all same-tick sends to a link
             # land in one envelope.
-            self.clock.schedule(0.0, self._flush, key)
+            self.clock.schedule(0.0, self._flush)
+        key = (src, dst)
+        buffer = buffers.get(key)
+        if buffer is None:
+            buffers[key] = [(next_msg_id(), payload)]
+        else:
+            buffer.append((next_msg_id(), payload))
 
-    def _flush(self, key: tuple[str, str]) -> None:
-        self._scheduled.discard(key)
-        items = self._buffers.pop(key, None)
-        if not items:
-            return
-        src, dst = key
+    def _flush(self) -> None:
+        buffers = self._buffers
+        self._buffers = {}
         flow = self.flow
-        if len(items) == 1:
-            self.passthrough_sent += 1
+        for (src, dst), items in buffers.items():
+            if len(items) == 1:
+                self.passthrough_sent += 1
+                if flow is not None:
+                    flow.record_passthrough()
+                self.inner.send(src, dst, items[0][1])
+                continue
+            self.batches_sent += 1
+            self.batched_payloads += len(items)
+            envelope = BatchEnvelope(tuple([BatchItem(*item) for item in items]))
             if flow is not None:
-                flow.record_passthrough()
-            self.inner.send(src, dst, items[0].payload)
-            return
-        self.batches_sent += 1
-        self.batched_payloads += len(items)
-        envelope = BatchEnvelope(tuple(items))
-        if flow is not None:
-            # Coalescing efficiency: what the envelope costs on the wire
-            # versus what its payloads would have cost sent bare, each
-            # in its own Message frame.  Explicit msg_ids keep the
-            # global counter untouched, so a flow-enabled run stays
-            # bit-identical to a disabled one.
-            header = codec.FRAME_HEADER.size
-            now = self.clock.now
-            inner_bytes = sum(
-                len(
-                    codec.encode(
-                        Message(
-                            src=src,
-                            dst=dst,
-                            payload=item.payload,
-                            sent_at=now,
-                            msg_id=item.msg_id,
-                        )
+                # Coalescing efficiency: what the envelope costs on the wire
+                # versus what its payloads would have cost sent bare, each
+                # in its own Message frame.  Explicit msg_ids keep the
+                # global counter untouched, so a flow-enabled run stays
+                # bit-identical to a disabled one.
+                now = self.clock.now
+
+                def frame(payload: Any, msg_id: int) -> int:
+                    message = Message(
+                        src=src, dst=dst, payload=payload, sent_at=now, msg_id=msg_id
                     )
-                )
-                + header
-                for item in items
-            )
-            envelope_bytes = (
-                len(
-                    codec.encode(
-                        Message(
-                            src=src, dst=dst, payload=envelope,
-                            sent_at=now, msg_id=0,
-                        )
-                    )
-                )
-                + header
-            )
-            flow.record_batch(len(items), envelope_bytes, inner_bytes)
-        self.inner.send(src, dst, envelope)
+                    return len(codec.encode(message)) + codec.FRAME_HEADER.size
+
+                inner_bytes = sum(frame(payload, msg_id) for msg_id, payload in items)
+                flow.record_batch(len(items), frame(envelope, 0), inner_bytes)
+            self.inner.send(src, dst, envelope)
 
     def _receive(self, endpoint, message: Message) -> None:
         """Unpack envelopes for ``endpoint``; pass everything else."""

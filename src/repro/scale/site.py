@@ -76,11 +76,18 @@ class _EntityProtocolHost(RedistributionLedger):
     :class:`~repro.scale.entity_table.EntityView` of the entity's row.
     """
 
-    __slots__ = ("site", "entity_id", "row")
+    __slots__ = ("site", "entity_id", "row", "name", "kernel")
+
+    # Deliberately no bus: per-phase protocol spans at 10^5 entities
+    # would swamp any trace.  Message-level telemetry still flows from
+    # the transport.
+    obs = None
 
     def __init__(self, site: "ScaleSiteHost", entity_id: str, row: int) -> None:
         super().__init__(site.table.view(row))
         self.site = site
+        self.name = site.name
+        self.kernel = site.kernel
         self.entity_id = entity_id
         self.row = row
         self.protocol = AvantanMajority(self, site.peers)
@@ -88,19 +95,9 @@ class _EntityProtocolHost(RedistributionLedger):
             ELECTION_TIMEOUT, COHORT_TIMEOUT, BLOCKED_RETRY_INTERVAL
         )
 
-    # -- identity / time ----------------------------------------------------
-
-    @property
-    def name(self) -> str:
-        return self.site.name
-
     @property
     def now(self) -> float:
-        return self.site.now
-
-    # Deliberately no ``obs``: per-phase protocol spans at 10^5 entities
-    # would swamp any trace.  Message-level telemetry still flows from
-    # the transport.
+        return self.kernel.now
 
     # -- ledger hooks ---------------------------------------------------------
 
@@ -124,9 +121,7 @@ class _EntityProtocolHost(RedistributionLedger):
     # -- AvantanHost: transport half ------------------------------------------
 
     def protocol_send(self, dst: str, payload: Any) -> None:
-        self.site.network.send(
-            self.site.name, dst, EntityScoped(self.entity_id, payload)
-        )
+        self.site.network.send(self.name, dst, EntityScoped(self.entity_id, payload))
 
     def protocol_timer(self, callback):
         return self.site.timer(callback)

@@ -70,11 +70,13 @@ class Kernel:
 
     @property
     def events_fired(self) -> int:
-        """Number of events dispatched so far (for diagnostics)."""
+        """Number of events dispatched so far (for diagnostics).  A
+        dispatching :meth:`run` adds its own when it returns."""
         return self._events_fired
 
     @property
     def pending(self) -> int:
+        """Events still to fire; cancelled timers do not count."""
         return len(self._queue)
 
     def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> Event:
@@ -104,7 +106,7 @@ class Kernel:
             event = self._queue.push(time, callback, args)
             self._perf_push.record(perf_counter() - start)
         if self._flow_heap is not None:
-            self._flow_heap.enqueue(len(self._queue))
+            self._flow_heap.enqueue(len(self._queue.heap))
         return event
 
     def step(self) -> bool:
@@ -125,13 +127,15 @@ class Kernel:
         and bus are read once on entry: instrument before calling
         ``run``.  The bus is held for the whole loop (``repro.obs.bus``).
         """
-        heap = self._queue.heap
+        queue = self._queue
+        heap = queue.heap
         tick = self._perf_tick
         profiler = self.profiler
         timed = tick is not None or profiler is not None
         horizon = inf if until is None else until
-        # Counts down to zero; an unbounded run starts below it.
-        budget = -1 if max_events is None else max(max_events, 0)
+        # Counts down to zero; an unbounded run starts below it.  What it
+        # counted down is what fired.
+        budget = allowed = -1 if max_events is None else max(max_events, 0)
         bus = self._bus
         held = bus is not None and bus.hold()
         try:
@@ -139,13 +143,14 @@ class Kernel:
                 time, _seq, event = heap[0]
                 if event.cancelled:
                     heappop(heap)
+                    queue.dead -= 1
                     continue
                 if time > horizon:
                     break
                 heappop(heap)
+                event.queue = None
                 budget -= 1
                 self.now = time
-                self._events_fired += 1
                 if not timed:
                     event.callback(*event.args)
                     continue
@@ -157,6 +162,7 @@ class Kernel:
                 if profiler is not None:
                     profiler.record(event, elapsed)
         finally:
+            self._events_fired += allowed - budget
             if held:
                 bus.release()
         if budget and until is not None and until > self.now:

@@ -4,11 +4,14 @@ batched-versus-unbatched parity run.
 
 import pytest
 
-from repro.net.message import Message
+from repro.faults.transport import FaultyTransport
+from repro.net.message import Message, next_msg_id
 from repro.net.transport import EndpointProxy
-from repro.scale.batching import BatchEnvelope, BatchingTransport
+from repro.scale import harness
+from repro.scale.batching import BatchEnvelope, BatchingTransport, BatchItem
 from repro.scale.harness import (
     ScaleConfig,
+    build_scale_deployment,
     per_entity_committed,
     run_scale,
 )
@@ -162,6 +165,132 @@ class TestUnpacking:
         proxy = EndpointProxy(endpoint, transport)
         proxy.on_message(self._envelope_message())
         assert [m.payload for m in endpoint.messages] == ["p1"]
+
+
+class PerLinkBatching(BatchingTransport):
+    """The batcher as it was: one zero-delay flush event per link."""
+
+    def __init__(self, inner, clock) -> None:
+        super().__init__(inner, clock)
+        self._scheduled: set[tuple[str, str]] = set()
+
+    def send(self, src, dst, payload):
+        self.logical_sent += 1
+        key = (src, dst)
+        self._buffers.setdefault(key, []).append(BatchItem(next_msg_id(), payload))
+        if key not in self._scheduled:
+            self._scheduled.add(key)
+            self.clock.schedule(0.0, self._flush_link, key)
+
+    def _flush_link(self, key):
+        self._scheduled.discard(key)
+        items = self._buffers.pop(key, None)
+        if not items:
+            return
+        if len(items) == 1:
+            self.passthrough_sent += 1
+            self.inner.send(*key, items[0].payload)
+            return
+        self.batches_sent += 1
+        self.batched_payloads += len(items)
+        self.inner.send(*key, BatchEnvelope(tuple(items)))
+
+
+def wire_view(log, base):
+    """Inner sends as ``(src, dst, payload)`` with ids relative to
+    ``base``, an envelope as the ``(msg_id, payload)`` pairs it carries."""
+    view = []
+    for src, dst, payload in log:
+        if isinstance(payload, BatchEnvelope):
+            payload = tuple((item.msg_id - base, item.payload) for item in payload.items)
+        view.append((src, dst, payload))
+    return view
+
+
+class TestOneFlushPerInstant:
+    """One flush event per instant sends exactly what per-link flush
+    events sent, in the same order, with the same ids."""
+
+    LINKS = [("a", "b"), ("b", "c"), ("c", "a")]
+
+    def _drive(self, batcher_class):
+        kernel = Kernel(seed=0)
+        inner = RecordingInner()
+        transport = batcher_class(inner, kernel)
+        resent = []
+
+        def record(src, dst, payload):
+            inner.sent.append((src, dst, payload))
+            # A send issued from inside the flush, onto the link being
+            # flushed: it belongs to the next flush.
+            if (src, dst) == ("b", "c") and len(resent) < 2:
+                resent.append(payload)
+                transport.send(src, dst, f"resend-{len(resent)}")
+
+        inner.send = record
+
+        def burst(tag, links):
+            for index, (src, dst) in enumerate(links):
+                transport.send(src, dst, f"{tag}-{index}")
+
+        a_b, b_c, c_a = self.LINKS
+        # Same-instant bursts across three links, from several events at
+        # one timestamp and from events at distinct timestamps.
+        kernel.schedule(1.0, burst, "t1a", [b_c, a_b, b_c, c_a, a_b])
+        kernel.schedule(1.0, burst, "t1b", [c_a, a_b])
+        kernel.schedule(2.0, burst, "t2", [a_b])
+        kernel.schedule(2.5, burst, "t25", [c_a, c_a, b_c, b_c])
+        kernel.schedule(2.5, burst, "t25b", [a_b, b_c])
+        base = next_msg_id()
+        kernel.run()
+        return wire_view(inner.sent, base), transport.stats(), kernel.now
+
+    def test_same_wire_sequence_as_per_link_flushing(self):
+        ours = self._drive(BatchingTransport)
+        theirs = self._drive(PerLinkBatching)
+        assert ours == theirs
+        sent, stats, _ = ours
+        assert [payload for _, _, payload in sent if payload == "resend-1"]
+        assert stats["batches_sent"] >= 4 and stats["passthrough_sent"] >= 2
+
+    def test_same_wire_sequence_through_a_faulty_transport(self, monkeypatch):
+        # A whole scale deployment over BatchingTransport(FaultyTransport(
+        # Network)) with drops, duplicates and delays: the fault layer
+        # sees the same envelopes in the same order either way, so the
+        # run is the same run.
+        def run(batcher_class):
+            monkeypatch.setattr(harness, "BatchingTransport", batcher_class)
+            log, layers = [], []
+
+            def wrap(inner):
+                layer = FaultyTransport(inner, inner.kernel, seed=11)
+                forward = layer.send
+
+                def send(src, dst, payload):
+                    log.append((src, dst, payload))
+                    forward(src, dst, payload)
+
+                layer.send = send
+                layers.append(layer)
+                return layer
+
+            config = ScaleConfig(entities=50, regions=3, maximum=30, duration=5.0,
+                                 rate=300.0, seed=5, hot_entities=16,
+                                 placement="first")
+            deployment = build_scale_deployment(config, transport_wrap=wrap)
+            layers[0].degrade([host.name for host in deployment.hosts], drop=0.05,
+                              duplicate=0.05, delay=0.02, jitter=0.01)
+            result = run_scale(config, deployment=deployment)
+            return wire_view(log, 0), (
+                result.committed, result.rejected, result.rounds_applied,
+                result.wire_sent, result.wire_dropped, result.batching,
+                result.violations, dict(layers[0].injected),
+            )
+
+        ours, theirs = run(BatchingTransport), run(PerLinkBatching)
+        assert ours == theirs
+        injected = ours[1][-1]
+        assert len(ours[0]) > 1_000 and min(injected.values()) > 100
 
 
 class TestBatchedRunParity:

@@ -46,6 +46,21 @@ class TestEventOrdering:
         assert kernel.events_fired == 0
         assert kernel.pending == 0
 
+    def test_pending_counts_live_events_only(self):
+        # A budget-cut drain can stop with only cancelled timers left in
+        # the heap; ``pending`` (hence ``ScaleResult.drained``) must read
+        # that as drained.  It used to count the dead timers too.
+        kernel = Kernel()
+        kernel.schedule(1.0, lambda: None)
+        kernel.schedule(2.0, lambda: None)
+        timer = kernel.schedule(5.0, lambda: None)
+        assert kernel.pending == 3
+        timer.cancel()
+        assert kernel.pending == 2
+        kernel.run(max_events=2)
+        assert kernel.events_fired == 2
+        assert kernel.pending == 0
+
 
 class TestKernel:
     def test_clock_advances_to_event_times(self):

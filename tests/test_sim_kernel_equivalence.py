@@ -3,15 +3,21 @@
 Random programs (schedule / schedule_at / cancel, from outside and from
 inside callbacks, with same-timestamp ties) run on :class:`Kernel` and
 on a reference that re-sorts its pending list by ``(time, seq)`` before
-every dispatch.  Firing order, ``events_fired`` and the final clock must
-match however the kernel is driven and whatever is attached to it.
+every dispatch.  Firing order, ``pending`` at every firing,
+``events_fired`` and the final clock must match however the kernel is
+driven and whatever is attached to it — and however often the queue
+compacts its cancelled entries away.
 """
 
+import random
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs.instruments import Instruments
 from repro.obs.prof import EventProfiler
+from repro.sim import events
 from repro.sim.kernel import Kernel
 
 
@@ -42,6 +48,10 @@ class ReferenceKernel:
         self._pending.append(handle)
         return handle
 
+    @property
+    def pending(self):
+        return sum(1 for h in self._pending if not h.cancelled)
+
     def _head(self):
         live = [h for h in self._pending if not h.cancelled]
         return min(live, key=lambda h: (h.time, h.seq)) if live else None
@@ -70,14 +80,26 @@ class ReferenceKernel:
 
 # A program is a list of event specs.  Spec ``i`` fires after ``delay``
 # (relative or absolute-from-now, from a small grid so ties are common)
-# and then performs its actions: spawn a later spec, or cancel the newest
-# handle of any spec — pending, already fired, or the one firing now.
+# and then performs its actions: spawn a later spec, cancel the newest
+# handle of any spec — pending, already fired, or the one firing now —
+# or restart one (cancel its newest handle, then spawn it, as a
+# protocol timer does).
 _delays = st.sampled_from([0.0, 0.0, 0.25, 0.5, 0.5, 1.0, 1.5, 3.0])
 _action = st.tuples(st.sampled_from(["spawn", "spawn", "cancel"]), st.integers(0, 11))
 _spec = st.tuples(st.booleans(), _delays, st.lists(_action, max_size=3))
 programs = st.tuples(
     st.lists(_spec, min_size=1, max_size=12),
     st.lists(_action, min_size=1, max_size=10),
+)
+# Cancel-heavy: most actions kill an event, so the dead entries cross a
+# (lowered) compaction floor mid-run, from outside and inside callbacks.
+_heavy_action = st.tuples(
+    st.sampled_from(["spawn", "cancel", "restart", "restart"]), st.integers(0, 15)
+)
+_heavy_spec = st.tuples(st.booleans(), _delays, st.lists(_heavy_action, max_size=4))
+heavy_programs = st.tuples(
+    st.lists(_heavy_spec, min_size=1, max_size=16),
+    st.lists(_heavy_action, min_size=1, max_size=16),
 )
 
 
@@ -90,10 +112,10 @@ def execute(kernel, program, drive):
     def perform(actions, floor):
         for kind, target in actions:
             index = target % len(specs)
-            if kind == "cancel":
-                if index in handles:
-                    handles[index].cancel()
-            elif index >= floor:  # spawn strictly later specs: programs end
+            if kind in ("cancel", "restart") and index in handles:
+                handles[index].cancel()
+            if kind != "cancel" and index >= floor:
+                # Spawn strictly later specs only: programs end.
                 absolute, delay, _ = specs[index]
                 if absolute:
                     handles[index] = kernel.schedule_at(kernel.now + delay, fire, index)
@@ -101,7 +123,7 @@ def execute(kernel, program, drive):
                     handles[index] = kernel.schedule(delay, fire, index)
 
     def fire(index):
-        log.append((index, kernel.now))
+        log.append((index, kernel.now, kernel.pending))
         perform(specs[index][2], index + 1)
 
     perform(roots, 0)
@@ -176,6 +198,71 @@ class TestAgainstReference:
             assert (kernel.now, kernel.events_fired) == (10.0, 2)
 
 
+class TestCompaction:
+    """Dropping cancelled entries early is invisible to dispatch."""
+
+    @pytest.mark.parametrize("floor", [0, 2, 5])
+    @settings(max_examples=60, deadline=None)
+    @given(program=heavy_programs)
+    def test_compacting_queue_matches_the_reference(self, floor, program):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(events, "COMPACT_FLOOR", floor)
+            for drive in DRIVES:
+                kernel = Kernel()
+                expected = execute(ReferenceKernel(), program, drive)
+                assert execute(kernel, program, drive) == expected
+                queue = kernel._queue
+                assert queue.dead == sum(entry[2].cancelled for entry in queue.heap)
+
+    def test_timer_churn_crosses_the_real_floor(self, monkeypatch):
+        # Protocol-timer shape at the real floor: many timers restarted
+        # far more often than they fire, with same-instant ties, cancels
+        # from outside and from inside callbacks.
+        calls = []
+        compact = events.EventQueue.compact
+
+        def counting(queue):
+            calls.append(len(queue.heap))
+            compact(queue)
+
+        monkeypatch.setattr(events.EventQueue, "compact", counting)
+        rng = random.Random(5)
+        grid = [0.0, 0.5, 1.0, 1.0, 2.0, 4.0]
+        for make in (Kernel, ReferenceKernel):
+            kernel = make()
+            log = []
+            timers = {}
+
+            def restart(name, delay):
+                if name in timers:
+                    timers[name].cancel()
+                timers[name] = kernel.schedule(delay, fire, name)
+
+            def fire(name):
+                log.append((name, kernel.now, kernel.pending))
+                if len(log) < 1_500:
+                    for _ in range(3):
+                        restart(rng.randrange(400), rng.choice(grid))
+
+            rng.seed(5)
+            for name in range(400):
+                restart(name, rng.choice(grid))
+            for _ in range(2_000):  # cancels from outside, before running
+                restart(rng.randrange(400), rng.choice(grid))
+            outside = len(calls)
+            kernel.run(until=3.0)
+            for name in list(timers)[::3]:  # and between runs
+                timers[name].cancel()
+            kernel.run()
+            if make is Kernel:
+                # Compacted both before running and from inside callbacks.
+                assert 0 < outside < len(calls)
+                assert kernel.pending == 0 and kernel._queue.dead == 0
+                result = (log, kernel.events_fired, kernel.now)
+            else:
+                assert (log, kernel.events_fired, kernel.now) == result
+
+
 class TestCancellationEdges:
     def test_cancelling_the_head_from_the_event_before_it(self):
         kernel = Kernel()
@@ -216,3 +303,18 @@ class TestCancellationEdges:
         kernel.run()
         assert seen == ["fired", "self", "after"]
         assert kernel.events_fired == 3
+
+    def test_dead_count_survives_double_and_late_cancels(self):
+        kernel = Kernel()
+        queue = kernel._queue
+        first = kernel.schedule(1.0, lambda: None)
+        kernel.schedule(2.0, lambda: None)
+        third = kernel.schedule(3.0, lambda: None)
+        third.cancel()
+        third.cancel()  # twice: counted once
+        assert (queue.dead, kernel.pending) == (1, 2)
+        kernel.run(until=1.5)
+        first.cancel()  # already fired: not in the heap, not dead
+        assert (queue.dead, kernel.pending) == (1, 1)
+        kernel.run()
+        assert (queue.dead, kernel.pending, kernel.events_fired) == (0, 0, 2)
