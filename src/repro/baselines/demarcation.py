@@ -56,20 +56,14 @@ class BorrowGrant:
     borrow_id: int
 
 
-#: CPU cost of handling one message at a site (seconds).
-SERVICE_TIME = 0.0002
-
 #: How long to wait for one peer's grant before asking the next.
 BORROW_TIMEOUT = 1.0
 
 #: Gap between successive borrow campaigns at one site.
 BORROW_COOLDOWN = 0.2
 
-
-@dataclass
-class DemarcationConfig:
-    #: Fraction of the initial escrow a lender always keeps for itself.
-    min_keep_fraction: float = 0.1
+#: Fraction of the initial escrow a lender always keeps for itself.
+MIN_KEEP_FRACTION = 0.1
 
 
 class EscrowSite(Server):
@@ -83,13 +77,11 @@ class EscrowSite(Server):
         network: Transport,
         entity: Entity,
         initial_tokens: int,
-        config: DemarcationConfig | None = None,
     ) -> None:
-        self.config = config or DemarcationConfig()
-        super().__init__(kernel, name, region, network, SERVICE_TIME)
+        super().__init__(kernel, name, region, network)
         self.entity = entity
         self.state = EntityState(entity.id, initial_tokens)
-        self.min_keep = int(initial_tokens * self.config.min_keep_fraction)
+        self.min_keep = int(initial_tokens * MIN_KEEP_FRACTION)
         self._peer_regions: dict[str, Region] = {}
         self._pending: deque[ForwardedRequest] = deque()
         self._borrowing = False
@@ -366,7 +358,6 @@ class DemarcationCluster(Deployment):
         network: Transport,
         entity: Entity,
         regions: Sequence[Region],
-        config: DemarcationConfig | None = None,
     ) -> None:
         sites = [
             EscrowSite(
@@ -376,7 +367,6 @@ class DemarcationCluster(Deployment):
                 network=network,
                 entity=entity,
                 initial_tokens=tokens,
-                config=config,
             )
             for region, tokens in zip(
                 regions, split_initial_allocation(entity.maximum, len(regions))

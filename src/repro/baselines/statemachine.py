@@ -24,9 +24,6 @@ from repro.net.regions import Region
 from repro.net.transport import Clock, Transport
 from repro.storage.wal import WriteAheadLog
 
-#: CPU cost of handling one message at a replica (seconds).
-SERVICE_TIME = 0.0002
-
 #: Base follower election timeout (randomized x1..2 per replica).
 ELECTION_TIMEOUT = 1.5
 
@@ -103,7 +100,7 @@ class LogServer(Server):
         network: Transport,
         maxima: dict[str, int],
     ) -> None:
-        super().__init__(kernel, name, region, network, SERVICE_TIME)
+        super().__init__(kernel, name, region, network)
         self.log = WriteAheadLog()
         self.state_machine = TokenStateMachine(maxima)
         self.commit_index = 0

@@ -91,7 +91,7 @@ class AvantanMajority(AvantanProtocol):
                 accept_num=state.accept_num,
                 decision=state.decision,
                 applied_ids=state.recent_applied_ids(),
-                recently_applied=tuple(state.applied_log[-16:]),
+                recently_applied=state.recently_applied(),
             )
         }
         self._accept_oks = set()
@@ -231,7 +231,7 @@ class AvantanMajority(AvantanProtocol):
                 accept_num=state.accept_num,
                 decision=state.decision,
                 applied_ids=state.recent_applied_ids(),
-                recently_applied=tuple(state.applied_log[-16:]),
+                recently_applied=state.recently_applied(),
             ),
         )
 

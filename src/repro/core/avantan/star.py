@@ -37,9 +37,6 @@ from repro.core.messages import (
     RecoveryReply,
 )
 
-#: Retain at most this many dead/applied ballots (memory bound).
-_BALLOT_MEMORY = 256
-
 
 class AvantanStar(AvantanProtocol):
     """One site's engine for the any-subset variant."""
@@ -401,11 +398,8 @@ class AvantanStar(AvantanProtocol):
     # -- helpers -------------------------------------------------------------
 
     def _mark_dead(self, ballot: Ballot) -> None:
-        state = self.state
-        state.dead_ballots.add(ballot)
-        if len(state.dead_ballots) > _BALLOT_MEMORY:
-            state.dead_ballots.discard(min(state.dead_ballots))
-        self.host.persist_protocol(state)
+        self.state.remember_dead(ballot)
+        self.host.persist_protocol(self.state)
 
     # -- dispatch -------------------------------------------------------------
 

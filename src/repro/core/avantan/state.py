@@ -7,6 +7,17 @@ from functools import cached_property
 
 from repro.core.entity import SiteTokenState
 
+#: Applied and dead ballots a site remembers (memory bound): older ones
+#: drop first from ``AvantanState.applied`` and ``dead_ballots``.
+BALLOT_MEMORY = 256
+
+#: Recently applied values a site keeps in ``AvantanState.applied_log``.
+APPLIED_LOG_RETENTION = 32
+
+#: Recently applied values a promise (``ElectionOkValue``) reveals to a
+#: new leader, newest last.
+REVEAL_WINDOW = 16
+
 
 @dataclass(frozen=True, order=True, slots=True)
 class Ballot:
@@ -28,9 +39,10 @@ class Ballot:
         return Ballot(0, site_id)
 
     def __reduce__(self):
-        # The WAL pickles every persisted Avantan state (up to 256
-        # applied ballots); a slotted frozen dataclass would otherwise
-        # pickle through Python-level __getstate__ / __setstate__.
+        # The WAL pickles every persisted Avantan state (up to
+        # BALLOT_MEMORY applied ballots); a slotted frozen dataclass
+        # would otherwise pickle through Python-level __getstate__ /
+        # __setstate__.
         return Ballot, (self.num, self.site_id)
 
 
@@ -86,15 +98,25 @@ class AvantanState:
     #: tokens the site already resumed spending).
     dead_ballots: set[Ballot] = field(default_factory=set)
 
-    APPLIED_LOG_RETENTION = 32
-
     def remember_applied_value(self, value: AcceptValue) -> None:
+        self.applied.add(value.value_id)
+        if len(self.applied) > BALLOT_MEMORY:
+            self.applied.discard(min(self.applied))
         self.applied_log.append(value)
-        if len(self.applied_log) > self.APPLIED_LOG_RETENTION:
+        if len(self.applied_log) > APPLIED_LOG_RETENTION:
             del self.applied_log[0]
 
-    def recent_applied_ids(self, count: int = 16) -> tuple[Ballot, ...]:
-        return tuple(value.value_id for value in self.applied_log[-count:])
+    def remember_dead(self, ballot: Ballot) -> None:
+        self.dead_ballots.add(ballot)
+        if len(self.dead_ballots) > BALLOT_MEMORY:
+            self.dead_ballots.discard(min(self.dead_ballots))
+
+    def recently_applied(self) -> tuple[AcceptValue, ...]:
+        """The applied values a promise reveals (``REVEAL_WINDOW``)."""
+        return tuple(self.applied_log[-REVEAL_WINDOW:])
+
+    def recent_applied_ids(self) -> tuple[Ballot, ...]:
+        return tuple(value.value_id for value in self.recently_applied())
 
     @staticmethod
     def initial(site_id: str) -> "AvantanState":

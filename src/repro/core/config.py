@@ -2,7 +2,8 @@
 
 Defaults follow the paper's setup (§5.2): epoch = one trace interval,
 redistribution timeouts of a few hundred milliseconds (covering a WAN
-round trip), and a small local service time per request.
+round trip).  The per-message service time is the server shell's
+(``repro.core.site.SERVICE_TIME``), shared by every compared system.
 """
 
 from __future__ import annotations
@@ -29,12 +30,6 @@ class SamyaConfig:
     #: time, 5 seconds after compression).
     epoch_seconds: float = 5.0
 
-    #: CPU cost of serving one client request locally (seconds).
-    service_time: float = 0.0002
-
-    #: CPU cost of handling one protocol message (seconds).
-    protocol_service_time: float = 0.0002
-
     #: Leader timeout waiting for ElectionOk-Value responses; on expiry a
     #: phase-1 leader aborts the redistribution (§4.3.1 fault tolerance).
     election_timeout: float = 1.0
@@ -47,11 +42,6 @@ class SamyaConfig:
 
     #: Enable proactive (prediction-driven) redistributions (§4.2).
     proactive: bool = True
-
-    #: Minimum gap between consecutive proactive trigger evaluations at
-    #: one site, so the "background thread" check is not re-run for every
-    #: single request in a dense stream.
-    proactive_check_interval: float = 1.0
 
     #: Enforce the global constraint (Eq. 1).  Disabled only for the
     #: "No Constraints" ablation of §5.5.
@@ -87,5 +77,3 @@ class SamyaConfig:
     def __post_init__(self) -> None:
         if self.epoch_seconds <= 0:
             raise ValueError("epoch_seconds must be positive")
-        if self.service_time < 0 or self.protocol_service_time < 0:
-            raise ValueError("service times must be non-negative")

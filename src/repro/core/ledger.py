@@ -106,9 +106,6 @@ class RedistributionLedger:
         if proto_state is not None:
             if value.value_id in proto_state.applied:
                 return
-            proto_state.applied.add(value.value_id)
-            if len(proto_state.applied) > 256:
-                proto_state.applied.discard(min(proto_state.applied))
             proto_state.remember_applied_value(value)
         state = self.state
         granted: dict[str, int] | None = None

@@ -64,6 +64,16 @@ WANT_HORIZON_EPOCHS = 4.0
 #: Timeout for collecting remote token info on read transactions.
 READ_TIMEOUT = 1.0
 
+#: CPU cost of handling one message at a server (seconds): a client
+#: request and a protocol message cost the same, in every system §5
+#: compares (the shell's single-server queue below).
+SERVICE_TIME = 0.0002
+
+#: Minimum gap between consecutive proactive trigger evaluations at one
+#: site, so the "background thread" check is not re-run for every single
+#: request in a dense stream.
+PROACTIVE_CHECK_INTERVAL = 1.0
+
 
 class Server(Actor):
     """The server shell every compared system runs inside.
@@ -74,9 +84,7 @@ class Server(Actor):
     owns that queue, the envelope dedup in front of it and the plain
     reply to the app manager, so the systems §5 compares differ in their
     protocols and not in their apparatus.  A system supplies
-    ``_dispatch`` and its two costs: ``request_cost`` for a
-    ``ForwardedRequest``, ``protocol_cost`` (the same, unless given) for
-    everything else.
+    ``_dispatch``; every message costs ``SERVICE_TIME``.
 
     Envelope dedup: a live transport may retransmit an unconfirmed frame
     after a reconnect, and the fault layer deliberately re-delivers
@@ -96,16 +104,12 @@ class Server(Actor):
         name: str,
         region: Region,
         network: Transport,
-        request_cost: float,
-        protocol_cost: float | None = None,
     ) -> None:
         super().__init__(kernel, name)
         self.region = region
         self.network = network
         #: The other servers of the system, by name; set by ``connect``.
         self.peers: list[str] = []
-        self._request_cost = request_cost
-        self._protocol_cost = request_cost if protocol_cost is None else protocol_cost
         self._envelopes = EnvelopeDedup(on_evict=self._on_dedup_evict)
         self._busy_until = 0.0
         network.attach(self, region)
@@ -128,14 +132,9 @@ class Server(Actor):
             return
         if self._envelopes.seen(message.msg_id):
             return  # duplicate frame: already queued/processed once
-        cost = (
-            self._request_cost
-            if isinstance(message.payload, ForwardedRequest)
-            else self._protocol_cost
-        )
         now = self.kernel.now
         start = max(now, self._busy_until)
-        self._busy_until = start + cost
+        self._busy_until = start + SERVICE_TIME
         self.kernel.schedule(
             self._busy_until - now, self._guarded, self._dispatch, (message,)
         )
@@ -185,14 +184,7 @@ class SamyaSite(Server, RedistributionLedger):
         reallocator: Reallocator | None = None,
     ) -> None:
         self.config = config or SamyaConfig()
-        super().__init__(
-            kernel,
-            name,
-            region,
-            network,
-            request_cost=self.config.service_time,
-            protocol_cost=self.config.protocol_service_time,
-        )
+        super().__init__(kernel, name, region, network)
         RedistributionLedger.__init__(self, EntityState(entity.id, initial_tokens))
         self.entity = entity
         self.initial_tokens = initial_tokens
@@ -430,7 +422,7 @@ class SamyaSite(Server, RedistributionLedger):
             return
         if self.protocol is None or self.protocol.active:
             return
-        if self.now - self._last_proactive_check < self.config.proactive_check_interval:
+        if self.now - self._last_proactive_check < PROACTIVE_CHECK_INTERVAL:
             return
         self._last_proactive_check = self.now
         if self.predict_next_epoch() > self.state.tokens_left:

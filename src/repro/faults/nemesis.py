@@ -34,6 +34,9 @@ MAX_DUPLICATE = 0.25
 MAX_DELAY = 0.3
 MAX_JITTER = 0.2
 
+#: Number of fault windows carved out of the active period.
+WINDOWS = 4
+
 
 @dataclass(frozen=True)
 class NemesisConfig:
@@ -42,14 +45,12 @@ class NemesisConfig:
     duration: float = 120.0
     #: Fault-free tail: no fault is active after ``duration - quiet_period``.
     quiet_period: float = 40.0
-    #: Number of fault windows carved out of the active period.
-    windows: int = 4
 
     def __post_init__(self) -> None:
-        if self.duration - self.quiet_period - WARMUP < 10.0 * self.windows:
+        if self.duration - self.quiet_period - WARMUP < 10.0 * WINDOWS:
             raise ValueError(
-                "nemesis needs >= 10 s of active time per window; shorten "
-                f"quiet_period or the window count: {self!r}"
+                f"nemesis needs >= 10 s of active time per window "
+                f"({WINDOWS} windows); shorten quiet_period: {self!r}"
             )
 
 
@@ -78,9 +79,9 @@ class Nemesis:
         rng = self._rng = random.Random(f"nemesis:{self.seed}")
         active_start = WARMUP
         active_end = config.duration - config.quiet_period
-        span = (active_end - active_start) / config.windows
+        span = (active_end - active_start) / WINDOWS
         faults: list[RegionFault] = []
-        for index in range(config.windows):
+        for index in range(WINDOWS):
             slot_start = active_start + index * span
             # Pad both ends so consecutive windows never touch: a heal
             # must land before the next fault opens.

@@ -61,6 +61,17 @@ REALLOCATORS = {
 #: Historical trace intervals fed to each site's predictor before the run.
 PRETRAIN_INTERVALS = 1152
 
+#: The one entity every experiment contends on.
+ENTITY_ID = "VM"
+
+#: Trace interval at which the run's load window begins.  The default
+#: window (from 03:00 of day 1) covers the Australia and Asia daily peaks
+#: within a 600 s run.
+START_INTERVAL = 36
+
+#: Period of the conservation checker's sweep (simulated seconds).
+INVARIANT_INTERVAL = 20.0
+
 
 @dataclass
 class ExperimentConfig:
@@ -72,18 +83,12 @@ class ExperimentConfig:
     #: use *wall-clock* duration — keep it small.
     mode: str = "sim"
     duration: float = 600.0
-    regions: tuple[Region, ...] = tuple(PAPER_REGIONS)
     sites_per_region: int = 1
     maximum: int = 5000
-    entity_id: str = "VM"
     seed: int = 1
     trace: TraceConfig = field(default_factory=TraceConfig)
     #: §5.1.2 compression: 300 s intervals replayed in this many seconds.
     compressed_interval: float = 5.0
-    #: Trace interval at which the run's load window begins.  The default
-    #: window (from 03:00 of day 1) covers the Australia and Asia daily
-    #: peaks within a 600 s run.
-    start_interval: int = 36
     demand_scale: float = 1.0
     read_ratio: float = 0.0
     predictor: str = "seasonal"
@@ -114,8 +119,6 @@ class ExperimentConfig:
     #: "historic" weights each region by its recent mean demand
     #: (§5.2's uneven-start option).
     initial_allocation: str = "even"
-    bucket_seconds: float = 1.0
-    invariant_interval: float = 20.0
     #: Sites' prediction epoch; defaults to the compressed interval.
     epoch_seconds: float | None = None
     #: Deploy MultiPaxSys replicas in the 5 paper regions instead of the
@@ -228,15 +231,15 @@ def _build_samya(variant: AvantanVariant, experiment: "Experiment") -> SamyaClus
     if config.initial_allocation == "historic":
         per_region = historic_allocation(
             experiment.trace,
-            list(config.regions),
+            list(PAPER_REGIONS),
             config.maximum,
-            end_interval=config.start_interval,
+            end_interval=START_INTERVAL,
         )
         # SamyaCluster places one site per region per replica rank;
         # split each region's share across its replicas.
         allocation = []
         for replica in range(config.sites_per_region):
-            for index in range(len(config.regions)):
+            for index in range(len(PAPER_REGIONS)):
                 shares = proportional_split(
                     per_region[index], [1.0] * config.sites_per_region
                 )
@@ -245,7 +248,7 @@ def _build_samya(variant: AvantanVariant, experiment: "Experiment") -> SamyaClus
         kernel=experiment.kernel,
         network=experiment.network,
         entity=experiment.entity,
-        regions=config.regions,
+        regions=PAPER_REGIONS,
         sites_per_region=config.sites_per_region,
         config=SamyaConfig(
             variant=variant,
@@ -266,25 +269,24 @@ def _build_samya(variant: AvantanVariant, experiment: "Experiment") -> SamyaClus
 def _build_multipaxsys(experiment: "Experiment") -> MultiPaxSysCluster:
     config = experiment.config
     replica_regions = (
-        config.regions if config.multipaxsys_paper_regions else MULTIPAXSYS_REGIONS
+        PAPER_REGIONS if config.multipaxsys_paper_regions else MULTIPAXSYS_REGIONS
     )
     return MultiPaxSysCluster(
         experiment.kernel,
         experiment.network,
         experiment.entity,
-        client_regions=config.regions,
+        client_regions=PAPER_REGIONS,
         replica_regions=replica_regions,
     )
 
 
 def _build_crdb(experiment: "Experiment") -> CockroachLikeCluster:
-    regions = experiment.config.regions
     return CockroachLikeCluster(
         experiment.kernel,
         experiment.network,
         experiment.entity,
-        client_regions=regions,
-        replica_regions=regions,
+        client_regions=PAPER_REGIONS,
+        replica_regions=PAPER_REGIONS,
     )
 
 
@@ -293,7 +295,7 @@ def _build_demarcation(experiment: "Experiment") -> DemarcationCluster:
         experiment.kernel,
         experiment.network,
         experiment.entity,
-        regions=experiment.config.regions,
+        regions=PAPER_REGIONS,
     )
 
 
@@ -347,8 +349,8 @@ class Experiment:
         # keeps its kernel bare).
         self.kernel.obs = self.instruments.bus
         self.trace = SyntheticAzureTrace(config.trace)
-        self.entity = Entity(config.entity_id, config.maximum)
-        self.metrics = MetricsHub(config.bucket_seconds)
+        self.entity = Entity(ENTITY_ID, config.maximum)
+        self.metrics = MetricsHub()
         self.cluster: Deployment = SYSTEMS[config.system](self)
         self.servers: list = self.cluster.servers
         self.clients: list[WorkloadClient] = self.cluster.clients
@@ -383,7 +385,7 @@ class Experiment:
             series = series[:usable].reshape(-1, bin_size).sum(axis=1)
             per_day = max(1, per_day // bin_size)
         n = len(series)
-        start_bin = config.start_interval // bin_size
+        start_bin = START_INTERVAL // bin_size
         pretrain_bins = max(8, PRETRAIN_INTERVALS // bin_size)
         history_idx = (
             start_bin - pretrain_bins + np.arange(pretrain_bins)
@@ -415,11 +417,11 @@ class Experiment:
         config = self.config
         per_region = regional_operations(
             self.trace,
-            list(config.regions),
+            list(PAPER_REGIONS),
             duration=config.duration,
             compressed_interval=config.compressed_interval,
             seed=config.seed,
-            start_interval=config.start_interval,
+            start_interval=START_INTERVAL,
             demand_scale=config.demand_scale,
         )
         for region, operations in per_region.items():
@@ -479,9 +481,9 @@ class Experiment:
                 predictor=config.predictor,
                 reallocator=config.reallocator,
             )
-        if self.checker is not None and config.invariant_interval > 0:
+        if self.checker is not None:
             self.checker.install_periodic(
-                self.kernel, config.invariant_interval, config.duration
+                self.kernel, INVARIANT_INTERVAL, config.duration
             )
         self.instruments.start(self.servers, config.duration)
         self.cluster.start()

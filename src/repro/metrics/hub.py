@@ -10,10 +10,10 @@ from repro.metrics.throughput import ThroughputSeries
 class MetricsHub:
     """Collects commit latencies and throughput for one experiment run."""
 
-    def __init__(self, bucket_seconds: float = 1.0) -> None:
+    def __init__(self) -> None:
         self.latencies: list[float] = []
         self.read_latencies: list[float] = []
-        self.throughput = ThroughputSeries(bucket_seconds)
+        self.throughput = ThroughputSeries()
         self.committed = 0
         self.committed_reads = 0
         self.rejected = 0

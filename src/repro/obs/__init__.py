@@ -52,7 +52,6 @@ from repro.obs.critical_path import (
     format_critical_path_report,
 )
 from repro.obs.demand import (
-    DemandConfig,
     DemandTap,
     DemandTracker,
     SpaceSavingSketch,
@@ -68,7 +67,7 @@ from repro.obs.flow import (
     format_flow_report,
     track_flow,
 )
-from repro.obs.perf import PerfHistogram, PerfRecorder, PerfSpanTap
+from repro.obs.perf import PerfHistogram, PerfRecorder
 from repro.obs.registry import MetricsRegistry, TraceMetricsFeed, feed_registry
 from repro.obs.schema import (
     SCHEMA,
@@ -81,7 +80,6 @@ from repro.obs.summary import format_trace_summary
 from repro.obs.top import render_top
 
 __all__ = [
-    "DemandConfig",
     "DemandTap",
     "DemandTracker",
     "EventBus",
@@ -93,7 +91,6 @@ __all__ = [
     "NullSink",
     "PerfHistogram",
     "PerfRecorder",
-    "PerfSpanTap",
     "ResourceProbe",
     "RingSink",
     "SCHEMA",

@@ -40,14 +40,12 @@ byte-identical ``--demand`` report.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
 # NOTE: repro.harness.report is imported lazily inside format_demand_report
 # (same cycle-avoidance as repro.obs.summary).
 
 __all__ = [
-    "DemandConfig",
     "DemandTap",
     "DemandTracker",
     "SpaceSavingSketch",
@@ -160,18 +158,15 @@ class SpaceSavingSketch:
         self.total += other.total
 
 
-@dataclass(frozen=True)
-class DemandConfig:
-    """Bounds for the tracker's per-site and per-entity state."""
+#: Sketch capacity: hot-entity tables, reports, and ``demand.entity``
+#: trace events are all at most this long.
+TOP_K = 32
 
-    #: Sketch capacity: hot-entity tables, reports, and ``demand.entity``
-    #: trace events are all at most this long.
-    top_k: int = 32
-    #: Width of one rolling per-site demand window (substrate seconds).
-    window_seconds: float = 10.0
-    #: Recent windows kept per site (the ``repro top`` sparkline).
-    windows_kept: int = 12
+#: Width of one rolling per-site demand window (substrate seconds).
+WINDOW_SECONDS = 10.0
 
+#: Recent windows kept per site (the ``repro top`` sparkline).
+WINDOWS_KEPT = 12
 
 #: Per-site scorecard rows kept (oldest epochs drop first; the running
 #: MAPE covers every epoch regardless).
@@ -188,7 +183,7 @@ class _SiteDemand:
         "scorecard",
     )
 
-    def __init__(self, config: DemandConfig) -> None:
+    def __init__(self) -> None:
         self.local = 0
         self.waited = 0
         self.rejected = 0
@@ -196,9 +191,7 @@ class _SiteDemand:
         self.released = 0
         self.triggers = 0
         self.tokens_left: int | None = None
-        self.windows: deque[tuple[float, int]] = deque(
-            maxlen=config.windows_kept
-        )
+        self.windows: deque[tuple[float, int]] = deque(maxlen=WINDOWS_KEPT)
         self.window_start = 0.0
         self.window_count = 0
         self.epochs = 0
@@ -229,10 +222,9 @@ class DemandTracker:
     trace but O(1) counter updates are free).
     """
 
-    def __init__(self, config: DemandConfig | None = None) -> None:
-        self.config = config or DemandConfig()
+    def __init__(self) -> None:
         self.sites: dict[str, _SiteDemand] = {}
-        self.hot = SpaceSavingSketch(self.config.top_k)
+        self.hot = SpaceSavingSketch(TOP_K)
         #: Aux data only for entities currently in the sketch: locality
         #: split and last-seen token residency per site — O(K) always.
         self.entity_aux: dict[str, dict[str, Any]] = {}
@@ -243,7 +235,7 @@ class DemandTracker:
     def _site(self, name: str) -> _SiteDemand:
         site = self.sites.get(name)
         if site is None:
-            site = self.sites[name] = _SiteDemand(self.config)
+            site = self.sites[name] = _SiteDemand()
         return site
 
     def serve(
@@ -293,7 +285,7 @@ class DemandTracker:
                 aux["tokens"][site] = tokens_left
 
     def _roll_window(self, rollup: _SiteDemand, ts: float) -> None:
-        width = self.config.window_seconds
+        width = WINDOW_SECONDS
         if ts < rollup.window_start + width:
             return
         if rollup.window_count:
@@ -397,7 +389,7 @@ class DemandTracker:
 
         A counter cell appears with its first increment and a gauge
         with its first observation; the per-entity family is the
-        sketch's rows, so it is bounded by ``top_k`` however many
+        sketch's rows, so it is bounded by ``TOP_K`` however many
         entities a run touches.
         """
         sites = list(self.sites.items())  # the writer sorts cells
@@ -554,11 +546,9 @@ class DemandTap:
             )
 
 
-def track_demand(
-    events: Iterable[Mapping[str, Any]], config: DemandConfig | None = None
-) -> DemandTracker:
+def track_demand(events: Iterable[Mapping[str, Any]]) -> DemandTracker:
     """Replay an event stream into a fresh tracker (offline path)."""
-    tracker = DemandTracker(config)
+    tracker = DemandTracker()
     tap = DemandTap(tracker)
     for event in events:
         tap(event)

@@ -10,10 +10,10 @@ text — for the core, live and scale harnesses alike (DESIGN.md §3).
   what the taps have seen.  The registry feed and the demand tracker
   ride every bus (O(sites + K) state, no emits, no randomness) and
   fold disjoint numbers: a figure has one owner (DESIGN.md §3).
-* Tap order is plane order: auditor, registry feed, demand, perf
-  spans, watchdog.  The auditor is first so it sees every event before
-  any other consumer could mutate shared state (none do today; the
-  ordering is a contract, not a workaround).
+* Tap order is plane order: auditor, registry feed, demand, watchdog.
+  The auditor is first so it sees every event before any other
+  consumer could mutate shared state (none do today; the ordering is a
+  contract, not a workaround).
 * Flow has no live tap: it is fed at the transport seam (why, in the
   ``repro.obs.flow`` module docs).
 * Parts take it through one verb, ``part.instrument(instruments)``,
@@ -34,7 +34,7 @@ from repro.obs.bus import EventBus, JsonlSink, NullSink, Sink
 from repro.obs.demand import DemandTracker
 from repro.obs.flow import FlowTracker
 from repro.obs.perf import PerfRecorder
-from repro.obs.registry import MetricsRegistry, prometheus
+from repro.obs.registry import STANDARD, MetricsRegistry, prometheus
 from repro.resilience import LivenessWatchdog
 
 
@@ -103,6 +103,11 @@ class Instruments:
             self.bus = EventBus(clock, self._sink)
             for tap in self._verbs("tap"):
                 self.bus.subscribe(tap())
+            if self.perf is not None:
+                # Perf forces a bus, so a registry feed: its span
+                # histograms are the perf table's span rows.
+                _, name, labels, help = STANDARD["span_duration"]
+                self.perf.spans = self.registry.histogram(name, help, labels).cells
         self._parts = (clock, *parts)
         for part in self._parts:
             part.instrument(self)

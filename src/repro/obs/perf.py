@@ -198,6 +198,11 @@ class PerfRecorder:
 
     def __init__(self) -> None:
         self._hists: dict[tuple[str, str], PerfHistogram] = {}
+        #: ``(span name,) -> histogram`` of completed spans: the registry
+        #: feed's ``repro_span_duration_seconds`` cells, linked by
+        #: ``Instruments.attach`` so :meth:`snapshot` reports them as
+        #: ``span.dur`` rows without recording each span a second time.
+        self.spans: dict[tuple[str, ...], PerfHistogram] = {}
 
     def histogram(self, instrument: str, key: str = "") -> PerfHistogram:
         handle = (instrument, key)
@@ -216,18 +221,17 @@ class PerfRecorder:
     def __len__(self) -> int:
         return len(self._hists)
 
-    def tap(self) -> "PerfSpanTap":
-        """A bus subscriber that folds completed spans in."""
-        return PerfSpanTap(self)
-
     def snapshot(self) -> dict[str, Any]:
         """Flat JSON-safe dump for bench artifacts and results.
 
         Per instrument/key: count, total seconds, mean/p50/p95/p99/max
-        in **milliseconds** (the unit every repro table prints).
+        in **milliseconds** (the unit every repro table prints).  Span
+        durations are substrate clock seconds — simulated under the
+        kernel, wall under the live clock — like the trace they come from.
         """
+        spans = [(("span.dur", span), hist) for (span,), hist in self.spans.items()]
         out: dict[str, Any] = {}
-        for (instrument, key), hist in self.items():
+        for (instrument, key), hist in sorted([*self._hists.items(), *spans]):
             if hist.count == 0:
                 continue
             name = f"{instrument}{{{key}}}" if key else instrument
@@ -284,27 +288,3 @@ def format_perf_report(snapshot: dict[str, Any]) -> str:
         rows,
         title="wall-clock perf histograms",
     )
-
-
-class PerfSpanTap:
-    """EventBus tap folding completed spans into a recorder.
-
-    This is where the protocol-phase latency histograms come from:
-    every ``span.end`` (request -> commit, ``avantan.round``, the
-    ``avantan.phase.*`` sub-phases, ``read``) records its duration
-    under ``span.dur`` keyed by span name.  Durations are substrate
-    clock seconds — simulated under the kernel, wall under the live
-    clock — exactly like the trace they mirror.
-    """
-
-    #: The event types :meth:`__call__` reads (the bus routes only these).
-    TYPES = frozenset({"span.end"})
-
-    def __init__(self, recorder: PerfRecorder) -> None:
-        self.recorder = recorder
-
-    def __call__(self, event: dict[str, Any]) -> None:
-        if event.get("type") == "span.end":
-            self.recorder.observe(
-                "span.dur", str(event.get("span", "?")), float(event.get("dur", 0.0))
-            )

@@ -10,6 +10,6 @@ and, where a safe automated action exists (an idle site holding a stale
 pledge), drives the recovery-election path itself.
 """
 
-from repro.resilience.watchdog import LivenessWatchdog, WatchdogConfig
+from repro.resilience.watchdog import LivenessWatchdog
 
-__all__ = ["LivenessWatchdog", "WatchdogConfig"]
+__all__ = ["LivenessWatchdog"]

@@ -19,32 +19,31 @@ event no matter how many sweeps it survives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Mapping
 
 from repro.obs.bus import EventBus
 
+# Deadlines for the liveness sweeps (sim-seconds).
 
-@dataclass(frozen=True)
-class WatchdogConfig:
-    """Deadlines for the liveness sweeps (sim-seconds)."""
+#: How often the sweep runs.
+SWEEP_INTERVAL = 5.0
 
-    #: How often the sweep runs.
-    sweep_interval: float = 5.0
-    #: An ``avantan.round`` span open longer than this is stuck.  Must
-    #: comfortably exceed election + cohort timeouts, or healthy
-    #: recovery churn gets flagged.
-    round_deadline: float = 12.0
-    #: A ``request`` span open longer than this is starved.  Align with
-    #: the client write-off timeout so detections precede write-offs.
-    request_deadline: float = 8.0
-    #: A pledge unresolved longer than this is stale.
-    pledge_deadline: float = 8.0
-    #: ... or unresolved across this many completed rounds on its site,
-    #: whichever detects first.
-    pledge_round_limit: int = 3
-    #: Drive ``recover_pledge`` on stale pledges whose site is idle.
-    recover: bool = True
+#: An ``avantan.round`` span open longer than this is stuck.  Must
+#: comfortably exceed election + cohort timeouts, or healthy recovery
+#: churn gets flagged.
+ROUND_DEADLINE = 12.0
+
+#: A ``request`` span open longer than this is starved.  Align with the
+#: client write-off timeout so detections precede write-offs.
+REQUEST_DEADLINE = 8.0
+
+#: A pledge unresolved longer than this is stale ...
+PLEDGE_DEADLINE = 8.0
+
+#: ... or unresolved across this many completed rounds on its site,
+#: whichever detects first.
+PLEDGE_ROUND_LIMIT = 3
 
 
 @dataclass
@@ -63,16 +62,13 @@ class _Span:
     role: str | None = None
 
 
-@dataclass
 class LivenessWatchdog:
     """Tap + periodic sweep; see the module docstring."""
-
-    config: WatchdogConfig = field(default_factory=WatchdogConfig)
 
     #: The event types the tap reads (the bus routes only these).
     TYPES = frozenset({"span.begin", "span.end", "pledge.open", "pledge.settle"})
 
-    def __post_init__(self) -> None:
+    def __init__(self) -> None:
         self._open_rounds: dict[int, _Span] = {}
         self._open_requests: dict[int, _Span] = {}
         self._pledges: dict[str, _Pledge] = {}
@@ -97,7 +93,7 @@ class LivenessWatchdog:
 
     def install_periodic(self, kernel, bus, until: float) -> None:
         """Schedule repeated sweeps during a run (the checker idiom)."""
-        interval = self.config.sweep_interval
+        interval = SWEEP_INTERVAL
 
         def sweep(time: float) -> None:
             self.sweep(kernel.now, bus)
@@ -159,10 +155,9 @@ class LivenessWatchdog:
         if isinstance(bus, EventBus):
             bus.flush()  # ``Kernel.run`` holds it: catch the tables up
         self.sweeps += 1
-        config = self.config
         for span_id, item in self._open_rounds.items():
             age = now - item.opened_at
-            if age < config.round_deadline or span_id in self._reported_rounds:
+            if age < ROUND_DEADLINE or span_id in self._reported_rounds:
                 continue
             self._reported_rounds.add(span_id)
             self.stuck_rounds += 1
@@ -176,7 +171,7 @@ class LivenessWatchdog:
                 )
         for span_id, item in self._open_requests.items():
             age = now - item.opened_at
-            if age < config.request_deadline or span_id in self._reported_requests:
+            if age < REQUEST_DEADLINE or span_id in self._reported_requests:
                 continue
             self._reported_requests.add(span_id)
             self.starved_requests += 1
@@ -192,19 +187,16 @@ class LivenessWatchdog:
         # table mid-iteration — walk a snapshot.
         for node, pledge in list(self._pledges.items()):
             age = now - pledge.opened_at
-            overdue = (
-                age >= config.pledge_deadline
-                or pledge.rounds >= config.pledge_round_limit
-            )
-            if not overdue:
+            if age < PLEDGE_DEADLINE and pledge.rounds < PLEDGE_ROUND_LIMIT:
                 continue
+            # Drive recovery on the stale pledge; a no-op unless the site
+            # can (``recover_pledge``) and its protocol is idle.
             recovered = False
-            if config.recover:
-                site = self._sites.get(node)
-                if site is not None and hasattr(site, "recover_pledge"):
-                    recovered = bool(site.recover_pledge(driver="watchdog"))
-                    if recovered:
-                        self.recoveries_driven += 1
+            site = self._sites.get(node)
+            if site is not None and hasattr(site, "recover_pledge"):
+                recovered = bool(site.recover_pledge(driver="watchdog"))
+                if recovered:
+                    self.recoveries_driven += 1
             if not pledge.reported:
                 pledge.reported = True
                 self.stale_pledges += 1

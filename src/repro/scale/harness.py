@@ -11,7 +11,7 @@ certainty — audits per-entity conservation over the entity tables with
 one vectorized pass instead of 10^5 per-entity checkers.
 
 Determinism: every random choice draws from kernel streams keyed by
-actor name and network jitter defaults off — so a (config, seed) pair
+actor name and network jitter is off — so a (config, seed) pair
 replays bit-identically, which is what the batched-versus-unbatched
 parity test pins.
 """
@@ -40,6 +40,31 @@ from repro.sim.process import Actor
 #: queues draining).
 MAX_DRAIN_EVENTS = 20_000_000
 
+#: Workload batching quantum: each driver issues ``rate * TICK`` requests
+#: inline per tick event (fractional carry preserved).
+TICK = 0.05
+
+#: Probability a request is an acquire (the rest release held tokens).
+ACQUIRE_FRACTION = 0.65
+
+#: Size of the high-contention hot set (absolute, clamped to
+#: ``entities``).  An absolute count, not a fraction: the point of the
+#: sweep is to grow the cold tail while contention stays fixed, so the
+#: redistribution-round rate does not scale with entities.
+HOT_ENTITIES = 256
+
+#: Per-request token amount is uniform in [1, AMOUNT_MAX].
+AMOUNT_MAX = 4
+
+#: Cap on the total tokens one driver may demand per entity (None =
+#: uncapped).  The parity tests patch in maximum // regions so global
+#: demand never exceeds supply and every acquire must commit.
+PER_ENTITY_BUDGET: int | None = None
+
+#: "spread": initial tokens split across regions (rotated remainder);
+#: "first": all tokens seeded at region 0, forcing redistribution.
+PLACEMENT = "spread"
+
 
 @dataclass
 class ScaleConfig:
@@ -53,32 +78,11 @@ class ScaleConfig:
     duration: float = 30.0
     #: Client requests per second, per region.
     rate: float = 4000.0
-    #: Workload batching quantum: each driver issues ``rate * tick``
-    #: requests inline per tick event (fractional carry preserved).
-    tick: float = 0.05
     seed: int = 0
     batching: bool = True
-    #: Probability a request is an acquire (the rest release held tokens).
-    acquire_fraction: float = 0.65
-    #: Size of the high-contention hot set (absolute, clamped to
-    #: ``entities``).  An absolute count, not a fraction: the point of
-    #: the sweep is to grow the cold tail while contention stays fixed,
-    #: so the redistribution-round rate does not scale with entities.
-    hot_entities: int = 256
     #: Probability a request targets the hot set.
     hot_weight: float = 0.5
-    #: Per-request token amount is uniform in [1, amount_max].
-    amount_max: int = 4
-    #: Cap on the total tokens one driver may demand per entity
-    #: (None = uncapped).  The parity test sets maximum // regions so
-    #: global demand never exceeds supply and every acquire must commit.
-    per_entity_budget: int | None = None
-    #: "spread": initial tokens split across regions (rotated remainder);
-    #: "first": all tokens seeded at region 0, forcing redistribution.
-    placement: str = "spread"
     audit: bool = True
-    jitter_sigma: float = 0.0
-    loss_probability: float = 0.0
     #: Write a JSONL telemetry trace of the run here (``.gz`` = gzip).
     #: Message-plane events only — per-entity protocol spans at 10^5
     #: entities would swamp any trace, so scale hosts expose no bus.
@@ -101,18 +105,11 @@ class ScaleConfig:
             raise ValueError(
                 f"regions must be in [1, {len(PAPER_REGIONS)}], got {self.regions}"
             )
-        if self.placement not in ("spread", "first"):
-            raise ValueError(f"unknown placement {self.placement!r}")
         for name, ok in (
             ("entities", self.entities >= 1),
             ("maximum", self.maximum >= 1),
-            ("tick", self.tick > 0),
-            ("amount_max", self.amount_max >= 1),
             ("rate", self.rate >= 0),
             ("hot_weight", 0 <= self.hot_weight <= 1),
-            ("acquire_fraction", 0 <= self.acquire_fraction <= 1),
-            ("hot_entities", self.hot_entities >= 0),
-            ("per_entity_budget", (self.per_entity_budget or 0) >= 0),
         ):
             if not ok:
                 raise ValueError(f"{name} out of range: {getattr(self, name)!r}")
@@ -164,11 +161,11 @@ class ScaleLoadDriver(Actor):
         self.routes = routes
         self.config = config
         self.until = config.duration
-        self.hot_count = min(config.hot_entities, config.entities)
+        self.hot_count = min(HOT_ENTITIES, config.entities)
         self._carry = 0.0
         #: row -> tokens this driver's clients currently hold.
         self.holdings = [0] * config.entities
-        #: row -> total tokens demanded (for per_entity_budget).
+        #: row -> total tokens demanded (for PER_ENTITY_BUDGET).
         self.demanded = [0] * config.entities
         self.submitted = 0
         self.immediate = 0
@@ -176,13 +173,13 @@ class ScaleLoadDriver(Actor):
         self.rejected_now = 0
         self.failed = 0
         self.skipped = 0
-        self.after(config.tick, self._tick)
+        self.after(TICK, self._tick)
 
     def _tick(self) -> None:
         if self.now >= self.until:
             return
         config = self.config
-        budget = config.rate * config.tick + self._carry
+        budget = config.rate * TICK + self._carry
         count = int(budget)
         self._carry = budget - count
         rng = self.rng()
@@ -190,10 +187,10 @@ class ScaleLoadDriver(Actor):
         draw_any = randbelow(rng, config.entities)
         hot_count = self.hot_count
         draw_hot = randbelow(rng, hot_count) if hot_count else None
-        draw_amount = randbelow(rng, config.amount_max)
+        draw_amount = randbelow(rng, AMOUNT_MAX)
         hot_weight = config.hot_weight
-        acquire_fraction = config.acquire_fraction
-        cap = config.per_entity_budget
+        acquire_fraction = ACQUIRE_FRACTION
+        cap = PER_ENTITY_BUDGET
         # A directory change is observed here, at the next tick.
         records = self.routes.records()
         region_index = self.region_index
@@ -248,7 +245,7 @@ class ScaleLoadDriver(Actor):
                 self.rejected_now += 1
         self.submitted += submitted
         self.immediate += immediate
-        self.after(config.tick, self._tick)
+        self.after(TICK, self._tick)
 
     def _route(self, record: Sequence[ScaleSiteHost]) -> ScaleSiteHost | None:
         """Prefer the local region's host; fail over round-robin."""
@@ -288,11 +285,7 @@ def build_scale_deployment(
     faults hit whole batch envelopes, the deployment order the fault
     tests exercise.
     """
-    kernel, network = sim_substrate(
-        config.seed,
-        jitter_sigma=config.jitter_sigma,
-        loss_probability=config.loss_probability,
-    )
+    kernel, network = sim_substrate(config.seed, jitter_sigma=0.0)
     transport: Any = network
     if transport_wrap is not None:
         transport = transport_wrap(transport)
@@ -324,7 +317,7 @@ def build_scale_deployment(
     ids = [f"e{index}" for index in range(config.entities)]
     rows = range(config.entities)
     for position, host in enumerate(hosts):
-        if config.placement == "first":
+        if PLACEMENT == "first":
             tokens = [config.maximum if position == 0 else 0] * config.entities
         else:
             # Rotate the remainder so no single region systematically

@@ -21,16 +21,12 @@ from __future__ import annotations
 import pickle
 from typing import Any
 
-#: Default simulated fsync cost in seconds (local SSD, ~0.2 ms).
-DEFAULT_WRITE_LATENCY = 0.0002
-
 
 class RecoveryWal:
     """Append-only keyed record log for one actor's durable state."""
 
-    def __init__(self, name: str, write_latency: float = DEFAULT_WRITE_LATENCY) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.write_latency = write_latency
         #: When False, appends are silently discarded — the "broken
         #: recovery path" knob the nemesis harness uses to prove the
         #: auditor notices a site restoring stale state.

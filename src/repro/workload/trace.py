@@ -44,6 +44,9 @@ VM_LIFETIME_INTERVALS = 7.0
 #: Hour of (local) day at which demand peaks.
 PEAK_HOUR = 14.0
 
+#: Weekend demand multiplier (days 5, 6 of each week).
+WEEKEND_FACTOR = 0.75
+
 
 @dataclass
 class TraceConfig:
@@ -52,8 +55,6 @@ class TraceConfig:
     days: float = 30.0
     #: Mean VM creations per interval for one region at the daily midline.
     base_demand: float = 100.0
-    #: Weekend demand multiplier (days 5, 6 of each week).
-    weekend_factor: float = 0.75
     seed: int = 7
 
     @property
@@ -90,7 +91,7 @@ class SyntheticAzureTrace:
         diurnal = np.exp(DAILY_AMPLITUDE * shape)
         diurnal /= diurnal.mean()
         day_of_week = (index // per_day) % 7
-        weekly = np.where(day_of_week >= 5, cfg.weekend_factor, 1.0)
+        weekly = np.where(day_of_week >= 5, WEEKEND_FACTOR, 1.0)
         return cfg.base_demand * diurnal * weekly
 
     def _generate(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -17,14 +17,15 @@ from repro.sim.kernel import Kernel
 
 
 def fast_config(variant: AvantanVariant = AvantanVariant.MAJORITY, **overrides) -> SamyaConfig:
-    """A SamyaConfig with short timers so protocol tests run quickly."""
+    """A SamyaConfig with short timers so protocol tests run quickly.  The
+    proactive check interval, a module constant, is shortened to 0.5 s
+    by ``tests/conftest.py`` in every module that imports these helpers."""
     defaults = dict(
         variant=variant,
         epoch_seconds=1.0,
         election_timeout=0.8,
         cohort_timeout=2.0,
         blocked_retry_interval=2.0,
-        proactive_check_interval=0.5,
         redistribution_cooldown=1.0,
         reactive_cooldown=0.5,
     )

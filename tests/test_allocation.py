@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.cluster import split_initial_allocation
+from repro.harness import experiment as experiment_module
 from repro.harness.experiment import ExperimentConfig, build_experiment, run_experiment
 from repro.net.regions import PAPER_REGIONS
 from repro.workload.allocation import historic_allocation, proportional_split
@@ -97,11 +98,15 @@ class TestHistoricAllocation:
 
 
 class TestHarnessIntegration:
+    @pytest.fixture(autouse=True)
+    def window_from_interval_48(self, monkeypatch):
+        monkeypatch.setattr(experiment_module, "START_INTERVAL", 48)
+        monkeypatch.setattr(experiment_module, "INVARIANT_INTERVAL", 5.0)
+
     def test_historic_allocation_builds_and_conserves(self):
         config = ExperimentConfig(
             duration=20.0, seed=2, trace=TraceConfig(days=2.0),
-            start_interval=48, initial_allocation="historic",
-            invariant_interval=5.0,
+            initial_allocation="historic",
         )
         experiment = build_experiment(config)
         balances = [site.state.tokens_left for site in experiment.cluster.sites]
@@ -117,8 +122,7 @@ class TestHarnessIntegration:
     def test_historic_with_replicas(self):
         config = ExperimentConfig(
             duration=10.0, seed=2, trace=TraceConfig(days=2.0),
-            start_interval=48, initial_allocation="historic",
-            sites_per_region=2, invariant_interval=5.0,
+            initial_allocation="historic", sites_per_region=2,
         )
         experiment = build_experiment(config)
         assert sum(s.state.tokens_left for s in experiment.cluster.sites) == config.maximum

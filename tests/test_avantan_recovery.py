@@ -4,6 +4,7 @@ These drive the handlers with crafted messages to hit the §4.3.1/§4.3.2
 case analysis deterministically, complementing the scenario tests.
 """
 
+from repro.core.avantan import state as avantan_state
 from repro.core.avantan.base import Phase, Role
 from repro.core.avantan.state import AcceptValue, Ballot
 from repro.core.config import AvantanVariant
@@ -116,6 +117,25 @@ class TestMajorityValueSelection:
         # The decided value was applied and the round finished instantly.
         assert decided.value_id in leader.state.applied
         assert leader.role is Role.IDLE
+
+
+class TestRevealWindow:
+    def test_promise_reveals_the_patched_window(self, monkeypatch):
+        # The seam a recovery test shrinks: REVEAL_WINDOW is read when a
+        # promise is built, so patching it bounds what a cohort reveals.
+        mini = MiniCluster(variant=AvantanVariant.MAJORITY, maximum=300)
+        a, b, c = [site.name for site in mini.sites]
+        cohort = mini.site(1).protocol
+        for num in (1, 2, 3):
+            cohort.state.remember_applied_value(make_value(Ballot(num, c), (b, 10, 0)))
+        sent = []
+        cohort._send = lambda dst, payload: sent.append(payload)
+        monkeypatch.setattr(avantan_state, "REVEAL_WINDOW", 1)
+        cohort._on_election_get_value(ElectionGetValue(Ballot(5, a), "VM"), a)
+        (promise,) = sent
+        assert isinstance(promise, ElectionOkValue)
+        assert promise.applied_ids == (Ballot(3, c),)
+        assert [value.value_id for value in promise.recently_applied] == [Ballot(3, c)]
 
 
 class TestStaleParticipantResolution:

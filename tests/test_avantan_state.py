@@ -1,5 +1,6 @@
 """Tests for ballots and protocol state."""
 
+from repro.core.avantan import state as avantan_state
 from repro.core.avantan.state import AcceptValue, AvantanState, Ballot
 from repro.core.entity import SiteTokenState
 
@@ -73,13 +74,14 @@ class TestAvantanState:
         state = AvantanState.initial("s")
         for index in range(100):
             state.remember_applied_value(value(Ballot(index, "s"), ("s", 1, 0)))
-        assert len(state.applied_log) == AvantanState.APPLIED_LOG_RETENTION
+        assert len(state.applied_log) == avantan_state.APPLIED_LOG_RETENTION
         # Newest entries survive.
         assert state.applied_log[-1].value_id == Ballot(99, "s")
 
-    def test_recent_applied_ids_newest_last(self):
+    def test_recent_applied_ids_newest_last(self, monkeypatch):
+        monkeypatch.setattr(avantan_state, "REVEAL_WINDOW", 4)
         state = AvantanState.initial("s")
         for index in range(20):
             state.remember_applied_value(value(Ballot(index, "s"), ("s", 1, 0)))
-        ids = state.recent_applied_ids(4)
+        ids = state.recent_applied_ids()
         assert ids == (Ballot(16, "s"), Ballot(17, "s"), Ballot(18, "s"), Ballot(19, "s"))

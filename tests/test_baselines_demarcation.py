@@ -1,10 +1,7 @@
 """Tests for the Demarcation/Escrow baseline."""
 
-from repro.baselines.demarcation import (
-    DemarcationCluster,
-    DemarcationConfig,
-    EscrowConservationChecker,
-)
+from repro.baselines import demarcation
+from repro.baselines.demarcation import DemarcationCluster, EscrowConservationChecker
 from repro.core.entity import Entity
 from repro.metrics.hub import MetricsHub
 from repro.net.network import Network, NetworkConfig
@@ -14,12 +11,11 @@ from repro.sim.kernel import Kernel
 from tests.helpers import acquire_burst, uniform_ops
 
 
-def build(seed=1, loss=0.0, maximum=300, regions=3, config=None):
+def build(seed=1, loss=0.0, maximum=300, regions=3):
     kernel = Kernel(seed=seed)
     network = Network(kernel, NetworkConfig(loss_probability=loss))
     cluster = DemarcationCluster(
-        kernel, network, Entity("VM", maximum), list(PAPER_REGIONS[:regions]),
-        config=config,
+        kernel, network, Entity("VM", maximum), list(PAPER_REGIONS[:regions])
     )
     hub = MetricsHub()
     checker = EscrowConservationChecker(maximum)
@@ -55,9 +51,9 @@ class TestBorrowing:
         assert cluster.sites[0].counters["tokens_borrowed"] > 0
         checker.check()
 
-    def test_lender_keeps_its_reserve(self):
-        config = DemarcationConfig(min_keep_fraction=0.2)
-        kernel, cluster, hub, checker = build(config=config)
+    def test_lender_keeps_its_reserve(self, monkeypatch):
+        monkeypatch.setattr(demarcation, "MIN_KEEP_FRACTION", 0.2)
+        kernel, cluster, hub, checker = build()
         cluster.add_client(PAPER_REGIONS[0], acquire_burst(1.0, 250), metrics=hub)
         cluster.start()
         kernel.run(until=30.0)

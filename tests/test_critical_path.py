@@ -8,6 +8,7 @@ function of the trace (same trace -> identical report).
 
 import pytest
 
+from repro.harness import experiment
 from repro.harness.experiment import Experiment, ExperimentConfig
 from repro.obs import RingSink, analyze_critical_paths, format_critical_path_report
 from repro.workload.trace import TraceConfig
@@ -16,10 +17,10 @@ from repro.workload.trace import TraceConfig
 @pytest.fixture(scope="module")
 def traced_events():
     sink = RingSink(capacity=200_000)
-    config = ExperimentConfig(
-        duration=30.0, seed=13, trace=TraceConfig(days=2.0), start_interval=0
-    )
-    result = Experiment(config, trace_sink=sink).run()
+    config = ExperimentConfig(duration=30.0, seed=13, trace=TraceConfig(days=2.0))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiment, "START_INTERVAL", 0)
+        result = Experiment(config, trace_sink=sink).run()
     assert result.committed > 0
     return sink.events()
 

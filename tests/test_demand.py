@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from repro.harness.experiment import Experiment, ExperimentConfig
 from repro.obs import (
-    DemandConfig,
     DemandTap,
     DemandTracker,
     RingSink,
@@ -29,9 +28,14 @@ from repro.obs import (
     track_demand,
     validate_events,
 )
+from repro.obs import demand as demand_module
 from repro.obs.bus import EventBus
 from repro.sim.kernel import Kernel
 from repro.workload.trace import TraceConfig
+
+
+# quick_config runs load from trace interval 0 and audit every 5 s.
+pytestmark = pytest.mark.usefixtures("quick_window")
 
 # A modest alphabet with repeated draws gives streams where some keys
 # exceed the total/capacity guarantee threshold and others do not.
@@ -136,8 +140,9 @@ class TestDemandTracker:
         assert site.error_sum == pytest.approx(2.0 + 3.0)
         assert list(site.scorecard) == [(2, 10.0, 8.0), (3, 3.0, 0.0)]
 
-    def test_rolling_windows_snap_to_grid(self):
-        tracker = DemandTracker(DemandConfig(window_seconds=10.0, windows_kept=3))
+    def test_rolling_windows_snap_to_grid(self, monkeypatch):
+        monkeypatch.setattr(demand_module, "WINDOWS_KEPT", 3)
+        tracker = DemandTracker()  # WINDOW_SECONDS = 10.0
         for ts in (1.0, 2.0, 11.0, 12.0, 13.0, 35.0):
             tracker.serve("s1", "vm", "granted", ts=ts)
         site = tracker.sites["s1"]
@@ -145,8 +150,9 @@ class TestDemandTracker:
         assert list(site.windows) == [(0.0, 2), (10.0, 3)]
         assert site.window_start == 30.0 and site.window_count == 1
 
-    def test_entity_aux_stays_bounded_by_sketch(self):
-        tracker = DemandTracker(DemandConfig(top_k=2))
+    def test_entity_aux_stays_bounded_by_sketch(self, monkeypatch):
+        monkeypatch.setattr(demand_module, "TOP_K", 2)
+        tracker = DemandTracker()
         for entity in ("a", "b", "c", "d"):
             tracker.serve("s1", entity, "granted", tokens_left=5)
         assert len(tracker.entity_aux) <= 2
@@ -223,8 +229,6 @@ def quick_config(**overrides):
         duration=20.0,
         seed=5,
         trace=TraceConfig(days=2.0),
-        start_interval=0,
-        invariant_interval=5.0,
     )
     defaults.update(overrides)
     return ExperimentConfig(**defaults)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.faults import FaultyTransport, LinkFault, Nemesis, NemesisConfig
-from repro.faults.nemesis import WARMUP
+from repro.faults.nemesis import WARMUP, WINDOWS
 from repro.faults.schedule import CrashController, FaultSchedule
 from repro.net.message import Message
 from repro.net.network import Network, NetworkConfig
@@ -277,7 +277,7 @@ class TestNemesis:
             assert max(fault.time for fault in schedule) <= 80.0
             assert min(fault.time for fault in schedule) >= WARMUP
             # Windows open and close in pairs.
-            assert len(schedule) == 2 * config.windows
+            assert len(schedule) == 2 * WINDOWS
 
     def test_crashes_never_take_a_majority_of_regions(self):
         majority = (len(PAPER_REGIONS) + 1) // 2
@@ -296,4 +296,4 @@ class TestNemesis:
 
     def test_config_requires_enough_active_time(self):
         with pytest.raises(ValueError, match="active time"):
-            NemesisConfig(duration=30.0, quiet_period=20.0, windows=4)
+            NemesisConfig(duration=30.0, quiet_period=20.0)

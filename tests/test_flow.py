@@ -15,6 +15,7 @@ import asyncio
 import hashlib
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -35,6 +36,7 @@ from repro.obs import (
 )
 from repro.obs.registry import MetricsRegistry, TraceMetricsFeed, prometheus
 from repro.scale.entity_table import COLUMNS, EntityTable
+from repro.scale import harness as scale_harness
 from repro.scale.harness import ScaleConfig, build_scale_deployment, run_scale
 from repro.sim.kernel import Kernel
 from repro.workload.trace import TraceConfig
@@ -152,8 +154,6 @@ def quick_config(**overrides):
         seed=5,
         flow=True,
         trace=TraceConfig(days=2.0),
-        start_interval=0,
-        invariant_interval=5.0,
     )
     defaults.update(overrides)
     return ExperimentConfig(**defaults)
@@ -166,6 +166,7 @@ def traced_run(config):
     return experiment, sink.events()
 
 
+@pytest.mark.usefixtures("quick_window")
 class TestEndToEnd:
     def test_flow_events_validate_and_replay_exactly(self):
         experiment, events = traced_run(quick_config())
@@ -306,9 +307,11 @@ class TestTcpBackpressure:
 
 
 class TestScaleMailboxSaturation:
-    def test_saturated_mailbox_drops_and_balances(self):
+    def test_saturated_mailbox_drops_and_balances(self, monkeypatch):
         # All tokens at region 0 and a one-slot queue: the other
         # regions' acquires park behind redistributions and overflow.
+        monkeypatch.setattr(scale_harness, "HOT_ENTITIES", 12)
+        monkeypatch.setattr(scale_harness, "PLACEMENT", "first")
         config = ScaleConfig(
             entities=40,
             regions=3,
@@ -316,8 +319,6 @@ class TestScaleMailboxSaturation:
             duration=10.0,
             rate=400.0,
             seed=5,
-            hot_entities=12,
-            placement="first",
             flow=True,
         )
         deployment = build_scale_deployment(config)

@@ -7,8 +7,13 @@ so a lucky seed cannot hide a regression.
 
 import pytest
 
-from repro.harness import ExperimentConfig, run_experiment
+from repro.harness import ExperimentConfig, experiment, run_experiment
 from repro.workload.trace import TraceConfig
+
+
+@pytest.fixture(autouse=True)
+def audit_every_15_s(monkeypatch):
+    monkeypatch.setattr(experiment, "INVARIANT_INTERVAL", 15.0)
 
 SEEDS = (1, 7, 23)
 
@@ -19,7 +24,6 @@ def quick(system, seed, **overrides):
         duration=60.0,
         seed=seed,
         trace=TraceConfig(days=2.0, seed=seed),
-        invariant_interval=15.0,
     )
     defaults.update(overrides)
     return run_experiment(ExperimentConfig(**defaults))

@@ -7,6 +7,10 @@ scale deployment to one surface; the structural pins keep a second
 assembly from growing back next to it.
 """
 
+import ast
+import dataclasses
+import importlib
+import importlib.util
 import re
 import socket
 from pathlib import Path
@@ -14,8 +18,11 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.faults import NemesisConfig
+from repro.harness import experiment as experiment_module
 from repro.harness.experiment import Experiment, ExperimentConfig
 from repro.net import codec
+from repro.net.network import NetworkConfig
 from repro.obs.instruments import Instruments
 from repro.runtime.cluster import LiveCluster
 from repro.scale.harness import ScaleConfig, build_scale_deployment, run_scale
@@ -27,7 +34,7 @@ CORE_PLANES = {"audit", "metrics", "demand", "perf", "flow", "liveness"}
 
 def core_config(**overrides):
     defaults = dict(
-        duration=5.0, seed=5, trace=TraceConfig(days=2.0), start_interval=0, **ALL_ON
+        duration=5.0, seed=5, trace=TraceConfig(days=2.0), **ALL_ON
     )
     defaults.update(overrides)
     return ExperimentConfig(**defaults)
@@ -80,7 +87,8 @@ SAMPLE = re.compile(r'^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^{}]*\})? -?[0-9.eE+-]+$')
 
 
 @pytest.mark.parametrize("substrate", SUBSTRATES)
-def test_one_surface_on_every_substrate(substrate, tmp_path):
+def test_one_surface_on_every_substrate(substrate, tmp_path, monkeypatch):
+    monkeypatch.setattr(experiment_module, "START_INTERVAL", 0)
     run, expected = SUBSTRATES[substrate]
     instruments, parts = run(tmp_path)
 
@@ -98,7 +106,20 @@ def test_one_surface_on_every_substrate(substrate, tmp_path):
             assert SAMPLE.match(line), line
     assert "repro_events_total" in families
     assert any(name.startswith("repro_flow_") for name in families)
-    assert ("repro_perf_span_dur_seconds" in families) == ("perf" in expected)
+    # Span durations have one owner, the registry feed; the perf table
+    # still shows them, read from the feed's histograms.
+    assert "repro_perf_span_dur_seconds" not in families
+    if "perf" in expected:
+        feed = snapshots["metrics"]
+        rows = {
+            key[len("span.dur{"):-1]: row
+            for key, row in snapshots["perf"].items()
+            if key.startswith("span.dur{")
+        }
+        assert "request" in rows
+        for span, row in rows.items():
+            count = feed[f'repro_span_duration_seconds{{span="{span}"}}_count']
+            assert row["count"] == count
 
     # Attaching an all-off value leaves no ref behind, anywhere.
     off = Instruments()
@@ -217,7 +238,7 @@ repro_demand_requests_total repro_demand_rejected_total
 repro_demand_starved_total repro_demand_locality_ratio
 repro_demand_entity_requests_total repro_demand_prediction_error
 repro_demand_prediction_mape_pct repro_perf_kernel_heap_push_seconds
-repro_perf_kernel_tick_seconds repro_perf_span_dur_seconds
+repro_perf_kernel_tick_seconds
 repro_flow_link_bytes_total repro_flow_link_frames_total
 repro_flow_type_bytes_total repro_flow_type_frames_total
 repro_flow_queue_depth repro_flow_queue_high_watermark
@@ -307,6 +328,34 @@ def test_result_snapshots_keep_what_the_benchmark_reads(observed_run):
     assert events and sum(events) > result.committed
     assert result.flow_snapshot["frames"] > 0
     assert result.liveness_snapshot["sweeps"] > 0
+
+
+def test_the_benchmark_surface_resolves():
+    # benchmarks/e2e may not be edited, so what it names must keep
+    # existing: every repro import, every config keyword it passes.
+    e2e = SRC.parent.parent / "benchmarks" / "e2e"
+    for path in sorted(e2e.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.split(".")[0] == "repro":
+                        importlib.import_module(alias.name)
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("repro"):
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    name = f"{node.module}.{alias.name}"
+                    submodule = hasattr(module, "__path__") and importlib.util.find_spec(name)
+                    assert hasattr(module, alias.name) or submodule, f"{path.name}: {name}"
+    classes = {cls.__name__: cls for cls in (ExperimentConfig, ScaleConfig, NemesisConfig)}
+    passed = {name: set() for name in classes}
+    for node in ast.walk(ast.parse((e2e / "workloads.py").read_text())):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in classes:
+            passed[node.func.id] |= {k.arg for k in node.keywords if k.arg}
+    for name, keywords in passed.items():
+        assert keywords, name  # the scan still sees the calls
+        fields = {field.name for field in dataclasses.fields(classes[name])}
+        assert keywords <= fields, (name, sorted(keywords - fields))
+    NetworkConfig()
 
 
 def pattern_lines(pattern: str, *relative: str) -> int:

@@ -28,13 +28,15 @@ from repro.sim.kernel import Kernel
 from repro.workload.trace import TraceConfig
 
 
+# quick_config runs load from trace interval 0 and audit every 5 s.
+pytestmark = pytest.mark.usefixtures("quick_window")
+
+
 def quick_config(**overrides):
     defaults = dict(
         duration=20.0,
         seed=2,
         trace=TraceConfig(days=2.0),
-        start_interval=0,
-        invariant_interval=5.0,
     )
     defaults.update(overrides)
     return ExperimentConfig(**defaults)

@@ -9,6 +9,8 @@ offline replay of its trace.
 
 from collections import Counter
 
+import pytest
+
 from repro.core.site import SamyaSite
 from repro.faults import Nemesis, NemesisConfig
 from repro.faults.transport import FaultyTransport
@@ -19,7 +21,8 @@ from repro.net.regions import PAPER_REGIONS
 from repro.obs import RingSink, audit_events, feed_registry, track_demand
 from repro.obs.bus import HOLD_LIMIT
 from repro.obs.instruments import Instruments
-from repro.resilience import LivenessWatchdog, WatchdogConfig
+from repro.resilience import LivenessWatchdog
+from repro.resilience import watchdog as watchdog_module
 from repro.sim.kernel import Kernel
 from repro.workload.trace import TraceConfig
 
@@ -120,11 +123,11 @@ class TestHeldDelivery:
         assert observed["second"] == ["x.ping", "x.other", "x.pong"]
         assert [event["type"] for event in sink.events()] == observed["second"]
 
-    def test_watchdog_sweep_flushes_before_it_reads(self):
+    def test_watchdog_sweep_flushes_before_it_reads(self, monkeypatch):
+        monkeypatch.setattr(watchdog_module, "SWEEP_INTERVAL", 2.0)
+        monkeypatch.setattr(watchdog_module, "REQUEST_DEADLINE", 1.0)
         kernel, bus, _, _ = held_kernel()
-        watchdog = LivenessWatchdog(
-            WatchdogConfig(sweep_interval=2.0, request_deadline=1.0)
-        )
+        watchdog = LivenessWatchdog()
         bus.subscribe(watchdog)
         watchdog.install_periodic(kernel, bus, until=2.0)
         span = bus.span_begin("request", node="client-a")
@@ -160,6 +163,7 @@ class TestRoutes:
 
 
 class TestReadIds:
+    @pytest.mark.usefixtures("quick_window")
     def test_same_seed_runs_with_reads_write_identical_events(self):
         def events():
             sink = RingSink()
@@ -167,8 +171,6 @@ class TestReadIds:
                 duration=20.0,
                 seed=2,
                 trace=TraceConfig(days=2.0),
-                start_interval=0,
-                invariant_interval=5.0,
                 read_ratio=0.3,
             )
             Experiment(config, trace_sink=sink).run()

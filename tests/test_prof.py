@@ -9,6 +9,9 @@ same per-callback event counts, sampler attached or not.
 import threading
 import time
 
+import pytest
+
+from repro.harness import experiment
 from repro.harness.experiment import Experiment, ExperimentConfig
 from repro.obs import prof
 from repro.obs.prof import EventProfiler, StackSampler, profile_wall
@@ -75,8 +78,10 @@ def run_profiled(seed):
     profiler = EventProfiler()
     prof.set_active(profiler)
     try:
-        config = ExperimentConfig(duration=10.0, seed=seed, start_interval=0)
-        Experiment(config).run()
+        config = ExperimentConfig(duration=10.0, seed=seed)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(experiment, "START_INTERVAL", 0)
+            Experiment(config).run()
     finally:
         prof.set_active(None)
     return profiler

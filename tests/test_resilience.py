@@ -8,9 +8,12 @@ installs the auditor, and pledge/liveness events land in the metrics
 registry.
 """
 
+from types import SimpleNamespace
+
 from repro.obs.bus import EventBus, RingSink
 from repro.obs.registry import MetricsRegistry, TraceMetricsFeed
-from repro.resilience import LivenessWatchdog, WatchdogConfig
+from repro.resilience import LivenessWatchdog
+from repro.resilience import watchdog as watchdog_module
 from repro.sim.kernel import Kernel
 
 
@@ -51,8 +54,9 @@ def span_end(span, span_id, ts):
 
 
 class TestStuckRoundDetection:
-    def test_round_past_deadline_is_flagged_once(self):
-        watchdog = LivenessWatchdog(WatchdogConfig(round_deadline=10.0))
+    def test_round_past_deadline_is_flagged_once(self, monkeypatch):
+        monkeypatch.setattr(watchdog_module, "ROUND_DEADLINE", 10.0)
+        watchdog = LivenessWatchdog()
         bus = RecordingBus()
         watchdog(span_begin("avantan.round", 1, ts=0.0, role="leader"))
         watchdog.sweep(5.0, bus)  # young: quiet
@@ -76,7 +80,7 @@ class TestStuckRoundDetection:
 
 class TestStarvedRequestDetection:
     def test_old_open_request_is_flagged(self):
-        watchdog = LivenessWatchdog(WatchdogConfig(request_deadline=8.0))
+        watchdog = LivenessWatchdog()  # REQUEST_DEADLINE = 8.0
         bus = RecordingBus()
         watchdog(span_begin("request", 7, ts=0.0, node="client-a"))
         watchdog(span_begin("request", 8, ts=6.0, node="client-a"))
@@ -88,7 +92,7 @@ class TestStarvedRequestDetection:
 
 class TestStalePledgeRecovery:
     def test_stale_pledge_drives_recovery_on_the_site(self):
-        watchdog = LivenessWatchdog(WatchdogConfig(pledge_deadline=8.0))
+        watchdog = LivenessWatchdog()  # PLEDGE_DEADLINE = 8.0
         site = StubSite("site-a")
         watchdog.watch([site])
         bus = RecordingBus()
@@ -116,9 +120,10 @@ class TestStalePledgeRecovery:
         assert site.recover_calls == []
         assert bus.of("liveness.pledge_stale") == []
 
-    def test_round_limit_detects_before_the_deadline(self):
-        config = WatchdogConfig(pledge_deadline=1e9, pledge_round_limit=2)
-        watchdog = LivenessWatchdog(config)
+    def test_round_limit_detects_before_the_deadline(self, monkeypatch):
+        monkeypatch.setattr(watchdog_module, "PLEDGE_DEADLINE", 1e9)
+        monkeypatch.setattr(watchdog_module, "PLEDGE_ROUND_LIMIT", 2)
+        watchdog = LivenessWatchdog()
         bus = RecordingBus()
         watchdog({"type": "pledge.open", "node": "site-a", "ts": 0.0,
                   "value_id": "3.site-b"})
@@ -132,25 +137,27 @@ class TestStalePledgeRecovery:
         assert stale[0]["rounds"] == 2
 
     def test_recovery_disabled_still_detects(self):
-        watchdog = LivenessWatchdog(WatchdogConfig(recover=False,
-                                                   pledge_deadline=5.0))
-        site = StubSite("site-a")
+        # A watched actor without ``recover_pledge`` (a baseline server)
+        # offers no recovery: its stale pledge is still reported.
+        watchdog = LivenessWatchdog()
+        site = SimpleNamespace(name="site-a")
         watchdog.watch([site])
         bus = RecordingBus()
         watchdog({"type": "pledge.open", "node": "site-a", "ts": 0.0,
                   "value_id": "9.site-b"})
-        watchdog.sweep(10.0, bus)
-        assert site.recover_calls == []
+        watchdog.sweep(10.0, bus)  # past PLEDGE_DEADLINE
+        assert watchdog.recoveries_driven == 0
         assert bus.of("liveness.pledge_stale")[0]["recovered"] is False
 
 
 class TestPeriodicInstall:
-    def test_sweeps_ride_the_kernel(self):
+    def test_sweeps_ride_the_kernel(self, monkeypatch):
+        monkeypatch.setattr(watchdog_module, "SWEEP_INTERVAL", 2.0)
+        monkeypatch.setattr(watchdog_module, "REQUEST_DEADLINE", 1.0)
         kernel = Kernel(seed=1)
         sink = RingSink()
         bus = EventBus(kernel, sink)
-        watchdog = LivenessWatchdog(WatchdogConfig(sweep_interval=2.0,
-                                                   request_deadline=1.0))
+        watchdog = LivenessWatchdog()
         bus.subscribe(watchdog)
         watchdog.install_periodic(kernel, bus, until=10.0)
         span = bus.span_begin("request", node="client-a")

@@ -258,6 +258,9 @@ class TestOneFlushPerInstant:
         # Network)) with drops, duplicates and delays: the fault layer
         # sees the same envelopes in the same order either way, so the
         # run is the same run.
+        monkeypatch.setattr(harness, "HOT_ENTITIES", 16)
+        monkeypatch.setattr(harness, "PLACEMENT", "first")
+
         def run(batcher_class):
             monkeypatch.setattr(harness, "BatchingTransport", batcher_class)
             log, layers = [], []
@@ -275,8 +278,7 @@ class TestOneFlushPerInstant:
                 return layer
 
             config = ScaleConfig(entities=50, regions=3, maximum=30, duration=5.0,
-                                 rate=300.0, seed=5, hot_entities=16,
-                                 placement="first")
+                                 rate=300.0, seed=5)
             deployment = build_scale_deployment(config, transport_wrap=wrap)
             layers[0].degrade([host.name for host in deployment.hosts], drop=0.05,
                               duplicate=0.05, delay=0.02, jitter=0.01)
@@ -296,14 +298,22 @@ class TestOneFlushPerInstant:
 class TestBatchedRunParity:
     """Acceptance pin: batching changes the wire, never the outcome."""
 
+    @pytest.fixture(autouse=True)
+    def demand_equals_supply(self, monkeypatch):
+        # All tokens start at region 0 ("first") and every driver
+        # acquires up to exactly half the per-entity maximum, so global
+        # demand equals supply and every queued acquire must eventually
+        # commit.
+        monkeypatch.setattr(harness, "ACQUIRE_FRACTION", 1.0)
+        monkeypatch.setattr(harness, "PER_ENTITY_BUDGET", 15)
+        monkeypatch.setattr(harness, "HOT_ENTITIES", 64)
+        monkeypatch.setattr(harness, "PLACEMENT", "first")
+
     @staticmethod
     def _config(batching: bool) -> ScaleConfig:
         # Two regions: the majority quorum is *all* sites, so every
         # round pools the full cluster and redistribution outcomes are
-        # independent of responder arrival order.  All tokens start at
-        # region 0 ("first") and every driver acquires up to exactly
-        # half the per-entity maximum, so global demand equals supply
-        # and every queued acquire must eventually commit.
+        # independent of responder arrival order.
         return ScaleConfig(
             entities=300,
             regions=2,
@@ -312,10 +322,6 @@ class TestBatchedRunParity:
             rate=600.0,
             seed=7,
             batching=batching,
-            acquire_fraction=1.0,
-            per_entity_budget=15,
-            hot_entities=64,
-            placement="first",
         )
 
     def test_batched_and_unbatched_outcomes_identical(self):

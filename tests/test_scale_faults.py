@@ -8,13 +8,23 @@ dropping/duplicating/delaying its members without ever breaking
 per-entity conservation.
 """
 
+import pytest
+
 from repro.faults.transport import FaultyTransport
+from repro.scale import harness as scale_harness
 from repro.scale.harness import (
     ScaleConfig,
     audit_conservation,
     build_scale_deployment,
     run_scale,
 )
+
+
+@pytest.fixture(autouse=True)
+def hot_set_at_region_0(monkeypatch):
+    """A 16-entity hot set; all tokens at region 0: rounds guaranteed."""
+    monkeypatch.setattr(scale_harness, "HOT_ENTITIES", 16)
+    monkeypatch.setattr(scale_harness, "PLACEMENT", "first")
 
 
 def small_config(**overrides) -> ScaleConfig:
@@ -25,16 +35,15 @@ def small_config(**overrides) -> ScaleConfig:
         duration=10.0,
         rate=300.0,
         seed=5,
-        hot_entities=16,
-        placement="first",  # all tokens at region 0: rounds guaranteed
     )
     defaults.update(overrides)
     return ScaleConfig(**defaults)
 
 
 class TestDeadSiteRouting:
-    def test_drivers_fail_over_around_a_crashed_host(self):
-        config = small_config(duration=5.0, rate=200.0, placement="spread")
+    def test_drivers_fail_over_around_a_crashed_host(self, monkeypatch):
+        monkeypatch.setattr(scale_harness, "PLACEMENT", "spread")
+        config = small_config(duration=5.0, rate=200.0)
         deployment = build_scale_deployment(config)
         dead = deployment.hosts[2]
         dead.crash()
@@ -52,8 +61,9 @@ class TestDeadSiteRouting:
             dead.table.tokens_left
         )
 
-    def test_all_hosts_crashed_fails_requests(self):
-        config = small_config(duration=2.0, rate=100.0, placement="spread")
+    def test_all_hosts_crashed_fails_requests(self, monkeypatch):
+        monkeypatch.setattr(scale_harness, "PLACEMENT", "spread")
+        config = small_config(duration=2.0, rate=100.0)
         deployment = build_scale_deployment(config)
         for host in deployment.hosts:
             host.crash()
@@ -69,8 +79,9 @@ class TestUnknownEntities:
         assert host.submit("ghost", acquire=True, amount=1) == "unknown"
         assert host.stats()["unknown_entity"] == 1
 
-    def test_unregistered_entity_fails_at_the_driver(self):
-        config = small_config(duration=2.0, rate=100.0, hot_entities=8)
+    def test_unregistered_entity_fails_at_the_driver(self, monkeypatch):
+        monkeypatch.setattr(scale_harness, "HOT_ENTITIES", 8)
+        config = small_config(duration=2.0, rate=100.0)
         deployment = build_scale_deployment(config)
         # Tear half the entities out of the directory: lookups miss and
         # the driver counts a routing failure instead of crashing.

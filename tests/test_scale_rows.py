@@ -18,6 +18,7 @@ import pytest
 
 import repro
 from repro.core.entity import TokenError
+from repro.scale import harness as scale_harness
 from repro.scale.entity_table import COLUMNS, EntityTable
 from repro.scale.harness import (
     ScaleConfig,
@@ -34,33 +35,23 @@ from repro.scale.shards import EntityDirectory, RouteTable
 @pytest.mark.parametrize(
     "field, value",
     [
-        ("tick", 0.0),
-        ("tick", -0.05),
-        ("amount_max", 0),
         ("rate", -5.0),
         ("hot_weight", 1.5),
         ("hot_weight", -0.1),
-        ("acquire_fraction", -1),
-        ("acquire_fraction", 1.01),
-        ("hot_entities", -3),
-        ("per_entity_budget", -1),
         ("entities", 0),
         ("maximum", 0),
     ],
 )
 def test_config_rejects_out_of_range_fields(field, value):
-    # tick=0 used to hang the run (the tick rescheduled itself at
-    # after(0)); amount_max=0 failed at the first tick inside kernel.run;
-    # the others were accepted silently.
+    # These used to be accepted silently.
     with pytest.raises(ValueError) as error:
         ScaleConfig(**{field: value})
     assert field in str(error.value) and repr(value) in str(error.value)
 
 
 def test_config_accepts_the_boundaries():
-    ScaleConfig(rate=0.0, hot_weight=0.0, acquire_fraction=1.0,
-                hot_entities=0, per_entity_budget=0, amount_max=1)
-    ScaleConfig(hot_weight=1.0, acquire_fraction=0.0, per_entity_budget=None)
+    ScaleConfig(rate=0.0, hot_weight=0.0)
+    ScaleConfig(hot_weight=1.0)
 
 
 # -- the stream is the same stream ------------------------------------------
@@ -102,24 +93,27 @@ HOT_DRIVERS = [(7800, 6020, 1780, 0, 0, 0), (7800, 6062, 1738, 0, 0, 0),
                (7800, 6001, 1799, 0, 0, 0)]
 HOT_LEDGER = "3dff5d5463b9d22dbee8cee78639137cb3509dc42b9570e4c43de5a96be230c0"
 
+#: name -> (config, module constants patched in, counts, drivers, ledger).
 PARENT_RUNS = {
     "cold": (
         ScaleConfig(entities=100_000, regions=3, maximum=3000, hot_weight=0.0,
                     duration=2.0, rate=4000, seed=11),
+        {},
         (23400, 23400, 0, 0, 0, 0, 0, 0, 0, 0, 120),
         [(7800, 7800, 0, 0, 0, 0)] * 3,
         "9f3f1a7839b76513684303d2be718e0ab46bb6742d7e3d19b14ba853d24efe2c",
     ),
-    "hot": (HOT, HOT_COUNTS, HOT_DRIVERS, HOT_LEDGER),
+    "hot": (HOT, {}, HOT_COUNTS, HOT_DRIVERS, HOT_LEDGER),
     "budgeted": (
-        dataclasses.replace(HOT, per_entity_budget=10, placement="first"),
+        HOT,
+        {"PER_ENTITY_BUDGET": 10, "PLACEMENT": "first"},
         (15684, 15456, 228, 0, 7716, 0, 7970, 15336, 16725, 3740, 7333),
         [(5491, 4474, 1017, 0, 0, 2309), (4998, 515, 4483, 0, 0, 2802),
          (5195, 958, 4237, 0, 0, 2605)],
         "0cc9bf8d8fe18f521371601acc1c9dea8b457315435f374172b9474fb346eb71",
     ),
     "demand": (
-        dataclasses.replace(HOT, demand=True), HOT_COUNTS, HOT_DRIVERS,
+        dataclasses.replace(HOT, demand=True), {}, HOT_COUNTS, HOT_DRIVERS,
         HOT_LEDGER,
     ),
 }
@@ -128,8 +122,10 @@ PARENT_DEMAND = "b13addef10ba9af761932d889bf3b0ac0c6b8fe40a96b99e6ba815c33b7d134
 
 
 @pytest.mark.parametrize("name", PARENT_RUNS)
-def test_same_simulated_run_as_the_parent(name):
-    config, counts, drivers, ledger = PARENT_RUNS[name]
+def test_same_simulated_run_as_the_parent(name, monkeypatch):
+    config, constants, counts, drivers, ledger = PARENT_RUNS[name]
+    for constant, value in constants.items():
+        monkeypatch.setattr(scale_harness, constant, value)
     result, deployment = run_scale(config, keep_deployment=True)
     assert result.violations == []
     assert tuple(getattr(result, field) for field in COUNTS) == counts
@@ -153,20 +149,27 @@ def test_same_simulated_run_as_the_parent(name):
 # -- the route table and the row keys do what the strings did ---------------
 
 
-def small_config(**overrides) -> ScaleConfig:
-    defaults = dict(entities=50, regions=3, maximum=30, duration=2.0,
-                    rate=100.0, seed=5, hot_entities=8)
-    defaults.update(overrides)
-    return ScaleConfig(**defaults)
+@pytest.fixture
+def small_config(monkeypatch):
+    """A 50-entity config builder, with an 8-entity hot set."""
+    monkeypatch.setattr(scale_harness, "HOT_ENTITIES", 8)
+
+    def build(**overrides) -> ScaleConfig:
+        defaults = dict(entities=50, regions=3, maximum=30, duration=2.0,
+                        rate=100.0, seed=5)
+        defaults.update(overrides)
+        return ScaleConfig(**defaults)
+
+    return build
 
 
-def test_directory_change_mid_run_is_seen_from_the_next_tick():
+def test_directory_change_mid_run_is_seen_from_the_next_tick(small_config):
     config = small_config()
     deployment = build_scale_deployment(config)
     kernel = deployment.kernel
     failed_before = []
     kernel.schedule(
-        1.0 - config.tick / 2,
+        1.0 - scale_harness.TICK / 2,
         lambda: failed_before.append(sum(d.failed for d in deployment.drivers)),
     )
     kernel.schedule(1.0, deployment.directory.unregister, "e1")
@@ -176,7 +179,7 @@ def test_directory_change_mid_run_is_seen_from_the_next_tick():
     assert result.violations == []
 
 
-def test_no_directory_call_per_request():
+def test_no_directory_call_per_request(small_config):
     config = small_config(rate=400.0)
     result = run_scale(config)
     assert result.submitted > 10 * config.entities
@@ -208,8 +211,9 @@ def test_route_table_follows_the_directory_version():
     assert directory.lookups == 9
 
 
-def test_by_id_entries_delegate_to_the_row_path():
-    deployment = build_scale_deployment(small_config(placement="first"))
+def test_by_id_entries_delegate_to_the_row_path(small_config, monkeypatch):
+    monkeypatch.setattr(scale_harness, "PLACEMENT", "first")
+    deployment = build_scale_deployment(small_config())
     host = deployment.hosts[0]
     assert host.submit("ghost", acquire=True, amount=1) == "unknown"
     assert host.unknown_entity == 1

@@ -89,7 +89,7 @@ def test_rerouted_request_id_applies_once_on_every_replica():
     ]
     ids = [command.request_id for command in commands]
     assert len(ids) > len(set(ids)), "the schedule no longer forces a re-route"
-    fresh = TokenStateMachine({config.entity_id: config.maximum})
+    fresh = TokenStateMachine({experiment.entity.id: config.maximum})
     seen = set()
     for command in commands:
         if command.request_id not in seen:
@@ -120,9 +120,9 @@ def test_every_system_presents_the_same_deployment(system):
     for server in cluster.servers:
         assert isinstance(server, Server)
         assert isinstance(server.region, Region) and server.crashed is False
-    assert list(cluster.app_managers) == list(config.regions)
+    assert list(cluster.app_managers) == list(PAPER_REGIONS)
     assert experiment.clients is cluster.clients
-    assert len(cluster.clients) == len(config.regions)
+    assert len(cluster.clients) == len(PAPER_REGIONS)
     result = experiment.run()
     assert isinstance(cluster.redistribution_totals(), dict)
     assert isinstance(cluster.round_summary(), dict)

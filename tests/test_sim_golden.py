@@ -12,8 +12,16 @@ in the same commit and say so in the commit message.
 
 from __future__ import annotations
 
+import pytest
+
+from repro.harness import experiment
 from repro.harness.experiment import ExperimentConfig, run_experiment
 from repro.workload.trace import TraceConfig
+
+
+@pytest.fixture(autouse=True)
+def audit_every_15_s(monkeypatch):
+    monkeypatch.setattr(experiment, "INVARIANT_INTERVAL", 15.0)
 
 
 def _config(system: str) -> ExperimentConfig:
@@ -22,7 +30,6 @@ def _config(system: str) -> ExperimentConfig:
         duration=60.0,
         seed=11,
         trace=TraceConfig(days=2.0, seed=11),
-        invariant_interval=15.0,
     )
 
 

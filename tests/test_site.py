@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.client import Operation
+from repro.core import site as site_module
 from repro.core.config import AvantanVariant
 from repro.core.requests import RequestKind, RequestStatus
 from repro.prediction.base import Predictor
@@ -224,9 +225,9 @@ class TestCrashRecovery:
 
 
 class TestServiceTimeModel:
-    def test_back_to_back_requests_queue_behind_each_other(self):
-        config = fast_config(service_time=0.05)
-        mini = MiniCluster(maximum=300, config=config)
+    def test_back_to_back_requests_queue_behind_each_other(self, monkeypatch):
+        monkeypatch.setattr(site_module, "SERVICE_TIME", 0.05)
+        mini = MiniCluster(maximum=300)
         mini.client_for(mini.site(0).region, acquire_burst(start=1.0, count=10, spacing=0.0))
         mini.run(until=10.0)
         summary = mini.metrics.latency_summary()

@@ -14,6 +14,7 @@ from repro.workload.requests import (
     operations_from_trace,
     regional_operations,
 )
+from repro.workload import trace as trace_module
 from repro.workload.trace import SyntheticAzureTrace, TraceConfig
 
 
@@ -53,8 +54,9 @@ class TestTraceGenerator:
         trace = SyntheticAzureTrace(TraceConfig(days=14.0))
         assert trace.autocorrelation(288) > 0.7
 
-    def test_weekend_demand_is_lower(self):
-        trace = SyntheticAzureTrace(TraceConfig(days=14.0, weekend_factor=0.5))
+    def test_weekend_demand_is_lower(self, monkeypatch):
+        monkeypatch.setattr(trace_module, "WEEKEND_FACTOR", 0.5)
+        trace = SyntheticAzureTrace(TraceConfig(days=14.0))
         per_day = trace.config.intervals_per_day
         day_of_week = (np.arange(len(trace.creations)) // per_day) % 7
         weekday = trace.creations[day_of_week < 5].mean()
