@@ -308,46 +308,6 @@ class EscrowConservationChecker(ConservationChecker):
         borrowed = sum(site.counters["tokens_borrowed"] for site in self._sites)
         return lent - borrowed
 
-    def check(self) -> None:
-        self.checks += 1
-        settled = sum(site.state.tokens_left for site in self._sites)
-        outstanding = self.outstanding_tokens()
-        transit = self.in_transit_tokens()
-        obs = self.obs
-        if obs is not None:
-            obs.emit(
-                "invariant.check",
-                settled=settled,
-                outstanding=outstanding,
-                transit=transit,
-                maximum=self.maximum,
-                checks=self.checks,
-            )
-        if transit < 0:
-            self._violation(
-                "conservation",
-                f"more tokens received ({-transit}) than were ever lent",
-                transit=transit,
-                maximum=self.maximum,
-            )
-        if settled + outstanding + transit != self.maximum:
-            self._violation(
-                "conservation",
-                f"escrow conservation broken: {settled} at sites + {outstanding} "
-                f"held + {transit} in transit != M_e={self.maximum}",
-                settled=settled,
-                outstanding=outstanding,
-                transit=transit,
-                maximum=self.maximum,
-            )
-        if outstanding > self.maximum or outstanding < 0:
-            self._violation(
-                "eq1",
-                f"Eq. 1 violated: clients hold {outstanding} of {self.maximum}",
-                outstanding=outstanding,
-                maximum=self.maximum,
-            )
-
 
 class DemarcationCluster(Deployment):
     """A wired Demarcation/Escrow deployment."""

@@ -15,7 +15,6 @@ from typing import Any, Protocol
 
 from repro.core.avantan.state import AcceptValue, AvantanState, Ballot
 from repro.core.entity import SiteTokenState
-from repro.metrics.rounds import RoundLog, RoundOutcome
 from repro.sim.process import Timer
 
 
@@ -69,7 +68,12 @@ class Phase(enum.Enum):
 
 
 class RedistributionStats:
-    """Counters reported by the benchmarks (e.g. 208 vs 792 rounds, §5.3)."""
+    """Counters reported by the benchmarks (e.g. 208 vs 792 rounds, §5.3).
+
+    ``as_dict`` is the per-site counter row.  The round totals — the
+    rounds this site entered and saw end, and how long it stayed frozen
+    in them — stay out of it: ``SamyaCluster.round_summary`` reads them.
+    """
 
     def __init__(self) -> None:
         self.triggered = 0
@@ -77,6 +81,11 @@ class RedistributionStats:
         self.aborted = 0
         self.leader_rounds = 0
         self.messages_sent = 0
+        self.rounds_decided = 0
+        self.rounds_aborted = 0
+        self.degraded_rounds = 0
+        self.frozen_time = 0.0
+        self.longest_round = 0.0
 
     def as_dict(self) -> dict[str, int]:
         return {
@@ -94,7 +103,8 @@ class AvantanProtocol(abc.ABC):
     Telemetry rides on two seams so the variant code stays untouched:
     the ``phase`` attribute is a property whose setter turns every
     transition into a ``avantan.phase.*`` span, and the round
-    entry/finish helpers open and close one ``avantan.round`` span.
+    entry/finish helpers open and close one ``avantan.round`` span
+    (and count the round into ``stats``).
     The bus is read through ``getattr(host, "obs", None)`` — stub hosts
     in tests have no such attribute and pay nothing.
     """
@@ -116,8 +126,9 @@ class AvantanProtocol(abc.ABC):
         #: Timer-jitter draws (hosts return one stream per site, so this
         #: is the stream every call to ``protocol_rng`` would give).
         self._random = host.protocol_rng().random
-        #: Per-round participation trace (entry role, duration, outcome).
-        self.rounds = RoundLog()
+        #: When the open round began; ``None`` while no round is open.
+        #: (``_round_span`` cannot tell: it is ``None`` on untraced runs.)
+        self._round_started: float | None = None
         #: True while the round is *blocked* (not enough reachable sites
         #: to terminate it).  A degraded site stops queueing clients: it
         #: serves from tokens beyond its pooled contribution (fresh
@@ -175,7 +186,7 @@ class AvantanProtocol(abc.ABC):
     def on_crash(self) -> None:
         """The owning site crashed: stop timers; state survives in store."""
         self._timer.cancel()
-        self._end_round_span("crashed")
+        self._close_round("crashed")
         if self._phase_span is not None:
             obs = getattr(self.host, "obs", None)
             if obs is not None:
@@ -232,15 +243,13 @@ class AvantanProtocol(abc.ABC):
     def _finish_decided(self, value: AcceptValue) -> None:
         """Terminate the round after a decision: apply, reset, resume."""
         self.stats.completed += 1
-        self.rounds.end(RoundOutcome.DECIDED, self.host.now)
-        self._end_round_span("decided")
+        self._close_round("decided")
         self.host.apply_redistribution(value)
         self._finish_common()
 
     def _finish_aborted(self) -> None:
         self.stats.aborted += 1
-        self.rounds.end(RoundOutcome.ABORTED, self.host.now)
-        self._end_round_span("aborted")
+        self._close_round("aborted")
         self._finish_common()
 
     def _finish_common(self) -> None:
@@ -253,8 +262,13 @@ class AvantanProtocol(abc.ABC):
         self.host.on_protocol_idle()
 
     def _track_round_entry(self, role: Role) -> None:
-        """Record that this site just joined a redistribution round."""
-        self.rounds.begin(self.host.name, role.value, self.host.now)
+        """Record that this site just joined a redistribution round.
+
+        A cohort promoted to leader mid-round stays in the round it
+        entered: neither its start time nor its span is replaced.
+        """
+        if self._round_started is None:
+            self._round_started = self.host.now
         obs = getattr(self.host, "obs", None)
         if obs is not None and self._round_span is None:
             self._round_span = obs.span_begin(
@@ -273,18 +287,37 @@ class AvantanProtocol(abc.ABC):
         ballot = self.state.ballot_num
         return f"rnd-{ballot.num}.{ballot.site_id}"
 
-    def _end_round_span(self, outcome: str) -> None:
+    def _close_round(self, outcome: str) -> None:
+        """End the open round's span and fold the round into ``stats``.
+
+        A round the site crashed out of was neither decided nor aborted
+        here: it closes uncounted, so the next round is timed from its
+        own entry.
+        """
         if self._round_span is not None:
             obs = getattr(self.host, "obs", None)
             if obs is not None:
                 obs.span_end(self._round_span, outcome=outcome)
             self._round_span = None
+        started, self._round_started = self._round_started, None
+        if started is None or outcome == "crashed":
+            return
+        stats = self.stats
+        if outcome == "decided":
+            stats.rounds_decided += 1
+        else:
+            stats.rounds_aborted += 1
+        if self.degraded:
+            stats.degraded_rounds += 1
+        duration = self.host.now - started
+        stats.frozen_time += duration
+        if duration > stats.longest_round:
+            stats.longest_round = duration
 
     def _enter_degraded(self) -> None:
         """The round is blocked; let the site serve what it safely can."""
         if not self.degraded:
             self.degraded = True
-            self.rounds.mark_degraded()
             self.host.on_protocol_degraded()
 
     def _decided_value_among(self, responses: dict[str, Any]) -> AcceptValue | None:

@@ -16,7 +16,6 @@ from repro.core.entity import Entity
 from repro.core.reallocation import Reallocator
 from repro.core.site import SamyaSite
 from repro.metrics.invariants import ConservationChecker
-from repro.metrics.rounds import RoundSummary
 from repro.net.transport import Clock, Transport
 from repro.net.regions import Region
 from repro.prediction.base import Predictor
@@ -194,10 +193,19 @@ class SamyaCluster(Deployment):
         return totals
 
     def round_summary(self) -> dict[str, float]:
-        """Aggregate per-round protocol trace (durations, outcomes)."""
-        return RoundSummary.from_logs(
-            [site.protocol.rounds for site in self.sites if site.protocol is not None]
-        ).as_dict()
+        """Every site's finished rounds: outcomes and time spent frozen."""
+        stats = [site.protocol.stats for site in self.sites if site.protocol is not None]
+        decided = sum(s.rounds_decided for s in stats)
+        aborted = sum(s.rounds_aborted for s in stats)
+        frozen = sum(s.frozen_time for s in stats)
+        return {
+            "decided": decided,
+            "aborted": aborted,
+            "mean_duration": frozen / (decided + aborted) if decided + aborted else 0.0,
+            "max_duration": max((s.longest_round for s in stats), default=0.0),
+            "degraded_rounds": sum(s.degraded_rounds for s in stats),
+            "total_frozen_time": frozen,
+        }
 
     def unresolved_pledges(self) -> int:
         """Sites still holding a frozen (pledged) balance."""

@@ -62,17 +62,16 @@ class SamyaConfig:
     #: Minimum gap between *reactive* redistributions at one site.
     reactive_cooldown: float = 5.0
 
-    #: Eq. 5 taken literally: a reactive trigger asks for the amount of
-    #: the request that could not be served (TokensWanted = m) instead of
-    #: the whole queued deficit.  Tiny asks mean the site re-exhausts
-    #: immediately — the paper's no-prediction behaviour (Fig. 3f).
-    reactive_wanted_literal: bool = False
-
-    #: What to do with an unservable acquire while the reactive cooldown
-    #: blocks a new round: queue it until the next round (paper-literal,
-    #: §4.3 "queues all requests") or reject it immediately so the client
-    #: is not stranded behind a redistribution that cannot help.
-    queue_during_cooldown: bool = False
+    #: Reactive redistribution exactly as the paper writes it (Fig. 3f
+    #: contrasts it with the default).  A reactive trigger asks for the
+    #: amount of the one request that could not be served (Eq. 5 taken
+    #: literally, TokensWanted = m) instead of the whole queued deficit,
+    #: so the tiny ask re-exhausts the site at once.  And an unservable
+    #: acquire that arrives while the reactive cooldown blocks a new
+    #: round is queued until the next round (§4.3 "queues all
+    #: requests"); the default rejects it at once, so the client is not
+    #: stranded behind a redistribution that cannot help.
+    paper_literal_reactive: bool = False
 
     def __post_init__(self) -> None:
         if self.epoch_seconds <= 0:

@@ -334,7 +334,7 @@ class SamyaSite(Server, RedistributionLedger):
             can_trigger_now = (
                 self.now >= self.last_trigger_at + self.config.reactive_cooldown
             )
-            if can_trigger_now or self.config.queue_during_cooldown:
+            if can_trigger_now or self.config.paper_literal_reactive:
                 # Reactive redistribution (Eq. 5): park the request and go
                 # get tokens; the queue is answered when the round ends
                 # (or when the deferred trigger fires after the cooldown).
@@ -429,7 +429,7 @@ class SamyaSite(Server, RedistributionLedger):
             self._trigger("proactive")
 
     def _pending_acquire_deficit(self) -> int:
-        if self.config.reactive_wanted_literal:
+        if self.config.paper_literal_reactive:
             # Eq. 5 verbatim: ask only for the first unservable request.
             for fwd in self._pending:
                 if fwd.request.kind is RequestKind.ACQUIRE:

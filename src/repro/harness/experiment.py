@@ -256,8 +256,7 @@ def _build_samya(variant: AvantanVariant, experiment: "Experiment") -> SamyaClus
             enforce_constraint=config.enforce_constraint,
             redistribute=config.redistribute,
             proactive=config.predictor != "none",
-            reactive_wanted_literal=config.paper_literal_reactive,
-            queue_during_cooldown=config.paper_literal_reactive,
+            paper_literal_reactive=config.paper_literal_reactive,
             reactive_cooldown=1.0 if config.paper_literal_reactive else 5.0,
         ),
         predictor_factory=experiment._make_predictor,

@@ -18,20 +18,16 @@ class MetricsHub:
         self.committed_reads = 0
         self.rejected = 0
         self.failed = 0
-        #: Optional time window restriction for latency accounting (warmup).
-        self.latency_window_start = 0.0
 
     def record(self, request: ClientRequest, response: ClientResponse, now: float) -> None:
         if response.status is RequestStatus.GRANTED:
             latency = now - request.issued_at
             if request.kind is RequestKind.READ:
                 self.committed_reads += 1
-                if now >= self.latency_window_start:
-                    self.read_latencies.append(latency)
+                self.read_latencies.append(latency)
             else:
                 self.committed += 1
-                if now >= self.latency_window_start:
-                    self.latencies.append(latency)
+                self.latencies.append(latency)
             # Fig. 3h counts reads in throughput; write-only figures have
             # no reads in the workload so the series are identical.
             self.throughput.record(now)

@@ -6,6 +6,9 @@ non-negative balances, that is equivalent to global conservation:
 
     sum(settled tokens at sites) + tokens held by clients == M_e
 
+(plus, for the escrow baseline, whose sites lend tokens to each other,
+the tokens lent and not yet received: ``in_transit_tokens``).
+
 "Settled" handles the one legal transient: between a redistribution's
 decision and its application at every participant, an already-applied
 site holds its new share while a not-yet-applied (frozen) participant
@@ -122,27 +125,49 @@ class ConservationChecker:
         released = sum(site.counters["released_tokens"] for site in self._sites)
         return acquired - released
 
+    def in_transit_tokens(self) -> int | None:
+        """Tokens one site has lent and the borrower not yet received.
+
+        ``None`` for deployments whose sites never lend tokens to each
+        other: Samya moves tokens only through Avantan's decided values,
+        which ``settled_tokens`` already accounts.
+        """
+        return None
+
     def check(self) -> None:
         """Assert conservation and the Eq. 1 constraint right now."""
         self.checks += 1
         settled = self.settled_tokens()
         outstanding = self.outstanding_tokens()
+        transit = self.in_transit_tokens()
+        # The transit term (and its event field) exists only where sites lend.
+        lent = {} if transit is None else {"transit": transit}
         obs = self.obs
         if obs is not None:
             obs.emit(
                 "invariant.check",
                 settled=settled,
                 outstanding=outstanding,
+                **lent,
                 maximum=self.maximum,
                 checks=self.checks,
             )
-        if settled + outstanding != self.maximum:
+        if transit is not None and transit < 0:
+            self._violation(
+                "conservation",
+                f"more tokens received ({-transit}) than were ever lent",
+                transit=transit,
+                maximum=self.maximum,
+            )
+        if settled + outstanding + (transit or 0) != self.maximum:
+            in_transit = "" if transit is None else f" + {transit} in transit"
             self._violation(
                 "conservation",
                 f"token conservation broken: {settled} at sites + "
-                f"{outstanding} held by clients != M_e={self.maximum}",
+                f"{outstanding} held by clients{in_transit} != M_e={self.maximum}",
                 settled=settled,
                 outstanding=outstanding,
+                **lent,
                 maximum=self.maximum,
             )
         if outstanding > self.maximum or outstanding < 0:

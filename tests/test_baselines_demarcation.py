@@ -6,6 +6,7 @@ from repro.core.entity import Entity
 from repro.metrics.hub import MetricsHub
 from repro.net.network import Network, NetworkConfig
 from repro.net.regions import PAPER_REGIONS
+from repro.obs.bus import EventBus, RingSink
 from repro.sim.kernel import Kernel
 
 from tests.helpers import acquire_burst, uniform_ops
@@ -120,3 +121,18 @@ class TestConservationUnderChurn:
         kernel.run(until=60.0)
         checker.check()
         assert hub.committed > 0
+
+    def test_check_event_fields_in_order(self):
+        kernel, cluster, hub, checker = build()
+        sink = RingSink()
+        checker.obs = EventBus(kernel, sink)
+        cluster.add_client(PAPER_REGIONS[0], acquire_burst(1.0, 150), metrics=hub)
+        cluster.start()
+        kernel.run(until=60.0)
+        checker.check()
+        [event] = sink.events()
+        assert list(event) == [
+            "ts", "type", "node",
+            "settled", "outstanding", "transit", "maximum", "checks",
+        ]
+        assert (event["transit"], event["maximum"]) == (0, 300)

@@ -92,8 +92,7 @@ class TestBuilds:
             quick_config(predictor="none", paper_literal_reactive=True)
         )
         config = experiment.cluster.sites[0].config
-        assert config.reactive_wanted_literal
-        assert config.queue_during_cooldown
+        assert config.paper_literal_reactive
 
 
 class TestAllocationSplit:

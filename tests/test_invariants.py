@@ -3,6 +3,7 @@
 import pytest
 
 from repro.metrics.invariants import ConservationChecker, InvariantViolation
+from repro.obs.bus import EventBus, RingSink
 
 from tests.helpers import MiniCluster, acquire_burst
 
@@ -60,3 +61,17 @@ class TestConservationChecker:
         mini.checker.install_periodic(mini.kernel, interval=1.0, until=5.0)
         mini.run(until=6.0)
         assert mini.checker.checks >= 4
+
+    def test_check_event_fields_in_order(self):
+        """Samya's sites never lend tokens: no ``transit`` field."""
+        mini = MiniCluster(maximum=300)
+        sink = RingSink()
+        mini.checker.obs = EventBus(mini.kernel, sink)
+        mini.client_for(mini.site(0).region, acquire_burst(1.0, 10))
+        mini.run(until=5.0)
+        mini.check()
+        [event] = sink.events()
+        assert list(event) == [
+            "ts", "type", "node", "settled", "outstanding", "maximum", "checks"
+        ]
+        assert (event["settled"], event["outstanding"]) == (290, 10)

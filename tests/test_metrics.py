@@ -130,14 +130,6 @@ class TestMetricsHub:
         assert hub.failed == 1
         assert hub.throughput.total == 0
 
-    def test_latency_window_start_excludes_warmup(self):
-        hub = MetricsHub()
-        hub.latency_window_start = 10.0
-        _record(hub, RequestKind.ACQUIRE, RequestStatus.GRANTED, issued=1.0, now=1.5)
-        _record(hub, RequestKind.ACQUIRE, RequestStatus.GRANTED, issued=11.0, now=11.5)
-        assert hub.committed == 2
-        assert len(hub.latencies) == 1
-
     def test_attempted(self):
         hub = MetricsHub()
         _record(hub, RequestKind.ACQUIRE, RequestStatus.GRANTED)
