@@ -323,27 +323,37 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
+def top_frame(mode: str, instruments, clock: float) -> str:
+    """One ``repro top`` frame: a header line, then the ``--demand``
+    report of the in-flight tracker, then (flow plane on) the ``--flow``
+    report — the same text ``repro trace`` prints for a trace."""
+    from repro.obs.demand import format_demand_report
+    from repro.obs.flow import format_flow_report
+
+    demand = instruments.demand
+    sections = [
+        f"repro top — {mode}  t={clock:.1f}s  requests={demand.requests}",
+        format_demand_report(demand),
+    ]
+    if instruments.flow is not None:
+        sections.append(format_flow_report(instruments.flow.snapshot()))
+    return "\n\n".join(sections) + "\n"
+
+
 def cmd_top(args: argparse.Namespace) -> int:
     """Live contention view (plain ANSI, curses-free).
 
-    Frames render from the in-flight DemandTracker; ``--once`` skips
-    the animation and prints exactly one final frame after the run (the
-    CI smoke, and the sane default when stdout is not a terminal).
+    Frames render from the in-flight trackers; ``--once`` skips the
+    animation and prints exactly one final frame after the run (the CI
+    smoke, and the sane default when stdout is not a terminal).
     """
-    from repro.obs.top import CLEAR, render_top
-
     animate = not args.once
     in_place = animate and sys.stdout.isatty()
 
     def emit_frame(instruments, clock: float, final: bool = False) -> None:
-        text = render_top(
-            instruments.demand,
-            clock=clock,
-            title=f"repro top — {args.mode}",
-            max_entities=args.top,
-            flow=instruments.flow,
-        )
-        prefix = CLEAR if in_place and not final else ""
+        text = top_frame(args.mode, instruments, clock)
+        # ANSI cursor home + erase below: repaint in place, no curses.
+        prefix = "\x1b[H\x1b[J" if in_place and not final else ""
         print(prefix + text, flush=True, end="")
         if not in_place and not final:
             print(flush=True)
@@ -787,9 +797,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     top_parser = sub.add_parser(
         "top",
-        help="live contention view: hot entities (bounded top-K sketch), "
-             "token locality by site, prediction scorecard — refreshed "
-             "in place with plain ANSI (no curses)",
+        help="live contention view: each frame is the --demand report "
+             "(plus --flow's with --flow) of the running trackers — "
+             "refreshed in place with plain ANSI (no curses)",
     )
     top_parser.add_argument("--mode", choices=("sim", "live", "scale"),
                             default="sim",
@@ -803,8 +813,6 @@ def build_parser() -> argparse.ArgumentParser:
     top_parser.add_argument("--once", action="store_true",
                             help="print one final frame after the run "
                                  "instead of animating (the CI smoke)")
-    top_parser.add_argument("--top", type=int, default=10, metavar="K",
-                            help="hot entities shown per frame (default 10)")
     top_parser.add_argument("--entities", type=int, default=10_000,
                             help="entity count (scale mode, default 10000)")
     top_parser.add_argument("--rate", type=float, default=4000.0,

@@ -30,10 +30,17 @@ one place that decides which of these planes a run has and attaches them:
   Prometheus writer every plane's ``families()`` goes through.
 * :mod:`repro.obs.exposition` — the asyncio ``/metrics`` endpoint
   for live runs.
+* :mod:`repro.obs.demand` — the demand & contention plane: token
+  locality, a bounded hot-entity sketch and the prediction scorecard,
+  surfaced as ``demand.*`` trace rollups, ``repro_demand_*`` metric
+  families, and the ``--demand`` offline report.
 * :mod:`repro.obs.flow` — the flow & resource plane: per-link wire
   accounting, queue/backpressure watermarks, and opt-in memory
   telemetry, surfaced as ``flow.*`` trace rollups, ``repro_flow_*``
   metric families, and the ``--flow`` offline report.
+
+A ``repro top`` frame is a header line followed by those two reports,
+rendered from the in-flight trackers instead of a trace.
 
 Timestamps are **substrate clock seconds** — simulated seconds under the
 discrete-event kernel, wall seconds since loop start under the live
@@ -77,7 +84,6 @@ from repro.obs.schema import (
     validate_events,
 )
 from repro.obs.summary import format_trace_summary
-from repro.obs.top import render_top
 
 __all__ = [
     "DemandTap",
@@ -108,7 +114,6 @@ __all__ = [
     "format_trace_summary",
     "iter_trace",
     "read_trace",
-    "render_top",
     "track_demand",
     "track_flow",
     "trace_id_of",

@@ -24,8 +24,11 @@ scale host's local call path) into four views:
   on ``epoch.close``) against the *observed* arrivals of that epoch:
   signed error per epoch, running MAPE per site.
 * **Starvation** — requests that waited on a round and were still
-  rejected, and per-site rolling demand windows for the ``repro top``
-  live view.
+  rejected.
+
+``format_demand_report`` renders all four; ``repro trace --demand``
+prints it for a trace and every ``repro top`` frame is it for the
+in-flight tracker.
 
 Everything here observes and never emits: the one exception,
 :meth:`DemandTracker.rollup`, is called by the *bus owner* (the
@@ -62,35 +65,28 @@ class SpaceSavingSketch:
     error bound ``min``, so every stored estimate over-counts by at
     most its recorded ``error`` — ``true <= estimate <= true + error``
     for keys genuinely in the stream — and any key with true count
-    above ``total / capacity`` is guaranteed to be present.
+    above ``N / capacity`` (``N`` counts so far) is guaranteed to be
+    present.
 
     Deterministic by construction: eviction picks the (count, key)
     minimum, so equal-count ties break lexicographically, and
-    :meth:`items` orders by descending count then key.  Merging across
-    shards (:meth:`merge`) sums estimates, charging a missing side its
-    minimum counter as both estimate and error, which preserves the
-    over-estimate guarantee.
+    :meth:`items` orders by descending count then key.
     """
 
-    __slots__ = ("capacity", "total", "_counts", "_errors")
+    __slots__ = ("capacity", "_counts", "_errors")
 
     def __init__(self, capacity: int = 32) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self.total = 0
         self._counts: dict[str, int] = {}
         self._errors: dict[str, int] = {}
 
     def __len__(self) -> int:
         return len(self._counts)
 
-    def __contains__(self, key: str) -> bool:
-        return key in self._counts
-
     def update(self, key: str, count: int = 1) -> str | None:
         """Count ``key``; returns the evicted key if one was replaced."""
-        self.total += count
         counts = self._counts
         if key in counts:
             counts[key] += count
@@ -106,18 +102,6 @@ class SpaceSavingSketch:
         self._errors[key] = floor
         return victim
 
-    def estimate(self, key: str) -> int:
-        return self._counts.get(key, 0)
-
-    def error(self, key: str) -> int:
-        return self._errors.get(key, 0)
-
-    def min_count(self) -> int:
-        """Upper bound on the true count of any *absent* key."""
-        if len(self._counts) < self.capacity:
-            return 0
-        return min(self._counts.values())
-
     def items(self) -> list[tuple[str, int, int]]:
         """(key, estimate, error) rows, by descending count then key."""
         return [
@@ -125,48 +109,10 @@ class SpaceSavingSketch:
             for key in sorted(self._counts, key=lambda k: (-self._counts[k], k))
         ]
 
-    def top(self, k: int) -> list[tuple[str, int, int]]:
-        return self.items()[:k]
-
-    def merge(self, other: "SpaceSavingSketch") -> None:
-        """Fold ``other`` in (shard merge), keeping the top ``capacity``.
-
-        A key absent from one side is charged that side's
-        ``min_count`` as both estimate and error — its true count
-        there is at most that, so merged estimates stay over-counts.
-        """
-        mine_floor = self.min_count()
-        their_floor = other.min_count()
-        merged_counts: dict[str, int] = {}
-        merged_errors: dict[str, int] = {}
-        for key in set(self._counts) | set(other._counts):
-            mine = self._counts.get(key)
-            theirs = other._counts.get(key)
-            count = (mine if mine is not None else mine_floor) + (
-                theirs if theirs is not None else their_floor
-            )
-            error = (
-                self._errors[key] if mine is not None else mine_floor
-            ) + (other._errors[key] if theirs is not None else their_floor)
-            merged_counts[key] = count
-            merged_errors[key] = error
-        keep = sorted(merged_counts, key=lambda k: (-merged_counts[k], k))[
-            : self.capacity
-        ]
-        self._counts = {key: merged_counts[key] for key in keep}
-        self._errors = {key: merged_errors[key] for key in keep}
-        self.total += other.total
-
 
 #: Sketch capacity: hot-entity tables, reports, and ``demand.entity``
 #: trace events are all at most this long.
 TOP_K = 32
-
-#: Width of one rolling per-site demand window (substrate seconds).
-WINDOW_SECONDS = 10.0
-
-#: Recent windows kept per site (the ``repro top`` sparkline).
-WINDOWS_KEPT = 12
 
 #: Per-site scorecard rows kept (oldest epochs drop first; the running
 #: MAPE covers every epoch regardless).
@@ -174,13 +120,12 @@ SCORECARD_ROWS = 512
 
 
 class _SiteDemand:
-    """Per-site rollup: locality counters, windows, scorecard."""
+    """Per-site rollup: locality counters and scorecard."""
 
     __slots__ = (
         "local", "waited", "rejected", "starved", "released", "triggers",
-        "tokens_left", "windows", "window_start", "window_count",
-        "epochs", "error_sum", "abs_error_sum", "ape_sum", "ape_count",
-        "scorecard",
+        "tokens_left", "epochs", "error_sum", "abs_error_sum", "ape_sum",
+        "ape_count", "scorecard",
     )
 
     def __init__(self) -> None:
@@ -191,9 +136,6 @@ class _SiteDemand:
         self.released = 0
         self.triggers = 0
         self.tokens_left: int | None = None
-        self.windows: deque[tuple[float, int]] = deque(maxlen=WINDOWS_KEPT)
-        self.window_start = 0.0
-        self.window_count = 0
         self.epochs = 0
         self.error_sum = 0.0
         self.abs_error_sum = 0.0
@@ -246,15 +188,12 @@ class DemandTracker:
         kind: str = "acquire",
         waited: bool = False,
         tokens_left: int | None = None,
-        ts: float = 0.0,
     ) -> None:
         """One served request (any kind, any outcome)."""
         self.requests += 1
         rollup = self._site(site)
         if tokens_left is not None:
             rollup.tokens_left = tokens_left
-        self._roll_window(rollup, ts)
-        rollup.window_count += 1
         if kind == "release":
             rollup.released += 1
         elif kind == "acquire":
@@ -284,23 +223,12 @@ class DemandTracker:
             if tokens_left is not None:
                 aux["tokens"][site] = tokens_left
 
-    def _roll_window(self, rollup: _SiteDemand, ts: float) -> None:
-        width = WINDOW_SECONDS
-        if ts < rollup.window_start + width:
-            return
-        if rollup.window_count:
-            rollup.windows.append((rollup.window_start, rollup.window_count))
-        # Snap to the window grid so sites share comparable boundaries.
-        rollup.window_start = (ts // width) * width
-        rollup.window_count = 0
-
     def epoch(
         self,
         site: str,
         observed: float,
         predicted: float | None,
         epoch: int | None = None,
-        ts: float = 0.0,
     ) -> None:
         """Close one epoch: join forecast against observed arrivals."""
         rollup = self._site(site)
@@ -499,7 +427,7 @@ class DemandTap:
     Works identically subscribed to a live bus and replayed over
     :func:`~repro.obs.schema.iter_trace` — same events, same tracker
     state, which is what makes the offline ``--demand`` report agree
-    with the live ``repro top`` view.
+    with the live ``repro top`` frames.
     """
 
     #: The event types :meth:`__call__` reads (the bus routes only these).
@@ -522,7 +450,6 @@ class DemandTap:
                     if isinstance(event.get("tokens_left"), int)
                     else None
                 ),
-                ts=float(event.get("ts", 0.0) or 0.0),
             )
         elif etype == "epoch.close":
             predicted = event.get("predicted")
@@ -538,7 +465,6 @@ class DemandTap:
                 epoch=(
                     event["epoch"] if isinstance(event.get("epoch"), int) else None
                 ),
-                ts=float(event.get("ts", 0.0) or 0.0),
             )
         elif etype == "realloc.trigger":
             self.tracker.trigger(

@@ -246,7 +246,7 @@ class ScaleSiteHost(Actor):
             if demand is not None:
                 demand.serve(
                     self.name, table.ids[row], "granted", kind="release",
-                    tokens_left=left[row], ts=self.now,
+                    tokens_left=left[row],
                 )
             return "committed"
         adapter = self._protocols.get(row)
@@ -262,7 +262,7 @@ class ScaleSiteHost(Actor):
             if demand is not None:
                 demand.serve(
                     self.name, table.ids[row], "granted",
-                    tokens_left=left[row], ts=self.now,
+                    tokens_left=left[row],
                 )
             return "committed"
         if active and adapter.protocol.degraded:
@@ -270,7 +270,7 @@ class ScaleSiteHost(Actor):
             if demand is not None:
                 demand.serve(
                     self.name, table.ids[row], "rejected",
-                    tokens_left=left[row], ts=self.now,
+                    tokens_left=left[row],
                 )
             return "rejected"
         status = self._enqueue(row, amount)
@@ -290,7 +290,7 @@ class ScaleSiteHost(Actor):
             if self.demand is not None:
                 self.demand.serve(
                     self.name, self.table.ids[row], "rejected",
-                    tokens_left=self.table.tokens_left[row], ts=self.now,
+                    tokens_left=self.table.tokens_left[row],
                 )
             return "rejected"
         queue.append([amount, 0])
@@ -363,7 +363,7 @@ class ScaleSiteHost(Actor):
                     # non-local half of the token-locality split.
                     demand.serve(
                         self.name, table.ids[row], "granted", waited=True,
-                        tokens_left=table.tokens_left[row], ts=self.now,
+                        tokens_left=table.tokens_left[row],
                     )
             elif degraded:
                 keep.append(item)
@@ -375,7 +375,7 @@ class ScaleSiteHost(Actor):
                 if demand is not None:
                     demand.serve(
                         self.name, table.ids[row], "rejected", waited=True,
-                        tokens_left=table.tokens_left[row], ts=self.now,
+                        tokens_left=table.tokens_left[row],
                     )
         removed = popped - len(keep)
         if removed:

@@ -196,3 +196,9 @@ def test_the_deleted_surfaces_stay_deleted():
         for _ in re.finditer(r"1 << 16", source)
     ]
     assert windows == [SRC / "net" / "message.py"]
+    # `repro top` frames are the --demand / --flow reports: no third
+    # renderer, no sparkline windows, no shard merge, no --top K.
+    assert not (SRC / "obs" / "top.py").exists()
+    demand = text[SRC / "obs" / "demand.py"]
+    assert not re.search(r"def merge|WINDOWS_KEPT|_roll_window", demand)
+    assert '"--top"' not in text[SRC / "cli.py"]

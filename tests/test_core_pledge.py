@@ -9,6 +9,7 @@ outcome becomes knowable, survives a crash through the recovery WAL,
 and conservation holds under message drops and one-way partitions.
 """
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +18,7 @@ from repro.core.config import AvantanVariant
 from repro.core.entity import Entity
 from repro.core.requests import RequestKind
 from repro.faults.transport import FaultyTransport
+from repro.harness.experiment import ExperimentConfig, run_experiment
 from repro.net.network import Network, NetworkConfig
 from repro.net.regions import PAPER_REGIONS
 from repro.sim.kernel import Kernel
@@ -137,6 +139,29 @@ class TestPledgeUnderOneWayPartition:
         assert settled == opened
         assert all(site.unresolved_pledge is None for site in mini.sites)
         mini.check()
+
+
+class TestRecoveryElectionStorm:
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+    def test_fault_free_leader_rounds_track_genuine_triggers(self):
+        # Ten sites, no faults: a leader round should answer a proactive
+        # or reactive trigger.  A late responder's pledge sits on a ballot
+        # whose value never pools it, and the idle site re-elects to
+        # recover it, which opens new pledges in turn: 39 leader rounds
+        # for 6 triggers (33 pledge recoveries) on this run.
+        result = run_experiment(
+            ExperimentConfig(
+                system="samya-majority",
+                seed=3,
+                duration=120.0,
+                sites_per_region=2,
+                demand_scale=2.0,
+                maximum=10_000,
+            )
+        )
+        totals = result.redistributions
+        genuine = totals["proactive_triggers"] + totals["reactive_triggers"]
+        assert totals["leader_rounds"] <= 1.2 * genuine
 
 
 class TestCrashDuringPledge:

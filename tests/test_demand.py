@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import cli
 from repro.harness.experiment import Experiment, ExperimentConfig
 from repro.obs import (
     DemandTap,
@@ -24,7 +25,7 @@ from repro.obs import (
     RingSink,
     SpaceSavingSketch,
     format_demand_report,
-    render_top,
+    format_flow_report,
     track_demand,
     validate_events,
 )
@@ -51,38 +52,25 @@ class TestSpaceSavingSketch:
         for key in stream:
             sketch.update(key)
         truth = Counter(stream)
-        assert sketch.total == len(stream)
-        assert len(sketch) <= capacity
-        for key, estimate, error in sketch.items():
+        rows = {key: (estimate, error) for key, estimate, error in sketch.items()}
+        assert len(sketch) == len(rows) <= capacity
+        # Eviction hands the victim's count to the newcomer, so the
+        # stored counts always sum to the stream length.
+        assert sum(estimate for estimate, _ in rows.values()) == len(stream)
+        # Upper bound on the true count of any absent key: the smallest
+        # stored count once the sketch is full, 0 before.
+        full = len(rows) == capacity
+        floor = min(estimate for estimate, _ in rows.values()) if full else 0
+        for key, (estimate, error) in rows.items():
             # The space-saving invariant: stored counts over-estimate
             # by at most the recorded error.
             assert truth[key] <= estimate <= truth[key] + error
-        floor = sketch.min_count()
         for key, count in truth.items():
-            if key not in sketch:
+            if key not in rows:
                 # An absent key's true count is bounded by the sketch
                 # minimum, so any heavy hitter is guaranteed present.
                 assert count <= floor
                 assert count <= len(stream) / capacity
-
-    @settings(max_examples=100, deadline=None)
-    @given(stream=streams, capacity=st.integers(1, 16), split=st.integers(0, 400))
-    def test_shard_merge_preserves_overestimate_guarantee(
-        self, stream, capacity, split
-    ):
-        cut = min(split, len(stream))
-        left = SpaceSavingSketch(capacity)
-        right = SpaceSavingSketch(capacity)
-        for key in stream[:cut]:
-            left.update(key)
-        for key in stream[cut:]:
-            right.update(key)
-        left.merge(right)
-        truth = Counter(stream)
-        assert left.total == len(stream)
-        assert len(left) <= capacity
-        for key, estimate, error in left.items():
-            assert truth[key] <= estimate <= truth[key] + error
 
     def test_zipf_stream_recalls_head(self):
         # Deterministic zipf-ish stream: key i appears ~N/i times,
@@ -93,7 +81,7 @@ class TestSpaceSavingSketch:
         sketch = SpaceSavingSketch(8)
         for key in stream:
             sketch.update(key)
-        top = [key for key, _, _ in sketch.top(4)]
+        top = [key for key, _, _ in sketch.items()[:4]]
         # Recall of the head is the guarantee; exact ordering within it
         # is not (estimates carry error).
         assert set(top) == {"e01", "e02", "e03", "e04"}
@@ -105,7 +93,8 @@ class TestSpaceSavingSketch:
         sketch.update("a")
         # Tie on count=1: lexicographically smaller key is evicted.
         assert sketch.update("c") == "a"
-        assert sketch.estimate("c") == 2 and sketch.error("c") == 1
+        # The newcomer inherits the victim's count as its error bound.
+        assert sketch.items() == [("c", 2, 1), ("b", 1, 0)]
 
     def test_rejects_nonpositive_capacity(self):
         with pytest.raises(ValueError):
@@ -140,16 +129,6 @@ class TestDemandTracker:
         assert site.error_sum == pytest.approx(2.0 + 3.0)
         assert list(site.scorecard) == [(2, 10.0, 8.0), (3, 3.0, 0.0)]
 
-    def test_rolling_windows_snap_to_grid(self, monkeypatch):
-        monkeypatch.setattr(demand_module, "WINDOWS_KEPT", 3)
-        tracker = DemandTracker()  # WINDOW_SECONDS = 10.0
-        for ts in (1.0, 2.0, 11.0, 12.0, 13.0, 35.0):
-            tracker.serve("s1", "vm", "granted", ts=ts)
-        site = tracker.sites["s1"]
-        # Two closed windows; the 35s request opened the [30, 40) one.
-        assert list(site.windows) == [(0.0, 2), (10.0, 3)]
-        assert site.window_start == 30.0 and site.window_count == 1
-
     def test_entity_aux_stays_bounded_by_sketch(self, monkeypatch):
         monkeypatch.setattr(demand_module, "TOP_K", 2)
         tracker = DemandTracker()
@@ -160,8 +139,8 @@ class TestDemandTracker:
 
     def test_snapshot_is_json_safe_and_sorted(self):
         tracker = DemandTracker()
-        tracker.serve("s2", "vm", "granted", tokens_left=7, ts=1.0)
-        tracker.serve("s1", "vm", "granted", waited=True, ts=2.0)
+        tracker.serve("s2", "vm", "granted", tokens_left=7)
+        tracker.serve("s1", "vm", "granted", waited=True)
         tracker.epoch("s1", observed=4.0, predicted=6.0, epoch=1)
         snapshot = tracker.snapshot()
         json.dumps(snapshot)  # must round-trip into BENCH_*.json
@@ -259,12 +238,38 @@ class TestEndToEnd:
             assert site.ape_count > 0, name
             assert site.mape_pct is not None, name
 
-    def test_render_top_frame(self):
-        tracker = track_demand(iter(SERVE_EVENTS))
-        frame = render_top(tracker, clock=12.5)
-        assert frame.startswith("repro top")
-        assert frame.endswith("\n")
-        assert "s1" in frame and "s2" in frame and "vm" in frame
+    def test_render_top_frame(self, monkeypatch, capsys):
+        # A frame is a header line, then the --demand report of the
+        # in-flight tracker, then (flow plane on) the --flow report.
+        frames = []
+        top_frame = cli.top_frame
+
+        def recording_frame(mode, instruments, clock):
+            frames.append((instruments, clock))
+            return top_frame(mode, instruments, clock)
+
+        monkeypatch.setattr(cli, "top_frame", recording_frame)
+        modes = {
+            "sim": ["--duration", "5"],
+            "scale": ["--duration", "2", "--entities", "200", "--rate", "200"],
+        }
+        for mode, args in modes.items():
+            for flow in (False, True):
+                frames.clear()
+                argv = ["top", "--once", "--mode", mode, *args]
+                assert cli.main(argv + ["--flow"] if flow else argv) == 0
+                [(instruments, clock)] = frames
+                tracker = instruments.demand
+                assert tracker.requests > 0 and tracker.sites, mode
+                assert (instruments.flow is not None) is flow
+                sections = [
+                    f"repro top — {mode}  t={clock:.1f}s  "
+                    f"requests={tracker.requests}",
+                    format_demand_report(tracker),
+                ]
+                if flow:
+                    sections.append(format_flow_report(instruments.flow.snapshot()))
+                assert capsys.readouterr().out == "\n\n".join(sections) + "\n"
 
 
 class TestFlashSaleExample:
