@@ -1,20 +1,37 @@
-"""Shared machinery for the two Avantan variants.
+"""The Avantan round, written once: Algorithm 1's skeleton (§4.3.1).
 
 A protocol instance is owned by one site and drives that site's
 participation in redistributions — as leader when the site triggers, as
 cohort when another site does.  The site exposes a narrow callback
 surface (`AvantanHost`) so the protocol code stays independent of
 request-handling details.
+
+:class:`AvantanProtocol` runs the round — election, promises, proposal,
+Accept-oks, decision, abort, dispatch — and a variant overrides only the
+decisions on which the paper's two differ: what a promise carries,
+whether a cohort may promise, when the leader builds a value and from
+whom, when it decides and whom it tells, and what a timeout does.  Where
+Algorithm 1 fixes a decision (its quorums and cohort guards), the base
+holds it and Avantan[*] overrides it.
 """
 
 from __future__ import annotations
 
 import abc
 import enum
-from typing import Any, Protocol
+from typing import Any, Collection, Protocol
 
 from repro.core.avantan.state import AcceptValue, AvantanState, Ballot
 from repro.core.entity import SiteTokenState
+from repro.core.messages import (
+    AbortRedistribution,
+    AcceptOk,
+    AcceptValueMsg,
+    DecisionMsg,
+    DiscardRedistribution,
+    ElectionGetValue,
+    ElectionOkValue,
+)
 from repro.sim.process import Timer
 
 
@@ -98,9 +115,9 @@ class RedistributionStats:
 
 
 class AvantanProtocol(abc.ABC):
-    """Base class: state, timers, and helpers common to both variants.
+    """The round both variants run; a variant overrides its decisions.
 
-    Telemetry rides on two seams so the variant code stays untouched:
+    Telemetry rides on two seams so the round code stays untouched:
     the ``phase`` attribute is a property whose setter turns every
     transition into a ``avantan.phase.*`` span, and the round
     entry/finish helpers open and close one ``avantan.round`` span
@@ -115,17 +132,45 @@ class AvantanProtocol(abc.ABC):
     _phase_span: int | None = None
     _round_span: int | None = None
 
-    def __init__(self, host: AvantanHost, peers: list[str]) -> None:
+    #: Payload type -> handler name; a variant adds the messages it adds.
+    HANDLERS: dict[type, str] = {
+        ElectionGetValue: "_on_election_get_value",
+        ElectionOkValue: "_on_election_ok",
+        AcceptValueMsg: "_on_accept_value",
+        AcceptOk: "_on_accept_ok",
+        DecisionMsg: "_on_decision",
+    }
+
+    def __init__(
+        self,
+        host: AvantanHost,
+        peers: list[str],
+        election: float = 1.0,
+        cohort: float = 2.5,
+        blocked_retry: float = 2.5,
+    ) -> None:
         self.host = host
         self.peers = list(peers)  # all *other* sites
         self.state = AvantanState.initial(host.name)
         self.role = Role.IDLE
         self.phase = Phase.NONE
         self.stats = RedistributionStats()
+        #: How long a leader waits for promises, a cohort for its leader,
+        #: and a blocked round before it retries.
+        self._election_timeout = election
+        self._cohort_timeout = cohort
+        self._blocked_retry = blocked_retry
         self._timer = host.protocol_timer(self._on_timeout)
         #: Timer-jitter draws (hosts return one stream per site, so this
         #: is the stream every call to ``protocol_rng`` would give).
         self._random = host.protocol_rng().random
+        #: The leader's pool: promises of this round, its own included.
+        self._responses: dict[str, ElectionOkValue] = {}
+        #: Sites known to hold the proposed value: Accept-oks at the
+        #: leader, recovery replies at a recovering Avantan[*] cohort.
+        self._accept_oks: set[str] = set()
+        #: The leader of the round this site is in (itself when leading).
+        self._locked_to: str | None = None
         #: When the open round began; ``None`` while no round is open.
         #: (``_round_span`` cannot tell: it is ``None`` on untraced runs.)
         self._round_started: float | None = None
@@ -175,13 +220,21 @@ class AvantanProtocol(abc.ABC):
     def majority(self) -> int:
         return self.cluster_size // 2 + 1
 
-    @abc.abstractmethod
     def trigger(self) -> bool:
         """Start a redistribution as leader.  False if one is in flight."""
+        if self.active:
+            return False
+        self.stats.triggered += 1
+        self._start_election()
+        return True
 
-    @abc.abstractmethod
     def handle(self, payload: Any, src: str) -> bool:
         """Process a protocol message; True when the payload was ours."""
+        name = self.HANDLERS.get(type(payload))
+        if name is None:
+            return False
+        getattr(self, name)(payload, src)
+        return True
 
     def on_crash(self) -> None:
         """The owning site crashed: stop timers; state survives in store."""
@@ -203,11 +256,198 @@ class AvantanProtocol(abc.ABC):
             self.role = Role.COHORT
             self.phase = Phase.ACCEPT
             self._track_round_entry(Role.COHORT)
-            self._restart_timer(self._cohort_timeout_value())
+            self._restart_timer(self._cohort_timeout)
         else:
             self.role = Role.IDLE
             self.phase = Phase.NONE
             self.state.reset_round()
+
+    # -- the variant's decisions -----------------------------------------------
+
+    @abc.abstractmethod
+    def _promise(self) -> ElectionOkValue:
+        """What this site's promise for the current ballot carries."""
+
+    @abc.abstractmethod
+    def _on_promises(self) -> None:
+        """A promise joined the leader's pool: build the value if it is time."""
+
+    def _on_late_promise(self, src: str) -> None:
+        """``src`` promised after the value was built: Algorithm 1 ignores it."""
+
+    def _quorum(self, value: AcceptValue) -> bool:
+        """Whether the Accept-oks collected so far decide ``value``."""
+        return len(self._accept_oks) >= self.majority
+
+    def _cohorts(self, value: AcceptValue) -> list[str]:
+        """The other sites ``value`` is proposed to and decided at."""
+        return self.peers
+
+    @abc.abstractmethod
+    def _on_timeout(self) -> None:
+        """The round timer fired (abort / re-elect / recover)."""
+
+    # -- leader side -----------------------------------------------------------
+
+    def _start_election(self) -> None:
+        """Algorithm 1 lines 1-4, also reused by timeout-driven recovery."""
+        self.stats.leader_rounds += 1
+        state = self.state
+        state.ballot_num = state.ballot_num.next_for(self.host.name)
+        held = (
+            state.accept_val.state_of(self.host.name)
+            if state.accept_val is not None
+            else None
+        )
+        if held is not None:
+            # We hold an accepted-but-undecided value: this election exists
+            # to complete it, so our InitVal stays pegged to the share we
+            # already pooled there.  Re-snapshotting the live balance would
+            # pool tokens earned since (degraded-mode releases), inflating
+            # the reserve until the site can serve nothing at all.
+            state.init_val = held
+        else:
+            state.init_val = self.host.snapshot_init_val()
+        self.role = Role.LEADER
+        self.phase = Phase.ELECTION
+        self._track_round_entry(Role.LEADER)
+        self._locked_to = self.host.name
+        # The leader's own promise joins the pool like any cohort's.
+        self._responses = {self.host.name: self._promise()}
+        self.host.persist_protocol(state)
+        self._broadcast(ElectionGetValue(state.ballot_num, state.init_val.entity_id))
+        self._restart_timer(self._election_timeout)
+
+    def _on_election_ok(self, msg: ElectionOkValue, src: str) -> None:
+        if self.role is not Role.LEADER or msg.ballot != self.state.ballot_num:
+            return
+        if self.phase is Phase.ELECTION:
+            self._responses[src] = msg
+            self._on_promises()
+        else:
+            self._on_late_promise(src)
+
+    def _fresh_value(self, excluded: Collection[str] = ()) -> AcceptValue:
+        """Algorithm 1 line 22: the pooled InitVals, concatenated in site order."""
+        states = tuple(
+            response.init_val
+            for name, response in sorted(self._responses.items())
+            if name not in excluded
+        )
+        return AcceptValue(
+            value_id=self.state.ballot_num, entity_id=states[0].entity_id, states=states
+        )
+
+    def _propose(self, value: AcceptValue) -> None:
+        """Algorithm 1 lines 24-25; a site left out is told to discard the round."""
+        state = self.state
+        state.accept_val = value
+        state.accept_num = state.ballot_num
+        self.host.persist_protocol(state)
+        self.phase = Phase.ACCEPT
+        self._accept_oks = {self.host.name}
+        cohorts = self._cohorts(value)
+        for peer in self.peers:
+            if peer in cohorts:
+                self._send(peer, AcceptValueMsg(state.ballot_num, value, False))
+            else:
+                self._send(peer, DiscardRedistribution(state.ballot_num))
+        self._restart_timer(self._blocked_retry)
+        self._maybe_decide()
+
+    def _resend_value(self, targets: Collection[str]) -> None:
+        """The round is blocked on Accept-oks: retry the phase at ``targets``."""
+        self._enter_degraded()
+        value = self.state.accept_val
+        assert value is not None
+        self._broadcast(AcceptValueMsg(self.state.ballot_num, value, False), targets)
+        self._restart_timer(self._blocked_retry)
+
+    def _on_accept_ok(self, msg: AcceptOk, src: str) -> None:
+        if self.role is not Role.LEADER or self.phase is not Phase.ACCEPT:
+            return
+        if msg.ballot != self.state.ballot_num:
+            return
+        self._accept_oks.add(src)
+        self._maybe_decide()
+
+    def _maybe_decide(self) -> None:
+        """Algorithm 1 lines 33-35."""
+        value = self.state.accept_val
+        assert value is not None
+        if self._quorum(value):
+            self._decide(value, self._cohorts(value))
+
+    def _decide(self, value: AcceptValue, targets: Collection[str]) -> None:
+        """``value`` is decided: persist that, tell ``targets``, apply it."""
+        state = self.state
+        state.accept_val = value
+        state.accept_num = state.ballot_num
+        state.decision = True
+        self.host.persist_protocol(state)
+        self._broadcast(DecisionMsg(state.ballot_num, value), targets)
+        self._finish_decided(value)
+
+    def _abort(self, targets: Collection[str] = (), notice=AbortRedistribution) -> None:
+        """End the round for good: its ballot is dead here (a late Accept-Value
+        is refused), and ``targets`` get ``notice`` of it."""
+        ballot = self.state.ballot_num
+        self._mark_dead(ballot)
+        self._broadcast(notice(ballot), targets)
+        self._finish_aborted()
+
+    # -- cohort side -----------------------------------------------------------
+
+    def _on_election_get_value(self, msg: ElectionGetValue, src: str) -> None:
+        """Algorithm 1 lines 6-13."""
+        state = self.state
+        if msg.ballot <= state.ballot_num:
+            return  # stale leader; stay silent, its timeout handles it
+        state.ballot_num = msg.ballot
+        # Lines 9-12: refresh TokensWanted from prediction before promising.
+        state.init_val = self.host.snapshot_init_val()
+        self._locked_to = src
+        self._serve(src, Phase.ELECTION, self._promise())
+
+    def _on_accept_value(self, msg: AcceptValueMsg, src: str) -> None:
+        """Algorithm 1 lines 26-31."""
+        if msg.ballot < self.state.ballot_num:
+            return  # stale; silence makes the old leader retry or die
+        self._accept(msg, src)
+        if msg.decision:
+            self._finish_decided(msg.accept_val)
+
+    def _accept(self, msg: AcceptValueMsg, src: str) -> None:
+        state = self.state
+        state.ballot_num = msg.ballot
+        state.accept_val = msg.accept_val
+        state.accept_num = msg.ballot
+        state.decision = msg.decision
+        # Any AcceptValue from another site means that site owns the round
+        # (ballots are unique per leader), so we serve it as a cohort.
+        self._serve(src, Phase.ACCEPT, AcceptOk(msg.ballot))
+
+    def _serve(self, leader: str, phase: Phase, reply: Any) -> None:
+        """Persist, then answer ``leader`` as its cohort in ``phase``."""
+        self.host.persist_protocol(self.state)
+        # Participation freezes client serving until the round ends; a
+        # leader of a lower ballot is hereby superseded and demoted.
+        self.role = Role.COHORT
+        self.phase = phase
+        self._track_round_entry(Role.COHORT)
+        self._restart_timer(self._cohort_timeout)
+        self._send(leader, reply)
+
+    def _on_decision(self, msg: DecisionMsg, src: str) -> None:
+        state = self.state
+        if msg.ballot >= state.ballot_num:
+            state.ballot_num = msg.ballot
+            self._finish_decided(msg.accept_val)
+        else:
+            # A decision from an older round than the one we are now in:
+            # apply the tokens (idempotent via value_id) but keep the newer
+            # round running — its leader will terminate it.
+            self.host.apply_redistribution(msg.accept_val)
 
     # -- shared internals ----------------------------------------------------
 
@@ -215,7 +455,7 @@ class AvantanProtocol(abc.ABC):
         self.stats.messages_sent += 1
         self.host.protocol_send(dst, payload)
 
-    def _broadcast(self, payload: Any, targets: list[str] | None = None) -> None:
+    def _broadcast(self, payload: Any, targets: Collection[str] | None = None) -> None:
         for dst in targets if targets is not None else self.peers:
             self._send(dst, payload)
 
@@ -224,21 +464,9 @@ class AvantanProtocol(abc.ABC):
         jitter = 0.8 + 0.4 * self._random()
         self._timer.restart(delay * jitter)
 
-    def _cohort_timeout_value(self) -> float:
-        return self._config_cohort_timeout
-
-    # These are injected by the site when constructing the protocol, so the
-    # protocol module does not import the full SamyaConfig.
-    _config_election_timeout: float = 1.0
-    _config_cohort_timeout: float = 2.5
-    _config_blocked_retry: float = 2.5
-
-    def configure_timeouts(
-        self, election: float, cohort: float, blocked_retry: float
-    ) -> None:
-        self._config_election_timeout = election
-        self._config_cohort_timeout = cohort
-        self._config_blocked_retry = blocked_retry
+    def _mark_dead(self, ballot: Ballot) -> None:
+        self.state.remember_dead(ballot)
+        self.host.persist_protocol(self.state)
 
     def _finish_decided(self, value: AcceptValue) -> None:
         """Terminate the round after a decision: apply, reset, resume."""
@@ -257,6 +485,7 @@ class AvantanProtocol(abc.ABC):
         self.role = Role.IDLE
         self.phase = Phase.NONE
         self.degraded = False
+        self._locked_to = None
         self.state.reset_round()
         self.host.persist_protocol(self.state)
         self.host.on_protocol_idle()
@@ -319,27 +548,3 @@ class AvantanProtocol(abc.ABC):
         if not self.degraded:
             self.degraded = True
             self.host.on_protocol_degraded()
-
-    def _decided_value_among(self, responses: dict[str, Any]) -> AcceptValue | None:
-        """Algorithm 1 lines 16-18: adopt any already-decided value."""
-        for response in responses.values():
-            if response.decision and response.accept_val is not None:
-                return response.accept_val
-        return None
-
-    def _highest_accepted_among(self, responses: dict[str, Any]) -> AcceptValue | None:
-        """Algorithm 1 lines 19-20: the AcceptVal with the highest AcceptNum."""
-        best: AcceptValue | None = None
-        best_num: Ballot | None = None
-        for response in responses.values():
-            if response.accept_val is not None and not response.decision:
-                if best_num is None or (
-                    response.accept_num is not None and response.accept_num > best_num
-                ):
-                    best = response.accept_val
-                    best_num = response.accept_num
-        return best
-
-    @abc.abstractmethod
-    def _on_timeout(self) -> None:
-        """Variant-specific timeout handling (abort / re-elect / recover)."""

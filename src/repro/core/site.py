@@ -238,14 +238,17 @@ class SamyaSite(Server, RedistributionLedger):
     def connect(self, peer_names: list[str]) -> None:
         """Install the protocol module once the full site set is known."""
         self.peers = [peer for peer in peer_names if peer != self.name]
-        if self.config.variant is AvantanVariant.MAJORITY:
-            self.protocol = AvantanMajority(self, self.peers)
-        else:
-            self.protocol = AvantanStar(self, self.peers)
-        self.protocol.configure_timeouts(
-            self.config.election_timeout,
-            self.config.cohort_timeout,
-            self.config.blocked_retry_interval,
+        variant = (
+            AvantanMajority
+            if self.config.variant is AvantanVariant.MAJORITY
+            else AvantanStar
+        )
+        self.protocol = variant(
+            self,
+            self.peers,
+            election=self.config.election_timeout,
+            cohort=self.config.cohort_timeout,
+            blocked_retry=self.config.blocked_retry_interval,
         )
 
     # -- message dispatch (behind the shell's service queue) -------------------

@@ -54,8 +54,8 @@ from repro.scale.batching import EntityScoped
 from repro.scale.entity_table import EntityTable
 from repro.sim.process import Actor
 
-#: Avantan timeouts of every per-entity protocol instance (see
-#: ``AvantanProtocol.configure_timeouts``), shorter than ``SamyaSite``'s.
+#: Avantan timeouts of every per-entity protocol instance (the
+#: ``AvantanProtocol`` constructor's), shorter than ``SamyaSite``'s.
 ELECTION_TIMEOUT = 0.8
 COHORT_TIMEOUT = 2.0
 BLOCKED_RETRY_INTERVAL = 2.0
@@ -90,9 +90,12 @@ class _EntityProtocolHost(RedistributionLedger):
         self.kernel = site.kernel
         self.entity_id = entity_id
         self.row = row
-        self.protocol = AvantanMajority(self, site.peers)
-        self.protocol.configure_timeouts(
-            ELECTION_TIMEOUT, COHORT_TIMEOUT, BLOCKED_RETRY_INTERVAL
+        self.protocol = AvantanMajority(
+            self,
+            site.peers,
+            election=ELECTION_TIMEOUT,
+            cohort=COHORT_TIMEOUT,
+            blocked_retry=BLOCKED_RETRY_INTERVAL,
         )
 
     @property

@@ -202,3 +202,16 @@ def test_the_deleted_surfaces_stay_deleted():
     demand = text[SRC / "obs" / "demand.py"]
     assert not re.search(r"def merge|WINDOWS_KEPT|_roll_window", demand)
     assert '"--top"' not in text[SRC / "cli.py"]
+    # One Avantan round: the skeleton in base.py dispatches every message,
+    # and a variant differs only through the methods it overrides.
+    avantan = SRC / "core" / "avantan"
+    handlers = [
+        path for path, source in text.items()
+        if path.parent == avantan and "def handle(" in source
+    ]
+    assert handlers == [avantan / "base.py"]
+    for variant in ("majority.py", "star.py"):
+        assert "isinstance(payload" not in text[avantan / variant], variant
+    assert "isinstance(self" not in text[avantan / "base.py"]
+    for path, source in text.items():
+        assert not re.search(r"configure_timeouts|_cohort_timeout_value", source), path
