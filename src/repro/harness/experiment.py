@@ -190,6 +190,9 @@ class ExperimentResult:
     redistributions: dict[str, int]
     #: Per-round protocol trace summary (Samya systems only).
     rounds: dict[str, float]
+    #: Tokens held by the sites, settled: a participant that has not yet
+    #: applied a decided value counts its decided grant, not the balance
+    #: it pooled (the checker's Eq. 1 sum).  None where sites hold no pool.
     tokens_left_total: int | None
     invariant_checks: int
     #: Online-audit verdict (config.audit): one row per violation the
@@ -514,7 +517,11 @@ class Experiment:
             throughput_series=self.metrics.throughput.series(0.0, config.duration),
             redistributions=self.cluster.redistribution_totals(),
             rounds=self.cluster.round_summary(),
-            tokens_left_total=self.cluster.total_tokens_left(),
+            tokens_left_total=(
+                self.checker.settled_tokens()
+                if self.checker is not None
+                else self.cluster.total_tokens_left()
+            ),
             invariant_checks=self.checker.checks if self.checker else 0,
         )
         snapshots = self.instruments.collect(

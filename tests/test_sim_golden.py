@@ -124,3 +124,22 @@ def test_round_skeleton_golden(system):
         for row in result.flow_snapshot["types"]
         if row["msg_type"] in AVANTAN_TYPES
     } == frames
+
+
+def test_tokens_left_total_is_settled_at_the_cut():
+    """A run cut while a decided value is still in flight reports settled
+    balances, so Eq. 1 holds on the result's own fields.
+
+    Seed 33, 120 s is the e2e benchmark's ``sim_paper`` unit at that seed.
+    Its cut falls after a leader applied a decided value and before the
+    Decision reached the other participants, so the raw per-site sum
+    counts their pooled tokens twice.
+    """
+    run = Experiment(ExperimentConfig(system="samya-majority", duration=120.0, seed=33))
+    result = run.run()
+    assert run.cluster.total_tokens_left() != result.tokens_left_total
+    redis = result.redistributions
+    assert (
+        result.tokens_left_total + redis["acquired_tokens"] - redis["released_tokens"]
+        == run.config.maximum
+    )
