@@ -9,6 +9,10 @@ No statsmodels offline, so the model is implemented directly:
   a linear filter, which makes the objective fully vectorized),
 - minimize with L-BFGS-B starting from an OLS AR fit.
 
+scipy is imported inside the two methods that call it, so importing this
+module (which ``repro.prediction``, and through it every site, does)
+costs nothing until the first fit.
+
 One-step forecasts recurse on the fitted coefficients and the running
 residuals, then integrate the differences back.
 """
@@ -19,7 +23,6 @@ from collections import deque
 from collections.abc import Sequence
 
 import numpy as np
-from scipy import optimize, signal
 
 from repro.prediction.base import Predictor
 
@@ -48,6 +51,8 @@ class ArimaModel:
     # -- fitting ---------------------------------------------------------
 
     def fit(self, series: Sequence[float]) -> None:
+        from scipy import optimize
+
         values = np.asarray(series, dtype=float)
         for _ in range(self.d):
             values = np.diff(values)
@@ -102,6 +107,8 @@ class ArimaModel:
             ar_resid[self.p :] -= _lag_matrix(values, self.p) @ phi
             ar_resid[: self.p] = 0.0  # conditional: pre-sample residuals are 0
         if self.q:
+            from scipy import signal
+
             # e_t = ar_resid_t - sum_j theta_j e_{t-j}  <=>  IIR filter.
             ar_resid = signal.lfilter([1.0], np.concatenate([[1.0], theta]), ar_resid)
         return ar_resid
