@@ -131,7 +131,6 @@ def cmd_live(args: argparse.Namespace) -> int:
         config,
         transport=args.transport,
         latency_scale=args.latency_scale,
-        metrics_port=args.metrics_port,
     ).run()
     print(
         format_table(
@@ -398,7 +397,6 @@ def cmd_top(args: argparse.Namespace) -> int:
 
         cluster = LiveCluster(
             config,
-            metrics_port=args.metrics_port,
             on_tick=(
                 (lambda live: emit_frame(live.instruments, live.kernel.now))
                 if animate
@@ -738,11 +736,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--latency-scale", type=float, default=0.05,
         help="compression of the WAN latency matrix (asyncio transport)",
     )
-    live_parser.add_argument(
-        "--metrics-port", type=int, default=None, metavar="PORT",
-        help="serve Prometheus /metrics on this localhost port for the "
-             "duration of the run (0 = pick a free port)",
-    )
     _add_experiment_args(live_parser)
     # Live duration is wall-clock; the sim default of 120 s would be a
     # two-minute hang, so default to a short run.
@@ -817,10 +810,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="entity count (scale mode, default 10000)")
     top_parser.add_argument("--rate", type=float, default=4000.0,
                             help="requests/sec per region (scale mode)")
-    top_parser.add_argument("--metrics-port", type=int, default=None,
-                            metavar="PORT",
-                            help="also serve Prometheus /metrics during a "
-                                 "live-mode run (0 = pick a free port)")
     _add_experiment_args(top_parser)
     # 120 s of animation is a lot of terminal; default shorter.
     top_parser.set_defaults(func=cmd_top, duration=30.0)

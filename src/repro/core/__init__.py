@@ -25,7 +25,6 @@ from repro.core.reallocation import (
     redistribute_tokens,
 )
 from repro.core.directory import EntityDirectory, EntitySpec, MultiEntityDeployment
-from repro.core.hierarchy import OrgHierarchy, OrgNode, TeamOperation
 
 __all__ = [
     "Entity",
@@ -47,7 +46,4 @@ __all__ = [
     "EntityDirectory",
     "EntitySpec",
     "MultiEntityDeployment",
-    "OrgHierarchy",
-    "OrgNode",
-    "TeamOperation",
 ]

@@ -26,18 +26,15 @@ one place that decides which of these planes a run has and attaches them:
   (Eq. 1, token conservation) and reports violations instead of
   asserting mid-run.
 * :mod:`repro.obs.registry` — a counter/gauge/histogram registry fed
-  from the same emit sites, snapshot into bench artifacts, and the one
-  Prometheus writer every plane's ``families()`` goes through.
-* :mod:`repro.obs.exposition` — the asyncio ``/metrics`` endpoint
-  for live runs.
+  from the same emit sites and snapshot into bench artifacts.
 * :mod:`repro.obs.demand` — the demand & contention plane: token
   locality, a bounded hot-entity sketch and the prediction scorecard,
-  surfaced as ``demand.*`` trace rollups, ``repro_demand_*`` metric
-  families, and the ``--demand`` offline report.
+  surfaced as ``demand.*`` trace rollups, a snapshot, and the
+  ``--demand`` offline report.
 * :mod:`repro.obs.flow` — the flow & resource plane: per-link wire
   accounting, queue/backpressure watermarks, and opt-in memory
-  telemetry, surfaced as ``flow.*`` trace rollups, ``repro_flow_*``
-  metric families, and the ``--flow`` offline report.
+  telemetry, surfaced as ``flow.*`` trace rollups, a snapshot, and the
+  ``--flow`` offline report.
 
 A ``repro top`` frame is a header line followed by those two reports,
 rendered from the in-flight trackers instead of a trace.

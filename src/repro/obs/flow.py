@@ -28,8 +28,7 @@ resource plane:
 Surfaces follow the house pattern: bounded ``flow.*`` rollup events
 written by the bus *owner* at collect (:meth:`FlowTracker.rollup` — taps
 never emit), an offline ``repro trace FILE --flow`` report
-(:func:`track_flow` + :func:`format_flow_report`), ``repro_flow_*``
-families on live ``/metrics`` (:meth:`FlowTracker.families`), and a ``flow``
+(:func:`track_flow` + :func:`format_flow_report`), and a ``flow``
 section in bench artifacts (:meth:`FlowTracker.snapshot`) whose
 :meth:`FlowTracker.headline` subtree the regression gate pins — the
 byte budget the planned binary codec must beat.
@@ -157,27 +156,6 @@ class _BatchFlow:
         if not self.inner_bytes:
             return None
         return self.envelope_bytes / self.inner_bytes
-
-
-#: The per-cell ``repro_flow_*`` families: name, kind, help, label names,
-#: the tracker dict holding the cells, the cell attribute sampled.
-_FAMILIES = (
-    ("repro_flow_link_bytes_total", "counter",
-     "Framed wire bytes per region link", ("src", "dst"), "links", "frame_bytes"),
-    ("repro_flow_link_frames_total", "counter",
-     "Frames per region link", ("src", "dst"), "links", "frames"),
-    ("repro_flow_type_bytes_total", "counter",
-     "Framed wire bytes per message type", ("msg_type",), "types", "frame_bytes"),
-    ("repro_flow_type_frames_total", "counter",
-     "Frames per message type", ("msg_type",), "types", "frames"),
-    ("repro_flow_queue_depth", "gauge",
-     "Last observed queue depth", ("queue",), "queues", "depth"),
-    ("repro_flow_queue_high_watermark", "gauge",
-     "Maximum observed queue depth", ("queue",), "queues", "high"),
-    ("repro_flow_queue_dropped_total", "counter",
-     "Messages dropped at a full queue (backpressure)", ("queue",),
-     "queues", "dropped"),
-)
 
 
 class FlowTracker:
@@ -437,30 +415,6 @@ class FlowTracker:
                 envelope_bytes=batch.envelope_bytes,
                 inner_bytes=batch.inner_bytes,
             )
-
-    def families(self):
-        """Flow state as ``repro_flow_*`` metric families, for
-        :func:`repro.obs.registry.prometheus` (live ``/metrics``).  A
-        family appears with its first cell, the batch counters with the
-        first envelope — a run without a batcher has no such family."""
-        for name, kind, help_text, labelnames, source, field in _FAMILIES:
-            cells = {
-                key if isinstance(key, tuple) else (key,): getattr(cell, field)
-                for key, cell in getattr(self, source).items()
-            }
-            if cells:
-                yield name, kind, help_text, labelnames, cells
-        batch = self.batch
-        if batch.envelopes or batch.passthrough:
-            for noun, help_text, value in (
-                ("envelopes", "Batch envelopes sent", batch.envelopes),
-                ("inner", "Payloads coalesced into envelopes", batch.inner),
-                ("passthrough", "Singleton payloads sent bare", batch.passthrough),
-            ):
-                yield (
-                    f"repro_flow_batch_{noun}_total", "counter", help_text,
-                    (), {(): value},
-                )
 
 
 class ResourceProbe:

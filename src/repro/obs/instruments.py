@@ -1,8 +1,8 @@
 """One instruments value: every observability plane of one deployment.
 
 :class:`Instruments` alone decides which planes exist, attaches them,
-writes their trace rollups and gathers their snapshots and ``/metrics``
-text — for the core, live and scale harnesses alike (DESIGN.md §3).
+writes their trace rollups and gathers their snapshots — for the core,
+live and scale harnesses alike (DESIGN.md §3).
 
 * A bus exists iff a sink or ``trace_path`` is given or any of ``audit
   / metrics / perf / watchdog`` is asked: those four consume events, so
@@ -34,7 +34,7 @@ from repro.obs.bus import EventBus, JsonlSink, NullSink, Sink
 from repro.obs.demand import DemandTracker
 from repro.obs.flow import FlowTracker
 from repro.obs.perf import PerfRecorder
-from repro.obs.registry import STANDARD, MetricsRegistry, prometheus
+from repro.obs.registry import STANDARD, MetricsRegistry
 from repro.resilience import LivenessWatchdog
 
 
@@ -106,8 +106,8 @@ class Instruments:
             if self.perf is not None:
                 # Perf forces a bus, so a registry feed: its span
                 # histograms are the perf table's span rows.
-                _, name, labels, help = STANDARD["span_duration"]
-                self.perf.spans = self.registry.histogram(name, help, labels).cells
+                _, name, labels = STANDARD["span_duration"]
+                self.perf.spans = self.registry.histogram(name, labels).cells
         self._parts = (clock, *parts)
         for part in self._parts:
             part.instrument(self)
@@ -162,13 +162,3 @@ class Instruments:
     def snapshots(self) -> dict[str, Any]:
         """``{plane name: snapshot}`` for every present plane."""
         return {name: plane.snapshot() for name, plane in self.planes.items()}
-
-    def prometheus(self) -> str:
-        """One ``/metrics`` scrape: the families of every present plane
-        that has any (registry, demand, perf, flow), through the one
-        writer."""
-        return prometheus(
-            family
-            for families in self._verbs("families")
-            for family in families()
-        )

@@ -4,18 +4,16 @@ Every committed baseline before this module measured *simulated* time;
 the sim kernel's event loop, the codec, and the live transports burn
 wall time that no table showed.  This module is the measurement layer
 for exactly that: log-bucketed duration histograms cheap enough for the
-kernel's dispatch loop, a :class:`PerfRecorder` holding the standard
-instruments, and a ``families()`` verb so ``/metrics`` serves the same
-numbers a bench artifact embeds.
+kernel's dispatch loop and a :class:`PerfRecorder` holding the standard
+instruments, whose snapshot a bench artifact embeds.
 
 Design constraints, in order:
 
 * **Fixed buckets.**  Bucket boundaries are *constants* —
   ``10 ** (MIN_EXP + i / BUCKETS_PER_DECADE)`` — never derived from the
-  data, so any boundary subset yields exact cumulative counts (what the
-  Prometheus writer renders).  Two histograms with these boundaries
-  would merge by adding bucket counts, the HDR-histogram property; no
-  code merges or serializes one today.
+  data.  Two histograms with these boundaries would merge by adding
+  bucket counts, the HDR-histogram property; no code merges or
+  serializes one today.
 * **Bounded.**  A histogram is at most :data:`BUCKET_COUNT` integers no
   matter how many samples it absorbs; recording never allocates after
   the bucket exists.  That is what lets it replace raw-sample lists on
@@ -33,7 +31,7 @@ to 1000 s.  Durations are **seconds**, like every other repro clock.
 from __future__ import annotations
 
 import math
-from typing import Any, Iterable, Iterator
+from typing import Any
 
 from repro.metrics.latency import LatencySummary
 
@@ -162,29 +160,6 @@ class PerfHistogram:
             maximum=self.vmax,
         )
 
-    def cumulative(self, indices: Iterable[int]) -> Iterator[tuple[float, int]]:
-        """``(upper_edge_seconds, cumulative_count)`` at chosen buckets.
-
-        ``indices`` must be ascending; cumulative counts at any boundary
-        subset are exact (coarsening loses resolution, never counts) —
-        this is what the Prometheus writer downsamples through.
-        """
-        running = 0
-        occupied = sorted(self.buckets)
-        position = 0
-        for index in indices:
-            while position < len(occupied) and occupied[position] <= index:
-                running += self.buckets[occupied[position]]
-                position += 1
-            yield bucket_upper(index), running
-
-
-#: ``le`` boundaries rendered to Prometheus: every 4th bucket edge
-#: (8 per decade).  Cumulative counts at a boundary subset are exact;
-#: this keeps a scrape at ~80 lines per cell instead of 320.
-EXPOSITION_STRIDE = 4
-EXPOSITION_EDGES = range(EXPOSITION_STRIDE - 1, BUCKET_COUNT, EXPOSITION_STRIDE)
-
 
 class PerfRecorder:
     """Named perf histograms: ``(instrument, key)`` -> histogram.
@@ -246,25 +221,6 @@ class PerfRecorder:
                 "max_ms": round(summary.maximum * 1000.0, 6),
             }
         return out
-
-    def families(self):
-        """One histogram family per instrument
-        (``repro_perf_<instrument>_seconds``), one cell per key, for
-        :func:`repro.obs.registry.prometheus`.  The key-less cell of
-        ``kernel.tick`` and friends carries no label values, so it
-        renders without an empty ``key=""``."""
-        grouped: dict[str, dict[tuple[str, ...], PerfHistogram]] = {}
-        for (instrument, key), hist in self.items():
-            grouped.setdefault(instrument, {})[(key,) if key else ()] = hist
-        for instrument, cells in grouped.items():
-            name = "repro_perf_" + instrument.replace(".", "_").replace("-", "_")
-            yield (
-                name + "_seconds",
-                "histogram",
-                f"Wall/substrate durations for {instrument}",
-                ("key",),
-                cells,
-            )
 
 
 def format_perf_report(snapshot: dict[str, Any]) -> str:

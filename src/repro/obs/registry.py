@@ -1,27 +1,24 @@
 """Counter/gauge/histogram registry fed from the telemetry stream.
 
 The registry is the numeric face of the trace: where the trace is the
-full ordered story, the registry is the running totals a scrape (or a
-bench artifact) wants.  It is deliberately dependency-free and
-Prometheus-shaped — counters only go up, gauges are set, histograms
-have cumulative buckets — and this module holds the one writer of that
-text format, :func:`prometheus`, which renders *families*: plain
-``(name, kind, help, labelnames, cells)`` values, ``cells`` mapping
-label-value tuples to a number or a
-:class:`~repro.obs.perf.PerfHistogram`.  Every plane that has numbers
-for a scrape yields such values from a ``families()`` verb
-(:class:`MetricsRegistry` here, the demand, perf and flow planes in
-their own modules); none of them formats text.
+full ordered story, the registry is the running totals a bench
+artifact wants.  It is deliberately dependency-free — counters only go
+up, gauges are set, a histogram cell is a
+:class:`~repro.obs.perf.PerfHistogram` — and its one read path is
+:meth:`MetricsRegistry.snapshot`, a flat JSON dict whose keys keep the
+Prometheus-style ``name{label="v"}`` spelling the benchmark sums.
 
 Instruments are keyed by (name, label values); label sets are usually
 tiny (message types, region pairs, span names), so plain dicts are
 fine.  The exception is anything labelled per entity or per node at
 scale — 10^5 entities would mean 10^5 cells per instrument and an
-O(entities) /metrics page — so every registry-created instrument caps
+O(entities) snapshot — so every registry-created instrument caps
 its cell count (``max_label_values``, default 1024): once the cap is
 hit, *new* label combinations aggregate into a single
 ``"__other__"`` overflow cell while existing cells keep updating.
-Exposition stays O(cap) no matter how many entities a run touches.  :class:`TraceMetricsFeed` is the bridge from the event stream:
+The snapshot stays O(cap) no matter how many entities a run touches.
+
+:class:`TraceMetricsFeed` is the bridge from the event stream:
 subscribed as an :class:`~repro.obs.bus.EventBus` tap, it folds every
 event into the standard instrument set (:data:`STANDARD`), which means
 sim runs, live runs, and offline trace replays all produce identical
@@ -30,16 +27,11 @@ metrics for identical traffic.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterable, Mapping
 
-from repro.obs.perf import EXPOSITION_EDGES, PerfHistogram
+from repro.obs.perf import PerfHistogram
 
 LabelValues = tuple[str, ...]
-
-#: One metric family, as every plane's ``families()`` yields it and
-#: :func:`prometheus` renders it: ``(name, kind, help, labelnames,
-#: cells)``; a ``histogram`` family's cells are ``PerfHistogram``\ s.
-Family = tuple[str, str, str, tuple[str, ...], Mapping[LabelValues, Any]]
 
 #: The label value unseen combinations collapse into once an instrument
 #: hits its cell cap.
@@ -59,12 +51,10 @@ class _Instrument:
     def __init__(
         self,
         name: str,
-        help: str,
         labelnames: tuple[str, ...] = (),
         max_cells: int | None = None,
     ) -> None:
         self.name = name
-        self.help = help
         self.labelnames = labelnames
         self.max_cells = max_cells
         self.cells: dict[LabelValues, Any] = {}
@@ -122,7 +112,7 @@ class Distribution(_Instrument):
 
 
 class MetricsRegistry:
-    """Holds instruments; snapshot and families are the two read paths.
+    """Holds instruments; :meth:`snapshot` is the read path.
 
     ``max_label_values`` bounds the per-instrument cell count (see the
     module docs); ``None`` disables the cap.
@@ -134,26 +124,22 @@ class MetricsRegistry:
         self.max_label_values = max_label_values
         self._instruments: dict[str, _Instrument] = {}
 
-    def counter(
-        self, name: str, help: str = "", labelnames: tuple[str, ...] = ()
-    ) -> Counter:
-        return self._get_or_create(Counter, name, help, labelnames)
+    def counter(self, name: str, labelnames: tuple[str, ...] = ()) -> Counter:
+        return self._get_or_create(Counter, name, labelnames)
 
-    def gauge(
-        self, name: str, help: str = "", labelnames: tuple[str, ...] = ()
-    ) -> Gauge:
-        return self._get_or_create(Gauge, name, help, labelnames)
+    def gauge(self, name: str, labelnames: tuple[str, ...] = ()) -> Gauge:
+        return self._get_or_create(Gauge, name, labelnames)
 
     def histogram(
-        self, name: str, help: str = "", labelnames: tuple[str, ...] = ()
+        self, name: str, labelnames: tuple[str, ...] = ()
     ) -> Distribution:
-        return self._get_or_create(Distribution, name, help, labelnames)
+        return self._get_or_create(Distribution, name, labelnames)
 
-    def _get_or_create(self, cls, name, help, labelnames):
+    def _get_or_create(self, cls, name, labelnames):
         existing = self._instruments.get(name)
         if existing is None:
             existing = self._instruments[name] = cls(
-                name, help, labelnames, max_cells=self.max_label_values
+                name, labelnames, max_cells=self.max_label_values
             )
         elif type(existing) is not cls or existing.labelnames != labelnames:
             raise ValueError(
@@ -166,84 +152,24 @@ class MetricsRegistry:
         """A bus subscriber that keeps this registry current."""
         return TraceMetricsFeed(self)
 
-    def families(self) -> Iterator[Family]:
-        """Every instrument, registration order (cell-less ones too: a
-        scrape lists a family before its first sample)."""
-        for instrument in self._instruments.values():
-            yield (
-                instrument.name,
-                instrument.kind,
-                instrument.help,
-                instrument.labelnames,
-                instrument.cells,
-            )
-
     def snapshot(self) -> dict[str, Any]:
         """Point-in-time JSON-safe dump (embedded in bench artifacts).
 
-        Counters and gauges flatten to ``name{label="v",...}`` keys;
-        histograms report count and sum per cell (bucket detail stays
-        in the scrape path, where it belongs).
+        Instruments in registration order, cells sorted.  Counters and
+        gauges flatten to ``name{label="v",...}`` keys; histograms
+        report count and sum per cell.
         """
         out: dict[str, Any] = {}
-        for name, kind, _, labelnames, cells in self.families():
-            for labels, value in sorted(cells.items()):
+        for instrument in self._instruments.values():
+            name, labelnames = instrument.name, instrument.labelnames
+            for labels, value in sorted(instrument.cells.items()):
                 key = _flat_key(name, labelnames, labels)
-                if kind == "histogram":
+                if instrument.kind == "histogram":
                     out[key + "_count"] = value.count
                     out[key + "_sum"] = round(value.total, 9)
                 else:
                     out[key] = value
         return out
-
-
-def prometheus(families: Iterable[Family]) -> str:
-    """``families`` in Prometheus text exposition format 0.0.4 — the
-    only writer of that format under ``src/repro``.
-
-    A histogram cell renders ``PerfHistogram``'s own edges (every
-    :data:`~repro.obs.perf.EXPOSITION_STRIDE`-th, cumulative counts at
-    a boundary subset being exact) plus ``_sum`` / ``_count``, so any
-    scraper computes quantiles with its own functions.
-    """
-    lines: list[str] = []
-    for name, kind, help, labelnames, cells in families:
-        if help:
-            lines.append(f"# HELP {name} {_escape(help)}")
-        lines.append(f"# TYPE {name} {kind}")
-        for labels, value in sorted(cells.items()):
-            plain = _labels(labelnames, labels)
-            if kind != "histogram":
-                lines.append(f"{name}{plain} {_format_value(value)}")
-                continue
-            for upper, cumulative in value.cumulative(EXPOSITION_EDGES):
-                le = _labels(labelnames, labels, f'le="{upper:.9g}"')
-                lines.append(f"{name}_bucket{le} {cumulative}")
-            le = _labels(labelnames, labels, 'le="+Inf"')
-            lines.append(f"{name}_bucket{le} {value.count}")
-            lines.append(f"{name}_sum{plain} {_format_value(value.total)}")
-            lines.append(f"{name}_count{plain} {value.count}")
-    return "\n".join(lines) + "\n" if lines else ""
-
-
-def _escape(value: str) -> str:
-    return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-
-
-def _labels(labelnames, labels, extra: str = "") -> str:
-    parts = [
-        f'{name}="{_escape(str(value))}"'
-        for name, value in zip(labelnames, labels)
-    ]
-    if extra:
-        parts.append(extra)
-    return "{" + ",".join(parts) + "}" if parts else ""
-
-
-def _format_value(value: float) -> str:
-    if value == int(value):
-        return str(int(value))
-    return repr(value)
 
 
 def _flat_key(name: str, labelnames: tuple[str, ...], labels: LabelValues) -> str:
@@ -256,42 +182,46 @@ def _flat_key(name: str, labelnames: tuple[str, ...], labels: LabelValues) -> st
 
 
 #: The instruments :class:`TraceMetricsFeed` keeps, by its attribute:
-#: ``(kind, name, labels, help)``.  Only what nothing but the event
-#: stream knows: token locality and forecast error belong to
+#: ``(kind, name, labels)``.  Only what nothing but the event stream
+#: knows: token locality and forecast error belong to
 #: :class:`~repro.obs.demand.DemandTracker`, wire bytes and queues to
-#: :class:`~repro.obs.flow.FlowTracker`; each renders its own families
+#: :class:`~repro.obs.flow.FlowTracker`; each snapshots its own numbers
 #: (DESIGN.md §3, "one owner per number").
-STANDARD: dict[str, tuple[str, str, tuple[str, ...], str]] = {
-    "events": ("counter", "repro_events_total", ("type",), "Trace events by type"),
-    "messages": ("counter", "repro_messages_total", ("event", "msg_type"),
-                 "Transport-plane envelopes by event and payload type"),
+STANDARD: dict[str, tuple[str, str, tuple[str, ...]]] = {
+    # Trace events by type.
+    "events": ("counter", "repro_events_total", ("type",)),
+    # Transport-plane envelopes by event and payload type.
+    "messages": ("counter", "repro_messages_total", ("event", "msg_type")),
+    # Delivery latency per region pair.
     "message_latency": ("histogram", "repro_message_latency_seconds",
-                        ("src_region", "dst_region"),
-                        "Delivery latency per region pair"),
-    "span_duration": ("histogram", "repro_span_duration_seconds", ("span",),
-                      "Completed protocol-phase spans"),
-    "requests": ("counter", "repro_requests_total", ("outcome",),
-                 "Client request outcomes"),
-    "reallocations": ("counter", "repro_reallocations_total", ("event",),
-                      "Redistribution decision points"),
-    "faults": ("counter", "repro_faults_total", ("action",), "Injected faults"),
-    "invariant_checks": ("counter", "repro_invariant_checks_total", (),
-                         "Conservation audits run"),
+                        ("src_region", "dst_region")),
+    # Completed protocol-phase spans.
+    "span_duration": ("histogram", "repro_span_duration_seconds", ("span",)),
+    # Client request outcomes.
+    "requests": ("counter", "repro_requests_total", ("outcome",)),
+    # Redistribution decision points.
+    "reallocations": ("counter", "repro_reallocations_total", ("event",)),
+    # Injected faults.
+    "faults": ("counter", "repro_faults_total", ("action",)),
+    # Conservation audits run.
+    "invariant_checks": ("counter", "repro_invariant_checks_total", ()),
+    # Safety invariant violations reported.
     "invariant_violations": ("counter", "repro_invariant_violations_total",
-                             ("invariant",), "Safety invariant violations reported"),
-    "tokens_left": ("gauge", "repro_tokens_left", ("node",),
-                    "Last observed per-site token balance"),
-    "clock": ("gauge", "repro_clock_seconds", (), "Substrate clock of the last event"),
-    "pledge_opened": ("counter", "repro_pledge_opened_total", ("node",),
-                      "Balances frozen by answering a foreign election"),
-    "pledge_settled": ("counter", "repro_pledge_settled_total", ("node", "reason"),
-                       "Pledges resolved, by how the outcome arrived"),
-    "pledge_recoveries": ("counter", "repro_pledge_recoveries_total", ("node",),
-                          "Recovery elections started to resolve a pledge"),
-    "pledges_open": ("gauge", "repro_pledges_open", ("node",),
-                     "Pledges currently unresolved"),
-    "liveness_events": ("counter", "repro_liveness_events_total", ("kind",),
-                        "Watchdog detections and client write-offs"),
+                             ("invariant",)),
+    # Last observed per-site token balance.
+    "tokens_left": ("gauge", "repro_tokens_left", ("node",)),
+    # Substrate clock of the last event.
+    "clock": ("gauge", "repro_clock_seconds", ()),
+    # Balances frozen by answering a foreign election.
+    "pledge_opened": ("counter", "repro_pledge_opened_total", ("node",)),
+    # Pledges resolved, by how the outcome arrived.
+    "pledge_settled": ("counter", "repro_pledge_settled_total", ("node", "reason")),
+    # Recovery elections started to resolve a pledge.
+    "pledge_recoveries": ("counter", "repro_pledge_recoveries_total", ("node",)),
+    # Pledges currently unresolved.
+    "pledges_open": ("gauge", "repro_pledges_open", ("node",)),
+    # Watchdog detections and client write-offs.
+    "liveness_events": ("counter", "repro_liveness_events_total", ("kind",)),
 }
 
 
@@ -301,8 +231,8 @@ class TraceMetricsFeed:
 
     def __init__(self, registry: MetricsRegistry) -> None:
         self.registry = registry
-        for attribute, (kind, name, labels, help) in STANDARD.items():
-            setattr(self, attribute, getattr(registry, kind)(name, help, labels))
+        for attribute, (kind, name, labels) in STANDARD.items():
+            setattr(self, attribute, getattr(registry, kind)(name, labels))
 
     def __call__(self, event: Mapping[str, Any]) -> None:
         etype = event.get("type", "")

@@ -8,8 +8,8 @@ story behind Fig. 3b-3h and Table 2b), and request outcomes.
 each event through the three folds every other surface already uses —
 the registry feed (:class:`~repro.obs.registry.TraceMetricsFeed`), the
 demand tap and the flow tap — and renders from what they hold, so a
-count in the summary is the count ``/metrics``, ``--demand`` and
-``--flow`` report.  All three keep bounded state (label-capped cells,
+count in the summary is the count the metrics snapshot, ``--demand``
+and ``--flow`` report.  All three keep bounded state (label-capped cells,
 log-bucketed histograms, a top-K sketch), so a 100k-entity scale trace
 summarizes in **one pass** and in memory proportional to the number of
 *distinct* span names, region pairs and message types.  What no fold

@@ -51,7 +51,6 @@ class LiveCluster:
         config: ExperimentConfig,
         transport: str = "asyncio",
         latency_scale: float = DEFAULT_LATENCY_SCALE,
-        metrics_port: int | None = None,
         on_tick: Callable[["object"], None] | None = None,
         tick_interval: float = 1.0,
     ) -> None:
@@ -61,12 +60,8 @@ class LiveCluster:
         # top-level run_experiment dispatch, but it is also what the
         # telemetry run.meta records, so pin it to what actually runs.
         self.config = replace(config, mode="live")
-        if metrics_port is not None:
-            # Serving /metrics needs the registry, which needs the bus.
-            self.config = replace(self.config, metrics=True)
         self.transport_kind = transport
         self.latency_scale = latency_scale
-        self.metrics_port = metrics_port
         #: Optional in-flight observer: called with the running
         #: Experiment every ``tick_interval`` wall seconds (``repro top``
         #: renders its live frames from this).  Exceptions propagate and
@@ -76,9 +71,6 @@ class LiveCluster:
         #: The Experiment under way — readable while the run is in
         #: flight (e.g. by signal handlers wanting a final frame).
         self.experiment = None
-        #: Port /metrics actually bound (resolves metrics_port=0) —
-        #: readable while the run is in flight.
-        self.bound_metrics_port: int | None = None
 
     def run(self) -> LiveReport:
         return asyncio.run(self._run())
@@ -102,22 +94,9 @@ class LiveCluster:
                 seed=config.seed,
             )
         experiment = Experiment(config, kernel=clock, network=transport)
-        metrics_server = None
         try:
             try:
                 await transport.start()
-                if self.metrics_port is not None:
-                    from repro.obs.exposition import MetricsServer
-
-                    metrics_server = MetricsServer(
-                        experiment.instruments.prometheus, self.metrics_port
-                    )
-                    await metrics_server.start()
-                    self.bound_metrics_port = metrics_server.port
-                    print(
-                        "serving /metrics on "
-                        f"http://127.0.0.1:{metrics_server.port}/metrics"
-                    )
                 stats = LiveRunStats(clock, transport)
                 stats.install()
                 self.experiment = experiment
@@ -133,8 +112,6 @@ class LiveCluster:
                     except asyncio.CancelledError:
                         pass
             finally:
-                if metrics_server is not None:
-                    await metrics_server.stop()
                 await transport.aclose()
             # A callback or handler exception (e.g. an invariant violation)
             # must fail the run, exactly as it would under the sim kernel.

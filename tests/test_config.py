@@ -215,3 +215,9 @@ def test_the_deleted_surfaces_stay_deleted():
     assert "isinstance(self" not in text[avantan / "base.py"]
     for path, source in text.items():
         assert not re.search(r"configure_timeouts|_cohort_timeout_value", source), path
+    # The JSON snapshots are the one metrics output: no /metrics server,
+    # no families() verbs feeding a text writer; and no org hierarchy.
+    assert not (SRC / "obs" / "exposition.py").exists()
+    assert not (SRC / "core" / "hierarchy.py").exists()
+    for path, source in text.items():
+        assert not re.search(r"def families\(|metrics_port", source), path

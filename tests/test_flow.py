@@ -34,7 +34,6 @@ from repro.obs import (
     track_flow,
     validate_events,
 )
-from repro.obs.registry import MetricsRegistry, TraceMetricsFeed, prometheus
 from repro.scale.entity_table import COLUMNS, EntityTable
 from repro.scale import harness as scale_harness
 from repro.scale.harness import ScaleConfig, build_scale_deployment, run_scale
@@ -101,7 +100,6 @@ class TestFlowTracker:
     def test_empty_tracker_renders(self):
         tracker = FlowTracker()
         assert "0 frames" in format_flow_report(tracker.snapshot())
-        assert list(tracker.families()) == []
 
 
 #: Random interleavings: enqueue, dequeue, batch drain, passive observe.
@@ -233,29 +231,6 @@ class TestEndToEnd:
         assert types.count("flow.type") == 2
         assert types.count("flow.queue") == 1
         assert not any(t.startswith("flow.mem") for t in types)
-
-    def test_prometheus_families_are_disjoint_from_the_feed(self):
-        # Wire bytes and queue drops have one owner: the feed sees the
-        # byte stamps and the per-drop events and derives no family from
-        # them, so a scrape that renders both never repeats a name.
-        registry = MetricsRegistry()
-        feed = TraceMetricsFeed(registry)
-        feed({"type": "msg.send", "msg_type": "Ping", "bytes": 10,
-              "frame_bytes": 14, "ts": 0.0})
-        feed({"type": "flow.backpressure", "queue": "q", "depth": 1, "ts": 0.0})
-        tracker = FlowTracker()
-        tracker.record_send("Ping", 10, 14, "a", "b")
-        tracker.queue("q").enqueue(1)
-        tracker.record_batch(2, envelope_bytes=20, inner_bytes=25)
-
-        feed_families = {family[0] for family in registry.families()}
-        flow_families = {family[0] for family in tracker.families()}
-        assert len(flow_families) == 10
-        assert all(name.startswith("repro_flow_") for name in flow_families)
-        assert not any(name.startswith("repro_flow_") for name in feed_families)
-        text = prometheus([*registry.families(), *tracker.families()])
-        assert 'repro_flow_type_bytes_total{msg_type="Ping"} 14' in text
-        assert "repro_flow_batch_inner_total 2" in text
 
 
 class TestTcpBackpressure:

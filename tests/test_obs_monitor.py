@@ -1,4 +1,4 @@
-"""Tests for the active-monitoring layer: auditor, registry, exposition.
+"""Tests for the active-monitoring layer: auditor and registry.
 
 The corruption tests are the point of the auditor: take a *real* traced
 run, tamper with the stream the way a bug (or a forged trace) would,
@@ -7,10 +7,8 @@ fixed-seed runs of all protocol variants audit clean, and auditing
 changes no measured number.
 """
 
-import asyncio
 import gzip
 import json
-import urllib.request
 
 import pytest
 
@@ -27,8 +25,7 @@ from repro.obs import (
     format_audit_report,
     read_trace,
 )
-from repro.obs.exposition import CONTENT_TYPE, MetricsServer
-from repro.obs.registry import OVERFLOW_LABEL, Counter, MetricsRegistry, prometheus
+from repro.obs.registry import OVERFLOW_LABEL, Counter, MetricsRegistry
 from repro.obs.summary import TraceSummaryBuilder
 from repro.sim.kernel import Kernel
 from repro.workload.trace import TraceConfig
@@ -285,18 +282,15 @@ class TestRegistry:
 
     def test_histogram_buckets_cumulative_in_render(self):
         registry = MetricsRegistry()
-        # One histogram type: the cells are PerfHistograms, the ``le``
-        # edges theirs (decade boundaries are among the rendered ones).
+        # One histogram type: the cells are PerfHistograms; the snapshot
+        # reports each cell's exact count and sum.
         histogram = registry.histogram("h")
         histogram.observe(value=0.05)
         histogram.observe(value=0.5)
         histogram.observe(value=5.0)
-        text = prometheus(registry.families())
-        assert 'h_bucket{le="0.1"} 1' in text
-        assert 'h_bucket{le="1"} 2' in text
-        assert 'h_bucket{le="+Inf"} 3' in text
-        assert "h_sum 5.55" in text
-        assert "h_count 3" in text
+        snap = registry.snapshot()
+        assert snap["h_count"] == 3
+        assert snap["h_sum"] == 5.55
 
     def test_label_cardinality_caps_at_overflow_cell(self):
         registry = MetricsRegistry(max_label_values=3)
@@ -328,7 +322,7 @@ class TestRegistry:
         assert histogram.count(OVERFLOW_LABEL) == 1
 
     def test_directly_constructed_instruments_are_unbounded(self):
-        counter = Counter("free", "", labelnames=("entity",))
+        counter = Counter("free", labelnames=("entity",))
         for index in range(2000):
             counter.inc(f"e{index}")
         assert len(counter.cells) == 2000
@@ -341,66 +335,6 @@ class TestRegistry:
         for index in range(2000):
             counter.inc(f"e{index}")
         assert len(counter.cells) == 2000
-
-
-class TestExposition:
-    def test_render_is_parseable_prometheus_text(self):
-        _, events = traced_run(quick_config())
-        text = prometheus(feed_registry(events).families())
-        assert text.endswith("\n")
-        typed: dict[str, str] = {}
-        for line in text.strip().split("\n"):
-            if line.startswith("# TYPE"):
-                _, _, name, kind = line.split(" ", 3)
-                typed[name] = kind
-                continue
-            if line.startswith("#"):
-                continue
-            # Every sample line: name{labels} value — value parses float.
-            name_part, _, value = line.rpartition(" ")
-            float(value)
-            bare = name_part.split("{")[0]
-            family = bare
-            for suffix in ("_bucket", "_sum", "_count"):
-                if bare.endswith(suffix) and bare[: -len(suffix)] in typed:
-                    family = bare[: -len(suffix)]
-            assert family in typed, line
-        assert typed["repro_events_total"] == "counter"
-        assert typed["repro_span_duration_seconds"] == "histogram"
-
-    def test_metrics_server_serves_scrapes(self):
-        async def scenario():
-            registry = MetricsRegistry()
-            registry.counter("repro_events_total", labelnames=("type",)).inc("x")
-            server = MetricsServer(lambda: prometheus(registry.families()), port=0)
-            await server.start()
-            url = f"http://127.0.0.1:{server.port}/metrics"
-            body, content_type = await asyncio.to_thread(self._get, url)
-            missing = await asyncio.to_thread(self._status, f"http://127.0.0.1:{server.port}/nope")
-            await server.stop()
-            return body, content_type, missing, server.scrapes
-
-        body, content_type, missing, scrapes = asyncio.run(scenario())
-        assert 'repro_events_total{type="x"} 1' in body
-        assert content_type == CONTENT_TYPE
-        assert missing == 404
-        assert scrapes == 1
-
-    @staticmethod
-    def _get(url: str) -> tuple[str, str]:
-        with urllib.request.urlopen(url, timeout=5) as response:
-            return (
-                response.read().decode("utf-8"),
-                response.headers.get("Content-Type", ""),
-            )
-
-    @staticmethod
-    def _status(url: str) -> int:
-        try:
-            with urllib.request.urlopen(url, timeout=5) as response:
-                return response.status
-        except urllib.error.HTTPError as error:
-            return error.code
 
 
 class TestGzipTraces:

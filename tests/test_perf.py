@@ -21,7 +21,6 @@ from repro.obs.perf import (
     bucket_ratio,
     bucket_upper,
 )
-from repro.obs.registry import prometheus
 
 #: Latency-like values spanning the instrumented range (0.1 µs..1000 s).
 values = st.floats(1e-7, 1e3, allow_nan=False, allow_infinity=False)
@@ -106,21 +105,6 @@ class TestPerfRecorder:
         entry = snapshot[key]
         assert entry["count"] == 10
         assert entry["p50_ms"] == pytest.approx(10.0, rel=0.10)
-
-    def test_prometheus_rendering(self):
-        recorder = PerfRecorder()
-        for value in (0.001, 0.01, 0.1):
-            recorder.observe("span.dur", "request", value)
-        text = prometheus(recorder.families())
-        assert "# TYPE repro_perf_span_dur_seconds histogram" in text
-        assert 'le="+Inf"' in text
-        assert 'key="request"' in text
-        assert "repro_perf_span_dur_seconds_count" in text
-        # Cumulative counts: the +Inf bucket equals the total count.
-        inf_lines = [
-            line for line in text.splitlines() if 'le="+Inf"' in line
-        ]
-        assert any(line.endswith(" 3") for line in inf_lines)
 
 
 class TestEmptySummaries:
