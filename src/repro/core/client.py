@@ -12,7 +12,8 @@ it never releases more tokens than it has successfully acquired (§3.2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
+from typing import NamedTuple
 
 from repro.core.requests import ClientRequest, ClientResponse, RequestKind, RequestStatus
 from repro.net.regions import Region
@@ -20,9 +21,12 @@ from repro.net.transport import Clock
 from repro.sim.process import Actor
 
 
-@dataclass(frozen=True)
-class Operation:
-    """One trace entry: issue ``kind`` for ``amount`` tokens at ``time``."""
+class Operation(NamedTuple):
+    """One trace entry: issue ``kind`` for ``amount`` tokens at ``time``.
+
+    A named tuple: a build makes one per request, and a tuple is the
+    cheapest immutable record to construct.
+    """
 
     time: float
     kind: RequestKind
@@ -50,7 +54,8 @@ class WorkloadClient(Actor):
         self.app_manager = app_manager
         self.entity_id = entity_id
         self.metrics = metrics
-        self._operations = sorted(operations, key=lambda op: op.time)
+        # Trace-built lists arrive sorted; hand-built ones need not.
+        self._operations = sorted(operations, key=attrgetter("time"))
         self._cursor = 0
         #: Tokens currently held (granted acquires minus granted releases).
         self.outstanding = 0

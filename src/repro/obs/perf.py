@@ -69,11 +69,6 @@ def bucket_index(value: float) -> int:
     return index
 
 
-def bucket_upper(index: int) -> float:
-    """Upper edge (seconds) of bucket ``index``."""
-    return 10.0 ** (MIN_EXP + (index + 1) / _LOG_SCALE)
-
-
 def bucket_mid(index: int) -> float:
     """Geometric midpoint of bucket ``index`` — the quantile estimate."""
     return 10.0 ** (MIN_EXP + (index + 0.5) / _LOG_SCALE)
@@ -189,9 +184,6 @@ class PerfRecorder:
 
     def observe(self, instrument: str, key: str, seconds: float) -> None:
         self.histogram(instrument, key).record(seconds)
-
-    def items(self) -> list[tuple[tuple[str, str], PerfHistogram]]:
-        return sorted(self._hists.items())
 
     def __len__(self) -> int:
         return len(self._hists)

@@ -9,8 +9,10 @@ creation/deletion coupling through VM lifetimes.
 
 The rest of the pipeline mirrors §5.1.2 exactly: sampling-interval
 compression (300 s -> 5 s), per-region phase shifting by time-zone
-offset, and conversion of creations/deletions into acquire/release
-operations (plus read mixing for §5.8).
+offset, and conversion of creations into acquire operations, each with
+a release drawn an exponential VM lifetime later (plus read mixing for
+§5.8).  Only the creation column drives requests; the trace draws its
+deletion series on first read.
 """
 
 from repro.workload.trace import SyntheticAzureTrace, TraceConfig

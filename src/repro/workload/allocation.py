@@ -67,7 +67,7 @@ def historic_allocation(
         raise ValueError("window_intervals must be positive")
     weights = []
     for region in regions:
-        creations, _ = shifted_trace(trace, region, base_region)
+        creations = shifted_trace(trace, region, base_region)
         n = len(creations)
         end = n if end_interval is None else end_interval
         idx = (end - window_intervals + np.arange(window_intervals)) % n

@@ -1,9 +1,10 @@
 """Per-region phase shifting (§5.1.2).
 
 "Clients in different regions generate respective phase-shifted
-transactional workloads": the single-region Azure trace is rolled by the
-time-zone difference so each region keeps its periodicity but peaks at a
-different wall-clock moment — exactly the paper's construction.
+transactional workloads": the single-region Azure trace's creation
+column is rolled by the time-zone difference so each region keeps its
+periodicity but peaks at a different wall-clock moment — exactly the
+paper's construction.
 """
 
 from __future__ import annotations
@@ -28,14 +29,15 @@ def shifted_trace(
     trace: SyntheticAzureTrace,
     region: Region,
     base_region: Region = Region.US_WEST1,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(creations, deletions) for ``region``, phase-shifted from the base.
+) -> np.ndarray:
+    """Creations per interval for ``region``, phase-shifted from the base.
 
-    A positive time-zone offset means the region's local peak arrives
-    earlier in trace time, hence the negative roll.
+    Only the creation column is shifted: requests, predictors and
+    allocations are all driven by demand, and each replayed acquire
+    draws its own release (``repro.workload.requests``), so no caller
+    replays the trace's deletion column.  A positive time-zone offset
+    means the region's local peak arrives earlier in trace time, hence
+    the negative roll.
     """
     shift = phase_shift_intervals(region, base_region, INTERVAL_SECONDS)
-    return (
-        np.roll(trace.creations, -shift),
-        np.roll(trace.deletions, -shift),
-    )
+    return np.roll(trace.creations, -shift)

@@ -14,12 +14,19 @@ Deletions follow memorylessly from the outstanding-VM pool (each live VM
 dies in an interval with probability 1/lifetime), which couples the two
 series the way real create/delete logs are coupled and keeps the
 outstanding count mean-reverting.
+
+Only the creation column drives requests, so the deletion/outstanding
+pair is drawn on first read (the Fig. 3a summary reads it), from the
+generator the creation draws left behind: the arrays are the ones an
+eager draw would make, and a run that never reads them never pays the
+one-binomial-per-interval loop.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -71,7 +78,18 @@ class SyntheticAzureTrace:
 
     def __init__(self, config: TraceConfig | None = None) -> None:
         self.config = config or TraceConfig()
-        self.creations, self.deletions, self.outstanding = self._generate()
+        self._rng = np.random.RandomState(self.config.seed)
+        self.creations = self._draw_creations()
+
+    @property
+    def deletions(self) -> np.ndarray:
+        """VMs deleted per interval."""
+        return self._deaths[0]
+
+    @property
+    def outstanding(self) -> np.ndarray:
+        """VMs alive at the end of each interval."""
+        return self._deaths[1]
 
     @property
     def demand(self) -> np.ndarray:
@@ -94,16 +112,21 @@ class SyntheticAzureTrace:
         weekly = np.where(day_of_week >= 5, WEEKEND_FACTOR, 1.0)
         return cfg.base_demand * diurnal * weekly
 
-    def _generate(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _draw_creations(self) -> np.ndarray:
         cfg = self.config
-        rng = np.random.RandomState(cfg.seed)
+        rng = self._rng
         rate = self._rate_profile()
         noise = np.exp(rng.normal(0.0, NOISE_SIGMA, size=len(rate)))
         bursts = (
             rng.random_sample(len(rate)) < BURST_PROBABILITY
         ) * rng.uniform(0.5, 1.0, size=len(rate)) * BURST_SCALE * cfg.base_demand
-        creations = rng.poisson(rate * noise + bursts).astype(np.int64)
+        return rng.poisson(rate * noise + bursts).astype(np.int64)
 
+    @cached_property
+    def _deaths(self) -> tuple[np.ndarray, np.ndarray]:
+        """(deletions, outstanding), continuing the creation draws' stream."""
+        rng, self._rng = self._rng, None
+        creations = self.creations
         deletions = np.zeros_like(creations)
         outstanding = np.zeros_like(creations)
         death_probability = 1.0 / VM_LIFETIME_INTERVALS
@@ -114,7 +137,7 @@ class SyntheticAzureTrace:
             deletions[i] = died
             alive -= died
             outstanding[i] = alive
-        return creations, deletions, outstanding
+        return deletions, outstanding
 
     # -- summary statistics used by the Fig. 3a bench --------------------------
 

@@ -15,15 +15,21 @@ from hypothesis import strategies as st
 from repro.metrics.latency import LatencySummary, percentile
 from repro.obs.perf import (
     BUCKET_COUNT,
+    BUCKETS_PER_DECADE,
+    MIN_EXP,
     PerfHistogram,
     PerfRecorder,
     bucket_index,
     bucket_ratio,
-    bucket_upper,
 )
 
 #: Latency-like values spanning the instrumented range (0.1 µs..1000 s).
 values = st.floats(1e-7, 1e3, allow_nan=False, allow_infinity=False)
+
+
+def bucket_upper(index: int) -> float:
+    """Upper edge (seconds) of bucket ``index``, from the documented layout."""
+    return 10.0 ** (MIN_EXP + (index + 1) / BUCKETS_PER_DECADE)
 
 
 class TestBucketLayout:
@@ -91,9 +97,10 @@ class TestPerfRecorder:
         recorder.observe("codec.encode", "ClientRequest", 0.001)
         recorder.observe("codec.encode", "SiteResponse", 0.002)
         recorder.observe("kernel.tick", "", 0.0005)
-        labels = {(instrument, key) for (instrument, key), _ in recorder.items()}
-        assert ("codec.encode", "ClientRequest") in labels
-        assert ("kernel.tick", "") in labels
+        labels = set(recorder.snapshot())
+        assert "codec.encode{ClientRequest}" in labels
+        assert "codec.encode{SiteResponse}" in labels
+        assert "kernel.tick" in labels
 
     def test_snapshot_shape(self):
         recorder = PerfRecorder()
